@@ -107,6 +107,10 @@ impl AdbBackend {
     ///
     /// Enforces §3.3: Bluetooth ADB requires a rooted device; WiFi ADB
     /// conflicts with cellular-network experiments.
+    ///
+    /// Like the real pipeline, the channel clears the device log
+    /// (`logcat -c`) as it opens, so a later `logcat -d` returns only the
+    /// lines of the job that opened it.
     pub fn connect(
         device: AndroidDevice,
         transport: TransportKind,
@@ -129,6 +133,7 @@ impl AdbBackend {
         }
         let mut link = AdbLink::new(device.clone(), transport, key);
         link.connect()?;
+        link.shell("logcat -c")?;
         Ok(AdbBackend {
             link,
             device,
@@ -484,6 +489,19 @@ mod tests {
         assert!(b.measurement_safe());
         assert!(b.supports_mirroring());
         assert_eq!(d.foreground(), None, "script force-stops at the end");
+    }
+
+    #[test]
+    fn adb_connect_scopes_the_log_to_its_job() {
+        let d = device();
+        let script = Script::browser_workload("com.brave.browser", &["https://news.example"], 1);
+        let mut first = AdbBackend::connect(d.clone(), TransportKind::WiFi, key()).unwrap();
+        first.run_script(&script).unwrap();
+        let mut second = AdbBackend::connect(d.clone(), TransportKind::WiFi, key()).unwrap();
+        assert_eq!(second.link_mut().logcat().unwrap(), "", "connect clears");
+        second.run_script(&script).unwrap();
+        let log = second.link_mut().logcat().unwrap();
+        assert_eq!(log.matches("Displayed com.brave.browser").count(), 1);
     }
 
     #[test]

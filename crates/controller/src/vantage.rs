@@ -614,7 +614,9 @@ impl VantagePoint {
     }
 
     /// `execute_adb` — run an ADB command against `device_id` over the
-    /// WiFi automation channel (creating it on first use).
+    /// WiFi automation channel (creating it on first use). A command that
+    /// fails with a transport error drops the link, so the next call
+    /// reconnects with faults and telemetry bound afresh.
     pub fn execute_adb(
         &mut self,
         device_id: &str,
@@ -641,7 +643,11 @@ impl VantagePoint {
         // The link has no clock of its own; feed it device sim time so
         // windowed transport faults line up with the experiment.
         link.sync_fault_clock(now);
-        Ok(link.shell(command)?)
+        let result = link.shell(command);
+        if let Err(HostError::Transport(_)) = result {
+            self.adb_links.remove(device_id);
+        }
+        Ok(result?)
     }
 
     // -- beyond Table 1: management the paper describes in prose -------------
@@ -1001,12 +1007,13 @@ mod tests {
         vp.attach_faults(&injector);
         // power_monitor retries through the one injected socket failure.
         vp.power_monitor().unwrap();
-        // First ADB exec trips the transport reset; the link reconnects
-        // on the next call path only after explicit repair, so expect Err.
+        // First ADB exec trips the transport reset and drops the link.
         assert!(matches!(
             vp.execute_adb(&serial, "echo hi"),
             Err(ControllerError::Adb(_))
         ));
+        // The next command reconnects instead of failing on a dead link.
+        assert_eq!(vp.execute_adb(&serial, "echo back").unwrap(), "back\n");
         let report = vp.telemetry().snapshot();
         assert_eq!(report.counter("node1.controller.socket_retries"), 1);
         // Only node1's two faults fired; node9's never will.

@@ -8,6 +8,8 @@
 //! trace the Monsoon later samples. Radio tail expiry splits segments so
 //! the trace is exact, not sampled.
 
+use std::collections::VecDeque;
+
 use batterylab_net::{Direction, LinkProfile, TransferModel};
 use batterylab_power::Battery;
 use batterylab_sim::{SimDuration, SimRng, SimTime, StepSignal};
@@ -30,6 +32,10 @@ const ENCODER_UTIL_PER_CHANGE: f64 = 0.050;
 /// Background OS activity, fraction of CPU.
 const BACKGROUND_UTIL: f64 = 0.02;
 
+/// Capacity of the log ring in rendered bytes: Android's default logcat
+/// buffer size (256 KiB). The oldest lines are evicted first.
+const LOG_CAPACITY: usize = 256 * 1024;
+
 /// A network transfer's bookkeeping result.
 #[derive(Clone, Copy, Debug)]
 pub struct DeviceTransfer {
@@ -50,7 +56,10 @@ pub struct DeviceSim {
     frame_change: StepSignal,
     battery: Battery,
     rng: SimRng,
-    logs: Vec<(SimTime, String, String)>,
+    /// Rendered `logcat -d` lines, oldest first, at most
+    /// [`LOG_CAPACITY`] bytes in total.
+    logs: VecDeque<String>,
+    log_bytes: usize,
     rx_bytes: u64,
     tx_bytes: u64,
     data_path: DataPath,
@@ -77,7 +86,8 @@ impl DeviceSim {
             frame_change: StepSignal::new(0.0),
             battery,
             rng,
-            logs: Vec::new(),
+            logs: VecDeque::new(),
+            log_bytes: 0,
             rx_bytes: 0,
             tx_bytes: 0,
             data_path: DataPath::WiFi,
@@ -312,23 +322,31 @@ impl DeviceSim {
         }
     }
 
-    /// Append a logcat line.
+    /// Append a logcat line, evicting the oldest lines once the ring
+    /// holds more than [`LOG_CAPACITY`] bytes.
     pub fn log(&mut self, tag: &str, msg: &str) {
-        self.logs.push((self.now, tag.to_string(), msg.to_string()));
+        let line = format!("{:.3} I/{}: {}\n", self.now.as_secs_f64(), tag, msg);
+        self.log_bytes += line.len();
+        self.logs.push_back(line);
+        while self.log_bytes > LOG_CAPACITY {
+            let evicted = self.logs.pop_front().expect("bytes imply a line");
+            self.log_bytes -= evicted.len();
+        }
     }
 
-    /// Render the log buffer like `logcat -d`.
+    /// Render the log ring like `logcat -d`.
     pub fn logcat_dump(&self) -> String {
-        let mut out = String::new();
-        for (t, tag, msg) in &self.logs {
-            out.push_str(&format!("{:.3} I/{}: {}\n", t.as_secs_f64(), tag, msg));
+        let mut out = String::with_capacity(self.log_bytes);
+        for line in &self.logs {
+            out.push_str(line);
         }
         out
     }
 
-    /// Clear the log buffer (`logcat -c`).
+    /// Clear the log ring (`logcat -c`).
     pub fn logcat_clear(&mut self) {
         self.logs.clear();
+        self.log_bytes = 0;
     }
 
     // -- internals -----------------------------------------------------------
@@ -553,6 +571,35 @@ mod tests {
         assert!(dump.contains("test finished"));
         d.logcat_clear();
         assert!(d.logcat_dump().is_empty());
+    }
+
+    #[test]
+    fn log_ring_evicts_oldest_lines_first() {
+        let mut d = device(13);
+        let lines = 2 * LOG_CAPACITY / 32;
+        for i in 0..lines {
+            d.log("BatteryLab", &format!("line {i:08}"));
+        }
+        let dump = d.logcat_dump();
+        assert!(
+            dump.len() <= LOG_CAPACITY,
+            "ring holds {} bytes",
+            dump.len()
+        );
+        assert!(
+            dump.len() > LOG_CAPACITY - 64,
+            "ring kept {} bytes",
+            dump.len()
+        );
+        assert!(!dump.contains("line 00000000"), "oldest line evicted");
+        assert!(dump.ends_with(&format!("line {:08}\n", lines - 1)));
+        // What is kept is the newest lines, contiguous and in order.
+        let kept: Vec<usize> = dump
+            .lines()
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert!(kept.windows(2).all(|w| w[1] == w[0] + 1));
+        assert_eq!(*kept.last().unwrap(), lines - 1);
     }
 
     #[test]

@@ -59,7 +59,9 @@ pub trait CurrentSource: Send + Sync {
 /// Walk `trace` over `[from, to)` with a monotone cursor and map each
 /// step value through `map` — the shared implementation behind every
 /// [`StepSignal`]-backed [`CurrentSource::segments`] (trace loads,
-/// device simulators). `O(m)` in the trace's change points.
+/// device simulators). The cursor is seated at `from` by binary search,
+/// so the cost is `O(log m + k)` for `k` change points inside the
+/// window, however long the trace before it.
 pub fn step_signal_segments(
     trace: &StepSignal,
     from: SimTime,
@@ -70,7 +72,7 @@ pub fn step_signal_segments(
     if to <= from {
         return out;
     }
-    let mut cursor = trace.cursor();
+    let mut cursor = trace.cursor_at(from);
     let mut t = from;
     while t < to {
         let (step, until) = cursor.segment(t);

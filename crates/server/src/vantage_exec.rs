@@ -226,6 +226,27 @@ mod tests {
     }
 
     #[test]
+    fn job_after_adb_transport_reset_collects_logcat() {
+        use batterylab_faults::{FaultInjector, FaultKind, FaultPlan};
+        let mut vp = vantage();
+        let plan = FaultPlan::new().next_n("node1.adb.transport", FaultKind::TransportReset, 1);
+        let injector = FaultInjector::new(&plan, 31);
+        vp.attach_faults(&injector);
+        let err = run_experiment(&mut vp, &spec()).map(|_| ()).unwrap_err();
+        assert!(err.contains("transport"), "{err}");
+        let outcome = run_experiment(&mut vp, &spec()).expect("link reconnected");
+        let logcat = outcome.artifacts.iter().find(|a| a.name == "logcat.txt");
+        assert!(logcat
+            .expect("logcat artifact")
+            .content
+            .contains("Displayed com.brave.browser"));
+        assert_eq!(injector.injected(), 1);
+        // Only the controller's log link connects through the node's
+        // registry: once for the first job, once more after the reset.
+        assert_eq!(vp.telemetry().snapshot().counter("adb.connects"), 2);
+    }
+
+    #[test]
     fn unknown_device_fails_cleanly() {
         let mut vp = vantage();
         let mut s = spec();

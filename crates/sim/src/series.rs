@@ -242,9 +242,17 @@ impl StepSignal {
     /// queries against a signal with `m` change points costs `O(n + m)`
     /// instead of `O(n log m)`.
     pub fn cursor(&self) -> StepCursor<'_> {
+        self.cursor_at(SimTime::ZERO)
+    }
+
+    /// A monotone segment cursor seated, by binary search, on the step in
+    /// effect at `from`. A sweep that starts late in a long signal then
+    /// costs `O(log m)` to seat instead of a scan over every earlier
+    /// change point.
+    pub fn cursor_at(&self, from: SimTime) -> StepCursor<'_> {
         StepCursor {
             signal: self,
-            index: 0,
+            index: self.index_at(from),
         }
     }
 
@@ -461,6 +469,28 @@ mod tests {
             assert_eq!(cursor.at(q).to_bits(), s.at(q).to_bits(), "at {q:?}");
             let (v, end) = s.segment_at(q);
             assert_eq!(cursor.segment(q), (v, end));
+        }
+    }
+
+    #[test]
+    fn cursor_at_matches_segment_at_from_its_seat_on() {
+        let mut s = StepSignal::new(0.5);
+        for k in 1..60u64 {
+            s.set(SimTime::from_millis(k * 97), (k % 7) as f64);
+        }
+        let queries: Vec<SimTime> = (0..7_000_000u64)
+            .step_by(9_973)
+            .map(SimTime::from_micros)
+            .collect();
+        for (i, &seat) in queries.iter().enumerate() {
+            let mut cursor = s.cursor_at(seat);
+            for &q in &queries[i..] {
+                assert_eq!(
+                    cursor.segment(q),
+                    s.segment_at(q),
+                    "seat {seat:?}, at {q:?}"
+                );
+            }
         }
     }
 

@@ -47,6 +47,11 @@ cargo run --release -q -p batterylab --bin blab -- recover --seed 42 --intensity
 cargo run --release -q -p batterylab --bin blab -- checkpoint --seconds 20 --rate 500
 cargo test -q -p batterylab-tests --test durable_recovery
 
+# Bounded job path: on a node that has run 200 jobs, each job's logcat
+# artifact holds only its own lines and its `Completed` WAL record is as
+# long as the first job's.
+cargo test -q -p batterylab-tests --test job_path_bounded
+
 # Wall-clock split: evaluation at jobs=1 vs every available core.
 # Prints the per-figure table and refreshes BENCH_eval.json.
 cargo run --release -q -p batterylab-bench --bin bench_eval

@@ -1,0 +1,100 @@
+//! A node's job path stays bounded over its lifetime: each job's
+//! `logcat.txt` holds only that job's lines (the automation channel
+//! clears the device log when it connects), so the `Completed` WAL record
+//! that carries the artifacts has the same size at any node age.
+
+use std::collections::BTreeMap;
+
+use batterylab::automation::Script;
+use batterylab::platform::Platform;
+use batterylab::server::{BuildState, Constraints, ExperimentSpec, Payload, Role, WalRecord};
+use batterylab::workloads::BrowserProfile;
+
+/// Jobs in the node's lifetime. Job `JOBS - 1` runs the same browser for
+/// the same account as job 0.
+const JOBS: usize = 201;
+
+/// Slack on the `Completed` payload size: the job id, the device-clock
+/// timestamps in the log lines and the summary's floats gain digits as
+/// the node ages. An unbounded log grows it by kilobytes.
+const SIZE_SLACK: usize = 24;
+
+#[test]
+fn job_path_stays_bounded_over_a_node_lifetime() {
+    let (mut platform, wal) = Platform::durable_testbed(77);
+    platform.server.enable_billing();
+    let accounts = ["exp000", "exp001"];
+    let tokens: Vec<u64> = accounts
+        .iter()
+        .map(|name| {
+            platform
+                .server
+                .add_user(platform.admin_token, name, "pw", Role::Experimenter)
+                .expect("fresh account");
+            platform.server.login(name, "pw", true).unwrap().token
+        })
+        .collect();
+    let serial = platform.j7_serial().to_string();
+    let browsers = BrowserProfile::all_four();
+
+    let mut packages = BTreeMap::new();
+    for i in 0..JOBS {
+        let package = &browsers[i % browsers.len()].package;
+        let token = tokens[i % tokens.len()];
+        let spec = ExperimentSpec::measured(
+            &serial,
+            Script::browser_workload(package, &["https://news.example"], 2),
+        );
+        let id = platform
+            .server
+            .submit_job(
+                token,
+                &format!("job-{i}"),
+                Constraints::default(),
+                Payload::Experiment(spec),
+            )
+            .unwrap_or_else(|e| panic!("job {i} refused: {e}"));
+        assert_eq!(platform.server.tick(), Some(id));
+        let build = platform.server.build(token, id).unwrap();
+        assert_eq!(build.state, BuildState::Succeeded, "job {i}");
+
+        let logcat = build
+            .artifacts
+            .iter()
+            .find(|a| a.name == "logcat.txt")
+            .expect("logcat artifact");
+        let launches: Vec<&str> = logcat
+            .content
+            .lines()
+            .filter(|l| l.contains("I/ActivityManager: Displayed "))
+            .collect();
+        assert_eq!(launches.len(), 1, "job {i} logcat:\n{}", logcat.content);
+        assert!(launches[0].ends_with(&format!("Displayed {package}")));
+        packages.insert(id, package.clone());
+    }
+
+    let (payloads, torn) = wal.replay();
+    assert_eq!(torn, 0);
+    let completed: Vec<(usize, &String)> = payloads
+        .iter()
+        .filter_map(|p| match WalRecord::decode(p).unwrap() {
+            WalRecord::Completed { record, .. } => Some((p.len(), &packages[&record.id])),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(completed.len(), JOBS);
+
+    let mut first_by_package = BTreeMap::new();
+    for (i, &(len, package)) in completed.iter().enumerate() {
+        let first = *first_by_package.entry(package).or_insert(len);
+        assert!(
+            len.abs_diff(first) <= SIZE_SLACK,
+            "job {i} ({package}): Completed payload {len} bytes, first {first}"
+        );
+    }
+    let (first, last) = (completed[0].0, completed[JOBS - 1].0);
+    assert!(
+        last.abs_diff(first) <= SIZE_SLACK,
+        "last Completed payload {last} bytes vs first {first}"
+    );
+}
