@@ -44,9 +44,8 @@ fn timed(mut run: impl FnMut()) -> f64 {
 /// * `noise_free` — noise floor disabled, the pure pipeline-overhead
 ///   comparison (physics, calibration, quantisation, aggregation);
 /// * `noisy` — the default calibration, where both paths additionally
-///   draw one Gaussian per sample from the same stream, a cost the
-///   batching cannot remove (only the paired Box–Muller halves it, for
-///   both paths alike).
+///   draw one Ziggurat Gaussian per sample from the same noise blocks, a
+///   cost the batching cannot remove.
 fn sampler_throughput(seed: u64) -> serde_json::Value {
     let duration_s = 10.0;
     let mut trace = StepSignal::new(120.0);

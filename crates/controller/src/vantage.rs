@@ -11,11 +11,11 @@ use batterylab_faults::{scoped_site, site, FaultInjector};
 use batterylab_mirror::{EncoderConfig, MirrorSession, SessionError};
 use batterylab_net::{LinkProfile, VpnClient, VpnError, VpnLocation};
 use batterylab_power::{
-    CheckpointStream, GapReport, Monsoon, MonsoonError, PowerSocket, SocketError, SocketState,
-    MONSOON_RATE_HZ,
+    CheckpointStream, CurrentSource, GapReport, Monsoon, MonsoonError, PowerSocket, SampleRun,
+    SocketError, SocketState, MONSOON_RATE_HZ,
 };
 use batterylab_relay::{BoardError, ChannelRoute, CircuitSwitch, RelayBoard};
-use batterylab_sim::{SimDuration, SimRng, SimTime, TimeSeries};
+use batterylab_sim::{SimDuration, SimRng, SimTime, UniformSeries};
 use batterylab_stats::{Cdf, EnergyAccumulator};
 use batterylab_telemetry::{Counter, Histogram, Registry};
 
@@ -112,7 +112,6 @@ impl VantageConfig {
 
 struct ActiveMeasurement {
     serial: String,
-    channel: usize,
     started: SimTime,
 }
 
@@ -156,8 +155,8 @@ pub struct MeasurementReport {
     pub voltage_v: f64,
     /// Sampling rate used.
     pub rate_hz: f64,
-    /// The current samples (mA).
-    pub samples: TimeSeries,
+    /// The current samples (mA), every `1 / rate_hz` from the window's start.
+    pub samples: UniformSeries,
     /// Streaming aggregates.
     pub energy: EnergyAccumulator,
     /// Measurement window on the device clock.
@@ -467,7 +466,6 @@ impl VantagePoint {
             .event("controller.measurement_started", device_id);
         self.active = Some(ActiveMeasurement {
             serial: device_id.to_string(),
-            channel,
             started,
         });
         Ok(())
@@ -481,43 +479,15 @@ impl VantagePoint {
 
     /// As [`Self::stop_monitor`] with a decimated rate for long runs
     /// (streaming mode keeps Pi memory bounded).
+    ///
+    /// A meter error (brownout, protection trip) leaves the measurement
+    /// active, so the caller can retry the stop or abort the window.
     pub fn stop_monitor_at_rate(
         &mut self,
         rate_hz: f64,
     ) -> Result<MeasurementReport, ControllerError> {
-        let active = self.active.take().ok_or(ControllerError::NoMeasurement)?;
-        let (_, device) = self.device(&active.serial)?;
-        let device = device.clone();
-        let end = device.with_sim(|s| s.now());
-        self.pi.clear_source("monsoon-poll");
-        let duration = (end - active.started).as_secs_f64();
-        if duration <= 0.0 {
-            return Err(ControllerError::Unsafe(
-                "measurement window is empty: run the workload between start and stop".to_string(),
-            ));
-        }
-        let meter_side = self.switch.meter_side();
-        let run =
-            self.monsoon
-                .sample_run_at_rate(&meter_side, active.started, duration, rate_hz)?;
-        let _ = active.channel;
-        self.past_measurements
-            .push((active.serial.clone(), active.started, end));
-        self.telemetry.measurements_completed.inc();
-        self.telemetry
-            .measurement_us
-            .record((end - active.started).as_micros());
-        self.telemetry.registry.clock().advance_to(end.as_micros());
-        self.telemetry
-            .registry
-            .event("controller.measurement_completed", &active.serial);
-        Ok(MeasurementReport {
-            serial: active.serial,
-            voltage_v: run.voltage_v,
-            rate_hz,
-            samples: run.samples,
-            energy: run.energy,
-            window: (active.started, end),
+        self.stop_with(rate_hz, |meter, load, start, duration| {
+            meter.sample_run_at_rate(load, start, duration, rate_hz)
         })
     }
 
@@ -526,8 +496,8 @@ impl VantagePoint {
     /// storage) as they are produced. If a previous attempt at this
     /// measurement died mid-sampling, passing its surviving stream
     /// salvages the sealed prefix — verified first — and samples only
-    /// the remainder; the report is bit-identical to what an
-    /// uninterrupted checkpointed run would have produced.
+    /// the remainder; the report is bit-identical to the uninterrupted
+    /// run's, and to [`Self::stop_monitor_at_rate`]'s on a fresh stream.
     ///
     /// A salvaged prefix that fails verification (gap, overlap, CRC
     /// mismatch, inconsistent aggregates, plan mismatch) returns
@@ -539,55 +509,57 @@ impl VantagePoint {
         rate_hz: f64,
         stream: &mut CheckpointStream,
     ) -> Result<MeasurementReport, ControllerError> {
-        let active = self.active.take().ok_or(ControllerError::NoMeasurement)?;
-        let (_, device) = self.device(&active.serial)?;
-        let device = device.clone();
-        let end = device.with_sim(|s| s.now());
-        let duration = (end - active.started).as_secs_f64();
+        self.stop_with(rate_hz, |meter, load, start, duration| {
+            meter.sample_run_checkpointed(load, start, duration, rate_hz, stream)
+        })
+    }
+
+    /// The tail of both stop paths: sample the window through `sample`
+    /// and close the measurement. Any error leaves it active — the
+    /// device-side window is intact, only the sampling failed.
+    fn stop_with(
+        &mut self,
+        rate_hz: f64,
+        sample: impl FnOnce(
+            &mut Monsoon,
+            &dyn CurrentSource,
+            SimTime,
+            f64,
+        ) -> Result<SampleRun, MonsoonError>,
+    ) -> Result<MeasurementReport, ControllerError> {
+        let active = self.active.as_ref().ok_or(ControllerError::NoMeasurement)?;
+        let (serial, started) = (active.serial.clone(), active.started);
+        let end = self.device(&serial)?.1.with_sim(|s| s.now());
+        let duration = (end - started).as_secs_f64();
         if duration <= 0.0 {
-            self.active = Some(active);
             return Err(ControllerError::Unsafe(
                 "measurement window is empty: run the workload between start and stop".to_string(),
             ));
         }
         let meter_side = self.switch.meter_side();
-        let run = match self.monsoon.sample_run_checkpointed(
-            &meter_side,
-            active.started,
-            duration,
-            rate_hz,
-            stream,
-        ) {
-            Ok(run) => run,
-            Err(MonsoonError::Checkpoint(report)) => {
-                // Measurement stays active: the device-side window is
-                // intact, only the splice was refused.
-                self.active = Some(active);
-                return Err(ControllerError::Checkpoint(report));
-            }
-            Err(e) => {
-                self.active = Some(active);
-                return Err(e.into());
-            }
-        };
+        let run =
+            sample(&mut self.monsoon, &meter_side, started, duration).map_err(|e| match e {
+                MonsoonError::Checkpoint(report) => ControllerError::Checkpoint(report),
+                e => ControllerError::Monsoon(e),
+            })?;
+        self.active = None;
         self.pi.clear_source("monsoon-poll");
-        self.past_measurements
-            .push((active.serial.clone(), active.started, end));
+        self.past_measurements.push((serial.clone(), started, end));
         self.telemetry.measurements_completed.inc();
         self.telemetry
             .measurement_us
-            .record((end - active.started).as_micros());
+            .record((end - started).as_micros());
         self.telemetry.registry.clock().advance_to(end.as_micros());
         self.telemetry
             .registry
-            .event("controller.measurement_completed", &active.serial);
+            .event("controller.measurement_completed", &serial);
         Ok(MeasurementReport {
-            serial: active.serial,
+            serial,
             voltage_v: run.voltage_v,
             rate_hz,
             samples: run.samples,
             energy: run.energy,
-            window: (active.started, end),
+            window: (started, end),
         })
     }
 

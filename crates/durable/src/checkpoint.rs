@@ -42,7 +42,8 @@ pub enum GapKind {
     Corrupt,
     /// A segment's sealed cumulative aggregates disagree with its samples.
     Inconsistent,
-    /// The stream's plan (rate, interval, total) conflicts with the resume.
+    /// The stream's plan (rate, voltage, total, run key) conflicts with
+    /// the resume.
     PlanMismatch,
 }
 
@@ -93,6 +94,9 @@ pub struct CheckpointStream {
     interval: u64,
     /// Total samples the full run should produce (0 until configured).
     total: u64,
+    /// The run's noise key: a resume draws the same noise only if its
+    /// meter draws the same key.
+    run_key: u64,
     /// Sealed segments in seal order. Public so tests can model disk
     /// corruption and truncation directly.
     pub segments: Vec<SealedSegment>,
@@ -107,6 +111,7 @@ impl CheckpointStream {
             voltage_v: 0.0,
             interval,
             total: 0,
+            run_key: 0,
             segments: Vec::new(),
         }
     }
@@ -114,24 +119,41 @@ impl CheckpointStream {
     /// Bind (or re-verify) the run plan. The first call records it; a
     /// resume must present the identical plan or the splice is rejected
     /// — resuming a 10 s capture as a 5 s one would silently drop tail
-    /// samples otherwise.
-    pub fn configure(&mut self, rate_hz: f64, voltage_v: f64, total: u64) -> Result<(), GapReport> {
+    /// samples otherwise, and resuming under another run key would
+    /// splice two different noise sequences.
+    pub fn configure(
+        &mut self,
+        rate_hz: f64,
+        voltage_v: f64,
+        total: u64,
+        run_key: u64,
+    ) -> Result<(), GapReport> {
         if self.total == 0 && self.segments.is_empty() {
             self.rate_hz = rate_hz;
             self.voltage_v = voltage_v;
             self.total = total;
+            self.run_key = run_key;
             return Ok(());
         }
         if self.rate_hz.to_bits() != rate_hz.to_bits()
             || self.voltage_v.to_bits() != voltage_v.to_bits()
             || self.total != total
+            || self.run_key != run_key
         {
             return Err(GapReport {
                 segment: self.segments.len() as u64,
                 kind: GapKind::PlanMismatch,
                 detail: format!(
-                    "sealed plan rate={} V={} total={} vs resume rate={} V={} total={}",
-                    self.rate_hz, self.voltage_v, self.total, rate_hz, voltage_v, total
+                    "sealed plan rate={} V={} total={} key={:#x} vs resume rate={} V={} \
+                     total={} key={:#x}",
+                    self.rate_hz,
+                    self.voltage_v,
+                    self.total,
+                    self.run_key,
+                    rate_hz,
+                    voltage_v,
+                    total,
+                    run_key
                 ),
             });
         }
@@ -302,7 +324,7 @@ mod tests {
     fn sealed(values: &[&[f64]], rate: f64, v: f64) -> CheckpointStream {
         let total: u64 = values.iter().map(|s| s.len() as u64).sum();
         let mut stream = CheckpointStream::new(values.first().map(|s| s.len() as u64).unwrap_or(1));
-        stream.configure(rate, v, total).unwrap();
+        stream.configure(rate, v, total, 7).unwrap();
         let mut acc = EnergyAccumulator::new(rate);
         for seg in values {
             acc.push_slice(seg, v);
@@ -365,8 +387,10 @@ mod tests {
     #[test]
     fn plan_mismatch_on_resume_is_rejected() {
         let mut stream = sealed(&[&[1.0, 2.0]], 10.0, 4.0);
-        assert!(stream.configure(10.0, 4.0, 2).is_ok());
-        let err = stream.configure(20.0, 4.0, 2).unwrap_err();
+        assert!(stream.configure(10.0, 4.0, 2, 7).is_ok());
+        let err = stream.configure(20.0, 4.0, 2, 7).unwrap_err();
+        assert_eq!(err.kind, GapKind::PlanMismatch);
+        let err = stream.configure(10.0, 4.0, 2, 8).unwrap_err();
         assert_eq!(err.kind, GapKind::PlanMismatch);
     }
 

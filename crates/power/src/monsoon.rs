@@ -13,7 +13,7 @@
 
 use batterylab_durable::{CheckpointStream, GapReport};
 use batterylab_faults::{FaultInjector, FaultKind};
-use batterylab_sim::{SimRng, SimTime, TimeSeries};
+use batterylab_sim::{SimDuration, SimRng, SimTime, UniformSeries};
 use batterylab_stats::EnergyAccumulator;
 use batterylab_telemetry::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
@@ -22,11 +22,11 @@ use crate::source::{CurrentSource, Segment};
 
 /// Native sampling rate of the Monsoon HV, Hz.
 pub const MONSOON_RATE_HZ: f64 = 5000.0;
-/// Samples generated per chunk in the sampling loop. Chunking amortises
-/// the per-sample telemetry counter RMW and the per-push ordering check
-/// into one operation per chunk; the scratch buffers are reused across
-/// chunks and runs.
-const SAMPLE_CHUNK: usize = 1024;
+/// Samples per noise block. Each run draws one key from the meter's
+/// stream; sample `k` takes its noise from the stream keyed by
+/// `(run key, k / SAMPLE_CHUNK)`, so the noise a sample gets does not
+/// depend on where load segments or checkpoint seals fall.
+const SAMPLE_CHUNK: u64 = 1024;
 /// Programmable output voltage range, volts.
 pub const VOLTAGE_RANGE: (f64, f64) = (0.8, 13.5);
 /// Continuous current limit, mA.
@@ -75,8 +75,8 @@ impl std::error::Error for MonsoonError {}
 /// Result of a sampling run.
 #[derive(Clone, Debug)]
 pub struct SampleRun {
-    /// The raw 5 kHz current samples, mA.
-    pub samples: TimeSeries,
+    /// The raw current samples, mA, on the run's uniform sample grid.
+    pub samples: UniformSeries,
     /// Streamed aggregates (what the controller keeps for long runs).
     pub energy: EnergyAccumulator,
     /// Voltage the run was performed at.
@@ -108,9 +108,17 @@ impl Default for Calibration {
     }
 }
 
+impl Calibration {
+    /// The reading of a sample whose calibrated current is `ma`: ADC
+    /// quantisation, and no negative currents on the HV's unidirectional
+    /// main channel.
+    fn quantise(&self, ma: f64) -> f64 {
+        ((ma / self.lsb_ma).round() * self.lsb_ma).max(0.0)
+    }
+}
+
 /// Pre-resolved telemetry handles. Bound once at construction so the
-/// 5 kHz sampling loop never touches the registry lock — each sample
-/// costs two relaxed atomic RMWs on top of the physics.
+/// sampling loop never touches the registry lock.
 struct MonsoonTelemetry {
     registry: Registry,
     samples: Counter,
@@ -131,6 +139,105 @@ impl MonsoonTelemetry {
             registry: registry.clone(),
         }
     }
+
+    /// Count a protection trip and journal it.
+    fn trip(&self, at: SimTime, current_ma: f64, detail: String) -> MonsoonError {
+        self.overcurrent_trips.inc();
+        self.registry.event("power.overcurrent", detail);
+        MonsoonError::OverCurrent { at, current_ma }
+    }
+}
+
+/// How a run learns the load's current.
+#[derive(Clone, Copy)]
+enum Physics {
+    /// Once per constant segment, through [`CurrentSource::segments`].
+    Segments,
+    /// At every sample instant, through [`CurrentSource::current_ma`]:
+    /// the reference the segment walk is checked against.
+    PerSample,
+}
+
+/// The load's constant-current spans over a run's sample grid.
+struct Spans<'a> {
+    load: &'a dyn CurrentSource,
+    /// The load's segments when it reports them; empty otherwise, and
+    /// then every sample is a span of its own.
+    segments: std::vec::IntoIter<Segment>,
+    segmented: bool,
+    start_us: u64,
+    period_us: u64,
+    voltage_v: f64,
+}
+
+impl Spans<'_> {
+    /// The span holding sample `k` of `n`: its exclusive end sample and
+    /// its current, mA. Segments holding no sample instant are skipped,
+    /// as a per-sample walk never observes them.
+    fn at(&mut self, k: u64, n: u64) -> (u64, f64) {
+        for seg in self.segments.by_ref() {
+            // Sample j lives at start + j·period; those strictly before
+            // the segment's exclusive end are j < ceil(span / period).
+            let end = if seg.end == SimTime::MAX {
+                n
+            } else {
+                let span = seg.end.as_micros().saturating_sub(self.start_us);
+                span.div_ceil(self.period_us).min(n)
+            };
+            if end > k {
+                return (end, seg.current_ma);
+            }
+        }
+        debug_assert!(
+            !self.segmented,
+            "CurrentSource::segments did not cover the sampling window (sample {k} of {n})"
+        );
+        let t = SimTime::from_micros(self.start_us + k * self.period_us);
+        (k + 1, self.load.current_ma(t, self.voltage_v))
+    }
+}
+
+/// A run's noise, one block at a time: sample `k` takes normal
+/// `k mod SAMPLE_CHUNK` of the stream keyed by `(key, k / SAMPLE_CHUNK)`.
+/// A block is drawn only as far as the run reads it, and entering one
+/// part-way (a resume) draws its prefix first.
+struct NoiseBlocks<'a> {
+    key: u64,
+    block: u64,
+    rng: SimRng,
+    drawn: &'a mut Vec<f64>,
+}
+
+impl<'a> NoiseBlocks<'a> {
+    fn new(key: u64, scratch: &'a mut Vec<f64>) -> Self {
+        scratch.clear();
+        NoiseBlocks {
+            key,
+            block: 0,
+            rng: SimRng::keyed(key, 0),
+            drawn: scratch,
+        }
+    }
+
+    /// Standard normals for samples `first..first + len`, which must lie
+    /// in one block.
+    fn slice(&mut self, first: u64, len: usize) -> &[f64] {
+        let block = first / SAMPLE_CHUNK;
+        if block != self.block {
+            self.block = block;
+            self.rng = SimRng::keyed(self.key, block);
+            self.drawn.clear();
+        }
+        let lo = (first % SAMPLE_CHUNK) as usize;
+        let hi = lo + len;
+        debug_assert!(hi as u64 <= SAMPLE_CHUNK, "noise slice crosses a block");
+        let drawn = self.drawn.len();
+        if drawn < hi {
+            self.drawn.resize(hi, 0.0);
+            self.rng.fill_standard_normal(&mut self.drawn[drawn..]);
+        }
+        &self.drawn[lo..hi]
+    }
 }
 
 /// The simulated instrument.
@@ -146,15 +253,11 @@ pub struct Monsoon {
     /// `fault_site` fire at the start of a sampling run.
     faults: FaultInjector,
     fault_site: String,
-    // Scratch for the chunked sampling loop, reused across chunks and
-    // runs (including decimated-rate runs) so steady-state sampling
-    // allocates nothing beyond the output series itself. Pre-reserved to
-    // SAMPLE_CHUNK at construction (and re-checked when telemetry is
-    // rebound) so the first chunk of a run never grows them.
-    chunk_times: Vec<SimTime>,
-    chunk_values: Vec<f64>,
-    chunk_noise: Vec<f64>,
-    chunk_ua: Vec<u64>,
+    // Scratch reused across runs, so steady-state sampling allocates
+    // nothing beyond the output trace: one noise block, and the µA
+    // readings of one stretch for the histogram.
+    noise: Vec<f64>,
+    readings_ua: Vec<u64>,
 }
 
 impl Monsoon {
@@ -171,20 +274,9 @@ impl Monsoon {
             telemetry: MonsoonTelemetry::bind(&Registry::new()),
             faults: FaultInjector::disabled(),
             fault_site: batterylab_faults::site::POWER_METER.to_string(),
-            chunk_times: Vec::with_capacity(SAMPLE_CHUNK),
-            chunk_values: Vec::with_capacity(SAMPLE_CHUNK),
-            chunk_noise: Vec::with_capacity(SAMPLE_CHUNK),
-            chunk_ua: Vec::with_capacity(SAMPLE_CHUNK),
+            noise: Vec::with_capacity(SAMPLE_CHUNK as usize),
+            readings_ua: Vec::with_capacity(SAMPLE_CHUNK as usize),
         }
-    }
-
-    /// Ensure every chunk scratch buffer holds a full chunk without
-    /// incremental growth mid-run.
-    fn reserve_chunk_scratch(&mut self) {
-        self.chunk_times.reserve(SAMPLE_CHUNK);
-        self.chunk_values.reserve(SAMPLE_CHUNK);
-        self.chunk_noise.reserve(SAMPLE_CHUNK);
-        self.chunk_ua.reserve(SAMPLE_CHUNK);
     }
 
     /// Replace the calibration (fault-injection tests use this).
@@ -202,7 +294,6 @@ impl Monsoon {
     /// In-place variant of [`Self::with_telemetry`].
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = MonsoonTelemetry::bind(registry);
-        self.reserve_chunk_scratch();
     }
 
     /// Consult `injector` at the start of every sampling run for
@@ -267,28 +358,6 @@ impl Monsoon {
         self.total_samples
     }
 
-    /// Take one calibrated reading of `load` at `t`.
-    fn read_once(&mut self, load: &dyn CurrentSource, t: SimTime) -> Result<f64, MonsoonError> {
-        let true_ma = load.current_ma(t, self.voltage_v);
-        if true_ma > MAX_CONTINUOUS_MA {
-            self.telemetry.overcurrent_trips.inc();
-            self.telemetry.registry.event(
-                "power.overcurrent",
-                format!("{current:.0} mA at {t}", current = true_ma),
-            );
-            return Err(MonsoonError::OverCurrent {
-                at: t,
-                current_ma: true_ma,
-            });
-        }
-        let cal = self.calibration;
-        let noisy = true_ma * cal.gain + cal.offset_ma + self.rng.normal(0.0, cal.noise_ma);
-        // ADC quantisation; currents cannot read negative on the HV's
-        // unidirectional main channel.
-        let quantised = (noisy / cal.lsb_ma).round() * cal.lsb_ma;
-        Ok(quantised.max(0.0))
-    }
-
     /// Sample `load` at the native 5 kHz for `duration_s` seconds starting
     /// at `start`. Returns the full trace plus streaming aggregates.
     ///
@@ -310,11 +379,10 @@ impl Monsoon {
     /// When the load reports its piecewise-constant structure through
     /// [`CurrentSource::segments`], the physics is evaluated **once per
     /// constant segment** and calibration, noise, quantisation and
-    /// clamping are applied over the segment's whole sample block in
-    /// tight slice loops — with identical output to the per-sample
-    /// reference path ([`Self::sample_run_reference_at_rate`]),
-    /// bit-for-bit. Loads without step structure fall back to the
-    /// reference path automatically.
+    /// aggregation run over the segment's samples in tight slice loops,
+    /// bit-identical to the per-sample reference
+    /// ([`Self::sample_run_reference_at_rate`]). Loads without step
+    /// structure are read at every sample instant.
     pub fn sample_run_at_rate(
         &mut self,
         load: &dyn CurrentSource,
@@ -322,13 +390,13 @@ impl Monsoon {
         duration_s: f64,
         rate_hz: f64,
     ) -> Result<SampleRun, MonsoonError> {
-        self.sample_run_inner(load, start, duration_s, rate_hz, true)
+        self.run(load, start, duration_s, rate_hz, Physics::Segments, None)
     }
 
-    /// The retained per-sample reference path: evaluates the load at
-    /// every sample instant through [`Self::read_once`], exactly as the
-    /// pre-batching instrument did. Kept public so equivalence tests and
-    /// benches can pin the fast path against it.
+    /// The per-sample reference: reads the load through
+    /// [`CurrentSource::current_ma`] at every sample instant, with the
+    /// same noise blocks as every other run. Kept public so equivalence
+    /// tests and benches can pin the segment walk against it.
     pub fn sample_run_reference_at_rate(
         &mut self,
         load: &dyn CurrentSource,
@@ -336,16 +404,52 @@ impl Monsoon {
         duration_s: f64,
         rate_hz: f64,
     ) -> Result<SampleRun, MonsoonError> {
-        self.sample_run_inner(load, start, duration_s, rate_hz, false)
+        self.run(load, start, duration_s, rate_hz, Physics::PerSample, None)
     }
 
-    fn sample_run_inner(
+    /// Crash-resumable sampling: [`Self::sample_run_at_rate`] with a
+    /// sink that seals every `stream.interval()` samples (values + CRC +
+    /// cumulative [`EnergyAccumulator`] snapshot) into `stream` as they
+    /// complete. `stream` lives on the simulated durable disk, so a
+    /// crash mid-run loses at most the unsealed stretch in flight. On a
+    /// fresh stream the run is bit-identical to the plain run.
+    ///
+    /// Calling again with the surviving stream on a meter in the same
+    /// state **resumes** at the last checkpoint boundary: the sealed
+    /// prefix is verified first (CRC, contiguity, cumulative
+    /// bit-consistency — a bad splice returns
+    /// [`MonsoonError::Checkpoint`] and consumes nothing from the
+    /// meter's stream) and only the missing samples are drawn. The run
+    /// key is part of the sealed plan, and noise is a pure function of
+    /// (run key, sample index), so the resumed run reproduces exactly
+    /// the samples of the uninterrupted one.
+    pub fn sample_run_checkpointed(
         &mut self,
         load: &dyn CurrentSource,
         start: SimTime,
         duration_s: f64,
         rate_hz: f64,
-        batched: bool,
+        stream: &mut CheckpointStream,
+    ) -> Result<SampleRun, MonsoonError> {
+        self.run(
+            load,
+            start,
+            duration_s,
+            rate_hz,
+            Physics::Segments,
+            Some(stream),
+        )
+    }
+
+    /// Power and fault gating shared by every run, around [`Self::sample`].
+    fn run(
+        &mut self,
+        load: &dyn CurrentSource,
+        start: SimTime,
+        duration_s: f64,
+        rate_hz: f64,
+        physics: Physics,
+        sink: Option<&mut CheckpointStream>,
     ) -> Result<SampleRun, MonsoonError> {
         if !self.powered {
             return Err(MonsoonError::PoweredOff);
@@ -361,7 +465,8 @@ impl Monsoon {
         // Field faults scheduled against the meter: a mains brownout
         // drops power mid-arm; a forced protection trip aborts the run;
         // a sagged battery-bypass contact lowers the bus voltage the
-        // whole run measures at.
+        // whole run measures at (a sag that held during a checkpointed
+        // attempt but not its resume is a voltage plan mismatch).
         if self
             .faults
             .check(&self.fault_site, FaultKind::MeterBrownout, start)
@@ -373,14 +478,11 @@ impl Monsoon {
             .faults
             .check(&self.fault_site, FaultKind::OverCurrent, start)
         {
-            self.telemetry.overcurrent_trips.inc();
-            self.telemetry
-                .registry
-                .event("power.overcurrent", format!("forced trip at {start}"));
-            return Err(MonsoonError::OverCurrent {
-                at: start,
-                current_ma: MAX_CONTINUOUS_MA,
-            });
+            return Err(self.telemetry.trip(
+                start,
+                MAX_CONTINUOUS_MA,
+                format!("forced trip at {start}"),
+            ));
         }
         let nominal_v = self.voltage_v;
         if self
@@ -389,366 +491,136 @@ impl Monsoon {
         {
             self.voltage_v = (nominal_v * 0.92).max(VOLTAGE_RANGE.0);
         }
-        let result = self.sample_run_body(load, start, duration_s, rate_hz, batched);
+        let result = self.sample(load, start, duration_s, rate_hz, physics, sink);
         self.voltage_v = nominal_v;
         result
     }
 
-    /// The sampling run proper, after power/fault gating. Split out so
-    /// a voltage-sag fault can scale the bus voltage around it and
-    /// restore the programmed value on every exit path.
-    fn sample_run_body(
+    /// The sampling run proper: walk the load's constant-current spans,
+    /// and over each stretch that stays inside one span, one noise block
+    /// and one checkpoint interval, apply calibration, noise and
+    /// quantisation and fold the readings into the aggregates. A sink
+    /// seals each completed checkpoint interval.
+    fn sample(
         &mut self,
         load: &dyn CurrentSource,
         start: SimTime,
         duration_s: f64,
         rate_hz: f64,
-        batched: bool,
+        physics: Physics,
+        mut sink: Option<&mut CheckpointStream>,
     ) -> Result<SampleRun, MonsoonError> {
         let n = (duration_s * rate_hz).round() as u64;
         let period_us = (1e6 / rate_hz).round() as u64;
-        // The sample count is known up front: preallocate the trace and
-        // generate in chunks so the telemetry counter sees one add per
-        // chunk instead of one RMW per sample.
-        let mut samples = TimeSeries::with_capacity(n as usize);
-        let mut energy = EnergyAccumulator::new(rate_hz);
-        let end = SimTime::from_micros(start.as_micros() + n * period_us);
-        let segments = if batched {
-            load.segments(start, end, self.voltage_v)
-        } else {
-            None
+        let voltage_v = self.voltage_v;
+        let end_us = start.as_micros() + n * period_us;
+        if let Some(stream) = sink.as_deref() {
+            // Verify the salvaged prefix BEFORE integrating any of it.
+            stream.verify().map_err(MonsoonError::Checkpoint)?;
+        }
+        let key = self.rng.next_u64();
+        let (mut values, mut energy, interval) = match sink.as_deref_mut() {
+            Some(stream) => {
+                stream
+                    .configure(rate_hz, voltage_v, n, key)
+                    .map_err(MonsoonError::Checkpoint)?;
+                let mut values = stream.concat_values();
+                values.reserve((n as usize).saturating_sub(values.len()));
+                (values, stream.final_energy(), Some(stream.interval()))
+            }
+            None => (
+                Vec::with_capacity(n as usize),
+                EnergyAccumulator::new(rate_hz),
+                None,
+            ),
         };
-        match segments {
-            Some(segs) => {
-                self.run_segmented(&segs, load, start, period_us, n, &mut samples, &mut energy)?
-            }
-            None => self.run_per_sample(load, start, period_us, 0, n, &mut samples, &mut energy)?,
-        }
-        self.telemetry.runs.inc();
-        self.telemetry.run_us.record(n * period_us);
-        self.telemetry
-            .registry
-            .clock()
-            .advance_to(start.as_micros() + n * period_us);
-        Ok(SampleRun {
-            samples,
-            energy,
-            voltage_v: self.voltage_v,
-        })
-    }
-
-    /// Crash-resumable sampling: the run is split into
-    /// `stream.interval()`-sample segments, each sealed (values + CRC +
-    /// cumulative [`EnergyAccumulator`] snapshot) into `stream` as it
-    /// completes. `stream` lives on the simulated durable disk, so a
-    /// crash mid-run loses at most the unsealed segment in flight.
-    ///
-    /// Calling again with the same arguments and the surviving stream
-    /// **resumes** at the last checkpoint boundary: the sealed prefix is
-    /// verified first (CRC, contiguity, cumulative bit-consistency —
-    /// a bad splice returns [`MonsoonError::Checkpoint`] instead of a
-    /// silently wrong total) and only the missing segments are sampled.
-    /// Per-segment noise streams are derived from the run rng by
-    /// `(start, segment)` label, so a resumed run reproduces exactly the
-    /// samples the uninterrupted run would have produced — aggregates
-    /// are bit-identical. This derivation makes the checkpointed path's
-    /// noise sequence deliberately different from [`Self::sample_run`]'s
-    /// (which draws one rng stream across the whole run); the two paths
-    /// are separate modes, not bit-compatible with each other.
-    pub fn sample_run_checkpointed(
-        &mut self,
-        load: &dyn CurrentSource,
-        start: SimTime,
-        duration_s: f64,
-        rate_hz: f64,
-        stream: &mut CheckpointStream,
-    ) -> Result<SampleRun, MonsoonError> {
-        if !self.powered {
-            return Err(MonsoonError::PoweredOff);
-        }
-        if !self.vout_enabled {
-            return Err(MonsoonError::OutputDisabled);
-        }
-        assert!(duration_s > 0.0, "sampling duration must be positive");
-        assert!(
-            rate_hz > 0.0 && rate_hz <= MONSOON_RATE_HZ,
-            "rate 0..=5000 Hz"
-        );
-        // Same fault gating as the plain paths. A sag that held during
-        // the original attempt but not the resume shows up as a voltage
-        // plan mismatch — detected, not silently spliced.
-        if self
-            .faults
-            .check(&self.fault_site, FaultKind::MeterBrownout, start)
-        {
-            self.set_powered(false);
-            return Err(MonsoonError::PoweredOff);
-        }
-        if self
-            .faults
-            .check(&self.fault_site, FaultKind::OverCurrent, start)
-        {
-            self.telemetry.overcurrent_trips.inc();
-            self.telemetry
-                .registry
-                .event("power.overcurrent", format!("forced trip at {start}"));
-            return Err(MonsoonError::OverCurrent {
-                at: start,
-                current_ma: MAX_CONTINUOUS_MA,
-            });
-        }
-        let nominal_v = self.voltage_v;
-        if self
-            .faults
-            .check(&self.fault_site, FaultKind::VoltageSag, start)
-        {
-            self.voltage_v = (nominal_v * 0.92).max(VOLTAGE_RANGE.0);
-        }
-        let result = self.checkpointed_body(load, start, duration_s, rate_hz, stream);
-        self.voltage_v = nominal_v;
-        result
-    }
-
-    fn checkpointed_body(
-        &mut self,
-        load: &dyn CurrentSource,
-        start: SimTime,
-        duration_s: f64,
-        rate_hz: f64,
-        stream: &mut CheckpointStream,
-    ) -> Result<SampleRun, MonsoonError> {
-        let n = (duration_s * rate_hz).round() as u64;
-        let period_us = (1e6 / rate_hz).round() as u64;
-        // Verify the salvaged prefix BEFORE integrating any of it.
-        stream.verify().map_err(MonsoonError::Checkpoint)?;
-        stream
-            .configure(rate_hz, self.voltage_v, n)
-            .map_err(MonsoonError::Checkpoint)?;
-        let salvaged = stream.sealed_samples();
+        let first = values.len() as u64;
+        let segments = match physics {
+            Physics::Segments => load.segments(start, SimTime::from_micros(end_us), voltage_v),
+            Physics::PerSample => None,
+        };
+        let mut spans = Spans {
+            load,
+            segmented: segments.is_some(),
+            segments: segments.unwrap_or_default().into_iter(),
+            start_us: start.as_micros(),
+            period_us,
+            voltage_v,
+        };
         let cal = self.calibration;
-        let interval = stream.interval();
-        let mut cumulative = stream.final_energy();
-        let segments_total = n.div_ceil(interval);
-        let mut values = Vec::with_capacity(interval.min(n) as usize);
-        for i in stream.next_segment()..segments_total {
-            // Noise derived per (run start, segment): pure of how much of
-            // the parent stream any earlier attempt consumed.
-            let mut seg_rng = self.rng.derive(&format!("ckpt/{}/{i}", start.as_micros()));
-            let first = i * interval;
-            let len = interval.min(n - first);
-            values.clear();
-            for k in 0..len {
-                let t = SimTime::from_micros(start.as_micros() + (first + k) * period_us);
-                let true_ma = load.current_ma(t, self.voltage_v);
-                if true_ma > MAX_CONTINUOUS_MA {
-                    // Samples drawn before the trip stay accounted; the
-                    // in-flight segment is NOT sealed.
-                    self.total_samples += k;
-                    self.telemetry.samples.add(k);
-                    self.telemetry.overcurrent_trips.inc();
-                    self.telemetry.registry.event(
-                        "power.overcurrent",
-                        format!("{current:.0} mA at {t}", current = true_ma),
-                    );
-                    return Err(MonsoonError::OverCurrent {
-                        at: t,
-                        current_ma: true_ma,
-                    });
-                }
-                let noisy = true_ma * cal.gain + cal.offset_ma + seg_rng.normal(0.0, cal.noise_ma);
-                values.push(((noisy / cal.lsb_ma).round() * cal.lsb_ma).max(0.0));
+        let mut noise = NoiseBlocks::new(key, &mut self.noise);
+        let mut done = first;
+        let outcome = loop {
+            if done >= n {
+                break Ok(());
             }
-            cumulative.push_slice(&values, self.voltage_v);
-            self.chunk_ua.clear();
-            self.chunk_ua
-                .extend(values.iter().map(|&ma| (ma * 1000.0).round() as u64));
-            self.telemetry.sample_ua.record_slice(&self.chunk_ua);
-            self.total_samples += len;
-            self.telemetry.samples.add(len);
-            stream.seal(&values, &cumulative);
-            self.telemetry
-                .registry
-                .counter("durable.checkpoints_sealed")
-                .inc();
-        }
-        // The run's trace is the sealed stream, salvaged prefix included.
-        let all = stream.concat_values();
-        let times: Vec<SimTime> = (0..n)
-            .map(|k| SimTime::from_micros(start.as_micros() + k * period_us))
-            .collect();
-        let mut samples = TimeSeries::with_capacity(n as usize);
-        samples.extend_from_slices(&times, &all);
-        if salvaged > 0 {
+            let (span_end, true_ma) = spans.at(done, n);
+            if true_ma > MAX_CONTINUOUS_MA {
+                // Constant across the span ⇒ its first sample trips.
+                let at = SimTime::from_micros(start.as_micros() + done * period_us);
+                break Err(self.telemetry.trip(
+                    at,
+                    true_ma,
+                    format!("{current:.0} mA at {at}", current = true_ma),
+                ));
+            }
+            // One physics + calibration evaluation for the whole span.
+            let base = true_ma * cal.gain + cal.offset_ma;
+            while done < span_end {
+                let seal_at = interval.map_or(n, |i| (done / i + 1) * i);
+                let stop = span_end
+                    .min((done / SAMPLE_CHUNK + 1) * SAMPLE_CHUNK)
+                    .min(seal_at);
+                let len = (stop - done) as usize;
+                let from = values.len();
+                if cal.noise_ma == 0.0 {
+                    // Noise-free: every sample of the span reads the same.
+                    values.resize(from + len, cal.quantise(base));
+                } else {
+                    let z = noise.slice(done, len);
+                    values.extend(z.iter().map(|&z| cal.quantise(base + cal.noise_ma * z)));
+                }
+                let fresh = &values[from..];
+                energy.push_slice(fresh, voltage_v);
+                self.readings_ua.clear();
+                self.readings_ua
+                    .extend(fresh.iter().map(|&ma| (ma * 1000.0).round() as u64));
+                self.telemetry.sample_ua.record_slice(&self.readings_ua);
+                done = stop;
+                if let (Some(stream), Some(i)) = (sink.as_deref_mut(), interval) {
+                    if done == seal_at.min(n) {
+                        stream.seal(&values[((done - 1) / i * i) as usize..], &energy);
+                        self.telemetry
+                            .registry
+                            .counter("durable.checkpoints_sealed")
+                            .inc();
+                    }
+                }
+            }
+        };
+        // Samples drawn before a trip stay accounted; an unsealed stretch
+        // in flight is lost with the run.
+        self.total_samples += done - first;
+        self.telemetry.samples.add(done - first);
+        outcome?;
+        if first > 0 {
             self.telemetry
                 .registry
                 .counter("durable.samples_salvaged")
-                .add(salvaged);
+                .add(first);
             self.telemetry.registry.event(
                 "durable.resume",
-                format!("salvaged {salvaged} of {n} samples from sealed checkpoints"),
+                format!("salvaged {first} of {n} samples from sealed checkpoints"),
             );
         }
         self.telemetry.runs.inc();
         self.telemetry.run_us.record(n * period_us);
-        self.telemetry
-            .registry
-            .clock()
-            .advance_to(start.as_micros() + n * period_us);
+        self.telemetry.registry.clock().advance_to(end_us);
         Ok(SampleRun {
-            samples,
-            energy: stream.final_energy(),
-            voltage_v: self.voltage_v,
+            samples: UniformSeries::new(start, SimDuration::from_micros(period_us), values),
+            energy,
+            voltage_v,
         })
-    }
-
-    /// The per-sample loop: one `read_once` per sample instant, chunked
-    /// for telemetry and trace-append amortisation. Generates samples
-    /// `first..n`; the segmented path delegates here if a segmentation
-    /// stops short of the window.
-    #[allow(clippy::too_many_arguments)]
-    fn run_per_sample(
-        &mut self,
-        load: &dyn CurrentSource,
-        start: SimTime,
-        period_us: u64,
-        first: u64,
-        n: u64,
-        samples: &mut TimeSeries,
-        energy: &mut EnergyAccumulator,
-    ) -> Result<(), MonsoonError> {
-        let mut done = first;
-        while done < n {
-            let len = SAMPLE_CHUNK.min((n - done) as usize);
-            self.chunk_times.clear();
-            self.chunk_values.clear();
-            for k in 0..len as u64 {
-                let t = SimTime::from_micros(start.as_micros() + (done + k) * period_us);
-                let ma = match self.read_once(load, t) {
-                    Ok(ma) => ma,
-                    Err(trip) => {
-                        // Account the samples drawn before the trip so the
-                        // counter agrees with the per-sample accounting.
-                        self.total_samples += k;
-                        self.telemetry.samples.add(k);
-                        return Err(trip);
-                    }
-                };
-                self.chunk_times.push(t);
-                self.chunk_values.push(ma);
-                energy.push(ma, self.voltage_v);
-                self.telemetry
-                    .sample_ua
-                    .record((ma * 1000.0).round() as u64);
-            }
-            samples.extend_from_slices(&self.chunk_times, &self.chunk_values);
-            self.total_samples += len as u64;
-            self.telemetry.samples.add(len as u64);
-            done += len as u64;
-        }
-        Ok(())
-    }
-
-    /// The segment-batched fast path: physics once per constant segment,
-    /// then calibration, noise, quantisation, clamping and aggregation
-    /// vectorised over the segment's sample block.
-    ///
-    /// Over-current is detected per segment — the current is constant
-    /// across it, so the first sample instant inside the segment trips,
-    /// which is exactly when the per-sample path would trip. Segments
-    /// containing no sample instant are skipped entirely, again matching
-    /// the reference path (which never observes them).
-    #[allow(clippy::too_many_arguments)]
-    fn run_segmented(
-        &mut self,
-        segments: &[Segment],
-        load: &dyn CurrentSource,
-        start: SimTime,
-        period_us: u64,
-        n: u64,
-        samples: &mut TimeSeries,
-        energy: &mut EnergyAccumulator,
-    ) -> Result<(), MonsoonError> {
-        let cal = self.calibration;
-        let mut done = 0u64;
-        for seg in segments {
-            if done >= n {
-                break;
-            }
-            // Sample k lives at start + k·period; those strictly before
-            // the segment's exclusive end are k < ceil(span / period).
-            let sample_end = if seg.end == SimTime::MAX {
-                n
-            } else {
-                let span = seg.end.as_micros().saturating_sub(start.as_micros());
-                span.div_ceil(period_us).min(n)
-            };
-            if sample_end <= done {
-                continue; // no sample instant falls inside this segment
-            }
-            let true_ma = seg.current_ma;
-            if true_ma > MAX_CONTINUOUS_MA {
-                // Constant across the segment ⇒ its first sample trips.
-                let t = SimTime::from_micros(start.as_micros() + done * period_us);
-                self.telemetry.overcurrent_trips.inc();
-                self.telemetry.registry.event(
-                    "power.overcurrent",
-                    format!("{current:.0} mA at {t}", current = true_ma),
-                );
-                return Err(MonsoonError::OverCurrent {
-                    at: t,
-                    current_ma: true_ma,
-                });
-            }
-            // One physics + calibration evaluation for the whole segment.
-            let base = true_ma * cal.gain + cal.offset_ma;
-            while done < sample_end {
-                let len = SAMPLE_CHUNK.min((sample_end - done) as usize);
-                self.chunk_times.clear();
-                for k in 0..len as u64 {
-                    self.chunk_times.push(SimTime::from_micros(
-                        start.as_micros() + (done + k) * period_us,
-                    ));
-                }
-                self.chunk_values.clear();
-                if cal.noise_ma == 0.0 {
-                    // Noise-free: every sample of the segment quantises to
-                    // the same reading; compute it once.
-                    let reading = ((base / cal.lsb_ma).round() * cal.lsb_ma).max(0.0);
-                    self.chunk_values.resize(len, reading);
-                } else {
-                    self.chunk_noise.resize(len, 0.0);
-                    self.rng.fill_standard_normal(&mut self.chunk_noise[..len]);
-                    for &z in &self.chunk_noise[..len] {
-                        let noisy = base + cal.noise_ma * z;
-                        self.chunk_values
-                            .push(((noisy / cal.lsb_ma).round() * cal.lsb_ma).max(0.0));
-                    }
-                }
-                energy.push_slice(&self.chunk_values, self.voltage_v);
-                self.chunk_ua.clear();
-                self.chunk_ua.extend(
-                    self.chunk_values
-                        .iter()
-                        .map(|&ma| (ma * 1000.0).round() as u64),
-                );
-                self.telemetry.sample_ua.record_slice(&self.chunk_ua);
-                samples.extend_from_slices(&self.chunk_times, &self.chunk_values);
-                self.total_samples += len as u64;
-                self.telemetry.samples.add(len as u64);
-                done += len as u64;
-            }
-        }
-        if done < n {
-            // A segmentation that stops short of the window violates the
-            // CurrentSource contract; degrade to slow-but-correct.
-            debug_assert!(
-                false,
-                "CurrentSource::segments did not cover the sampling window \
-                 ({done} of {n} samples)"
-            );
-            return self.run_per_sample(load, start, period_us, done, n, samples, energy);
-        }
-        Ok(())
     }
 }
 
@@ -943,8 +815,65 @@ mod tests {
             .sample_run(&ConstantLoad::new(120.0, 4.0), SimTime::ZERO, 2.0)
             .unwrap();
         assert_eq!(run.samples.len(), 10_000);
-        assert!(run.samples.times().windows(2).all(|w| w[1] > w[0]));
+        assert_eq!(run.samples.start(), SimTime::ZERO);
+        assert_eq!(run.samples.time(9_999), SimTime::from_micros(9_999 * 200));
         assert_eq!(m.total_samples(), 10_000);
+    }
+
+    #[test]
+    fn runs_draw_fresh_noise_from_the_meter_stream() {
+        // Each run draws its own key, so a second run over the same
+        // window on the same meter is not a replay of the first.
+        let mut m = powered_monsoon(14);
+        let load = ConstantLoad::new(120.0, 4.0);
+        let a = m.sample_run(&load, SimTime::ZERO, 0.1).unwrap();
+        let b = m.sample_run(&load, SimTime::ZERO, 0.1).unwrap();
+        assert_ne!(a.samples.values(), b.samples.values());
+        // A meter in the same state replays it exactly.
+        let again = powered_monsoon(14)
+            .sample_run(&load, SimTime::ZERO, 0.1)
+            .unwrap();
+        assert_eq!(a.samples.values(), again.samples.values());
+    }
+
+    #[test]
+    fn plain_run_is_a_checkpointed_run_without_a_sink() {
+        let load = ConstantLoad::new(150.0, 4.0);
+        let plain = powered_monsoon(34)
+            .sample_run_at_rate(&load, SimTime::ZERO, 1.3, 1000.0)
+            .unwrap();
+        // 300 does not divide the 1024-sample noise block.
+        let mut stream = CheckpointStream::new(300);
+        let sealed = powered_monsoon(34)
+            .sample_run_checkpointed(&load, SimTime::ZERO, 1.3, 1000.0, &mut stream)
+            .unwrap();
+        assert_eq!(plain.samples.values(), sealed.samples.values());
+        assert_eq!(plain.energy.mah().to_bits(), sealed.energy.mah().to_bits());
+        assert_eq!(stream.segments.len(), 5);
+        assert_eq!(stream.concat_values(), plain.samples.values());
+    }
+
+    #[test]
+    fn resume_under_another_run_key_is_a_plan_mismatch() {
+        let load = ConstantLoad::new(150.0, 4.0);
+        let mut stream = CheckpointStream::new(100);
+        let _ = powered_monsoon(35)
+            .sample_run_checkpointed(&load, SimTime::ZERO, 0.5, 1000.0, &mut stream)
+            .unwrap();
+        stream.segments.truncate(2);
+        // A meter that has already run once draws a different key.
+        let mut used = powered_monsoon(35);
+        used.sample_run(&load, SimTime::ZERO, 0.01).unwrap();
+        let err = used
+            .sample_run_checkpointed(&load, SimTime::ZERO, 0.5, 1000.0, &mut stream)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            MonsoonError::Checkpoint(GapReport {
+                kind: batterylab_durable::GapKind::PlanMismatch,
+                ..
+            })
+        ));
     }
 
     #[test]

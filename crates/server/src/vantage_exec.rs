@@ -247,6 +247,24 @@ mod tests {
     }
 
     #[test]
+    fn meter_error_aborts_the_measurement_it_interrupted() {
+        use batterylab_faults::{FaultInjector, FaultKind, FaultPlan};
+        let mut vp = vantage();
+        let plan = FaultPlan::new().next_n("node1.power.meter", FaultKind::OverCurrent, 1);
+        vp.attach_faults(&FaultInjector::new(&plan, 31));
+        let err = run_experiment(&mut vp, &spec()).map(|_| ()).unwrap_err();
+        assert!(err.contains("over-current"), "{err}");
+        assert!(!vp.measurement_active(), "cleanup must close the window");
+        run_experiment(&mut vp, &spec()).expect("the next job measures");
+        // Every started measurement ends exactly once: completed or aborted.
+        let report = vp.telemetry().snapshot();
+        let started = report.counter("node1.controller.measurements_started");
+        let completed = report.counter("node1.controller.measurements_completed");
+        let aborted = report.counter("node1.controller.measurements_aborted");
+        assert_eq!((started, completed, aborted), (2, 1, 1));
+    }
+
+    #[test]
     fn unknown_device_fails_cleanly() {
         let mut vp = vantage();
         let mut s = spec();

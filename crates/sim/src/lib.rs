@@ -18,7 +18,7 @@ mod time;
 
 pub use engine::{every, Engine, Event};
 pub use rng::SimRng;
-pub use series::{StepCursor, StepSignal, TimeSeries};
+pub use series::{StepCursor, StepSignal, TimeSeries, UniformSeries};
 pub use time::{SimDuration, SimTime};
 
 #[cfg(test)]

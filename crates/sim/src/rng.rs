@@ -5,20 +5,18 @@
 //! experiment seed. Independent subsystems derive independent *streams* by
 //! label, so adding a consumer in one subsystem does not perturb another.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use std::sync::OnceLock;
 
-/// A labelled, seedable random stream.
+use rand::rngs::StdRng;
+use rand::{RngCore, RngExt, SeedableRng};
+
+/// A seedable random stream; children derive from it by label.
 ///
 /// Wraps [`StdRng`] and adds the handful of distributions the simulators
 /// need (Gaussian, log-normal, exponential) without pulling in `rand_distr`.
 pub struct SimRng {
     rng: StdRng,
     seed: u64,
-    label: String,
-    /// The sine mate of the last Box–Muller pair, waiting to be consumed
-    /// by the next `standard_normal` call.
-    spare_normal: Option<f64>,
 }
 
 impl SimRng {
@@ -27,8 +25,6 @@ impl SimRng {
         SimRng {
             rng: StdRng::seed_from_u64(seed),
             seed,
-            label: String::from("root"),
-            spare_normal: None,
         }
     }
 
@@ -42,8 +38,17 @@ impl SimRng {
         SimRng {
             rng: StdRng::seed_from_u64(child_seed),
             seed: child_seed,
-            label: format!("{}/{}", self.label, label),
-            spare_normal: None,
+        }
+    }
+
+    /// Stream `index` of the family keyed by `key`: a numeric derivation
+    /// with no label hashing, for hot paths that open many independent
+    /// streams (the Monsoon's per-block noise). Pure in `(key, index)`.
+    pub fn keyed(key: u64, index: u64) -> SimRng {
+        let seed = splitmix(key ^ splitmix(index));
+        SimRng {
+            rng: StdRng::seed_from_u64(seed),
+            seed,
         }
     }
 
@@ -52,9 +57,9 @@ impl SimRng {
         self.seed
     }
 
-    /// The derivation path of this stream (diagnostics only).
-    pub fn label(&self) -> &str {
-        &self.label
+    /// 64 uniformly random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.rng.next_u64()
     }
 
     /// Uniform in `[0, 1)`.
@@ -87,35 +92,60 @@ impl SimRng {
         }
     }
 
-    /// Standard normal via paired Box–Muller: each ln/sqrt/sin/cos
-    /// evaluation yields *two* Gaussians; the sine mate is cached and
-    /// returned by the next call instead of being discarded. Halves the
-    /// transcendental cost on noise-heavy paths (the Monsoon's 5 kHz
-    /// sampling loop draws one Gaussian per sample).
+    /// Standard normal by an exact 256-layer Ziggurat (Marsaglia & Tsang;
+    /// Doornik's layout, one 64-bit word giving both the layer and the
+    /// abscissa). About 99 % of draws cost one `u64` and one table
+    /// compare; only the wedge and the base-strip tail evaluate `exp` or
+    /// `ln`.
+    #[inline]
     pub fn standard_normal(&mut self) -> f64 {
-        if let Some(z) = self.spare_normal.take() {
-            return z;
+        let zig = ziggurat();
+        loop {
+            let bits = self.rng.next_u64();
+            let i = (bits & 0xff) as usize;
+            // Signed abscissa in [-1, 1) from the top 52 bits: a double in
+            // [2, 4) built by its bit pattern, shifted down by 3.
+            let u = f64::from_bits(0x4000_0000_0000_0000 | bits >> 12) - 3.0;
+            let x = u * zig.x[i];
+            if x.abs() < zig.x[i + 1] {
+                return x;
+            }
+            if let Some(z) = self.normal_outside_core(zig, i, u, x) {
+                return z;
+            }
         }
-        // Avoid ln(0).
-        let u1 = loop {
+    }
+
+    /// The rare Ziggurat branches: the base strip's tail beyond `R` and
+    /// the wedge between two layer rectangles. `None` rejects the draw.
+    #[cold]
+    fn normal_outside_core(&mut self, zig: &Ziggurat, i: usize, u: f64, x: f64) -> Option<f64> {
+        if i == 0 {
+            // Marsaglia's tail method: exact for |Z| > R.
+            loop {
+                let a = -self.open_unit().ln() / ZIG_R;
+                let b = -self.open_unit().ln();
+                if 2.0 * b > a * a {
+                    return Some(if u < 0.0 { -(ZIG_R + a) } else { ZIG_R + a });
+                }
+            }
+        }
+        let y = zig.f[i + 1] + (zig.f[i] - zig.f[i + 1]) * self.unit();
+        (y < (-0.5 * x * x).exp()).then_some(x)
+    }
+
+    /// Uniform in `(0, 1)`: never 0, so its logarithm is finite.
+    fn open_unit(&mut self) -> f64 {
+        loop {
             let u = self.unit();
             if u > 0.0 {
                 break u;
             }
-        };
-        let u2 = self.unit();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let (sin, cos) = (std::f64::consts::TAU * u2).sin_cos();
-        self.spare_normal = Some(r * sin);
-        r * cos
+        }
     }
 
-    /// Fill `out` with standard normals.
-    ///
-    /// Consumes the stream exactly as the same number of
-    /// [`Self::standard_normal`] calls would (including the cached pair
-    /// mate), so batched and per-sample consumers of one stream stay
-    /// bit-identical.
+    /// Fill `out` with standard normals, consuming the stream exactly as
+    /// the same number of [`Self::standard_normal`] calls would.
     pub fn fill_standard_normal(&mut self, out: &mut [f64]) {
         for z in out {
             *z = self.standard_normal();
@@ -136,44 +166,44 @@ impl SimRng {
     /// Log-normal parameterised by the *target* median and a multiplicative
     /// spread sigma (sigma of the underlying normal in log-space).
     pub fn log_normal(&mut self, median: f64, sigma: f64) -> f64 {
-        (median.max(f64::MIN_POSITIVE)).exp_ln_mul(self.normal(0.0, sigma))
+        (median.max(f64::MIN_POSITIVE).ln() + self.normal(0.0, sigma)).exp()
     }
 
     /// Exponential with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = loop {
-            let u = self.unit();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -mean * u.ln()
+        -mean * self.open_unit().ln()
     }
+}
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.rng.random_range(0..=i);
-            items.swap(i, j);
+/// Right edge `R` of the base strip of the 256-layer normal Ziggurat.
+const ZIG_R: f64 = 3.654_152_885_361_009;
+/// Common area `V` of every layer under `f(x) = exp(-x²/2)`:
+/// `R·f(R) + ∫_R^∞ f(x) dx`.
+const ZIG_V: f64 = 4.928_673_233_974_658e-3;
+
+/// Layer abscissae `x[0] > x[1] = R > … > x[256] = 0` and the density at
+/// each, `f[i] = exp(-x[i]²/2)`. Layer `i ≥ 1` is the rectangle
+/// `[0, x[i]] × [f[i], f[i + 1]]`; layer 0 is the base strip
+/// `[0, V/f(R)] × [0, f(R)]`, whose part beyond `R` stands in for the
+/// tail.
+struct Ziggurat {
+    x: [f64; 257],
+    f: [f64; 257],
+}
+
+/// The tables, built once per process on first use.
+fn ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let pdf = |x: f64| (-0.5 * x * x).exp();
+        let mut x = [0.0; 257];
+        x[0] = ZIG_V / pdf(ZIG_R);
+        x[1] = ZIG_R;
+        for i in 1..255 {
+            x[i + 1] = (-2.0 * (ZIG_V / x[i] + pdf(x[i])).ln()).sqrt();
         }
-    }
-
-    /// Pick a reference to a random element. Panics on an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
-}
-
-trait ExpLnMul {
-    fn exp_ln_mul(self, z: f64) -> f64;
-}
-
-impl ExpLnMul for f64 {
-    /// `exp(ln(self) + z)` — multiply `self` by `e^z`, used by the
-    /// log-normal sampler.
-    fn exp_ln_mul(self, z: f64) -> f64 {
-        (self.ln() + z).exp()
-    }
+        Ziggurat { x, f: x.map(pdf) }
+    })
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -240,35 +270,68 @@ mod tests {
     }
 
     #[test]
-    fn paired_box_muller_mates_stay_gaussian() {
-        // Odd- and even-indexed draws come from the cos and sin halves of
-        // each pair; both subsequences must carry the distribution.
-        let mut rng = SimRng::new(17);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..2 * n).map(|_| rng.standard_normal()).collect();
-        let halves: [(&str, Vec<f64>); 2] = [
-            ("cos", samples.iter().copied().step_by(2).collect()),
-            ("sin", samples.iter().copied().skip(1).step_by(2).collect()),
-        ];
-        for (name, sub) in halves {
-            let mean = sub.iter().sum::<f64>() / sub.len() as f64;
-            let var = sub.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / sub.len() as f64;
-            assert!(mean.abs() < 0.05, "{name} mean {mean}");
-            assert!((var - 1.0).abs() < 0.05, "{name} var {var}");
+    fn ziggurat_layers_close_with_equal_areas() {
+        let zig = ziggurat();
+        // Every layer rectangle holds the same area V, the topmost one
+        // (up to the density's peak) included — the recursion closes.
+        for i in 1..256 {
+            let area = zig.x[i] * (zig.f[i + 1] - zig.f[i]);
+            assert!((area / ZIG_V - 1.0).abs() < 1e-9, "layer {i} area {area}");
         }
+        assert_eq!(zig.x[256], 0.0);
+        assert!(zig.x.windows(2).all(|w| w[0] > w[1]), "x not decreasing");
+    }
+
+    #[test]
+    fn ziggurat_tails_match_the_normal() {
+        // Two-sided tail mass P(|Z| > k) = erfc(k/√2), past R = 3.654
+        // too, where the base-strip tail sampler runs.
+        const TAILS: [(f64, f64); 7] = [
+            (1.0, 0.317_310_507_862_914_15),
+            (2.0, 0.045_500_263_896_358_44),
+            (3.0, 0.002_699_796_063_260_191),
+            (3.5, 4.652_581_580_710_501e-4),
+            (3.7, 2.155_994_669_547_764_6e-4),
+            (4.0, 6.334_248_366_623_993e-5),
+            (4.5, 6.795_346_249_460_123e-6),
+        ];
+        let n = 4_000_000u64;
+        let mut rng = SimRng::new(2019).derive("ziggurat");
+        let mut above = [0u64; TAILS.len()];
+        let (mut sum, mut sum_sq) = (0.0, 0.0);
+        for _ in 0..n {
+            let z = rng.standard_normal();
+            sum += z;
+            sum_sq += z * z;
+            for (count, &(k, _)) in above.iter_mut().zip(&TAILS) {
+                *count += u64::from(z.abs() > k);
+            }
+        }
+        for (&count, &(k, p)) in above.iter().zip(&TAILS) {
+            let expected = n as f64 * p;
+            let z = (count as f64 - expected) / (expected * (1.0 - p)).sqrt();
+            assert!(
+                z.abs() < 4.0,
+                "P(|Z| > {k}): {count} vs {expected:.1} (z = {z:.2})"
+            );
+        }
+        let mean = sum / n as f64;
+        let var = sum_sq / n as f64 - mean * mean;
+        assert!(mean.abs() < 3e-3, "mean {mean}");
+        assert!((var - 1.0).abs() < 4e-3, "variance {var}");
     }
 
     #[test]
     fn fill_matches_repeated_calls() {
         let mut a = SimRng::new(23).derive("noise");
         let mut b = SimRng::new(23).derive("noise");
-        // Offset by one draw so the fill starts on a cached sine mate.
-        assert_eq!(a.standard_normal().to_bits(), b.standard_normal().to_bits());
-        let mut filled = [0.0f64; 33];
+        let mut filled = [0.0f64; 1000];
         a.fill_standard_normal(&mut filled);
         for (i, z) in filled.iter().enumerate() {
             assert_eq!(z.to_bits(), b.standard_normal().to_bits(), "draw {i}");
         }
+        // Both streams stand at the same position afterwards.
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
@@ -286,16 +349,6 @@ mod tests {
         let n = 20_000;
         let mean = (0..n).map(|_| rng.exponential(3.0)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(5);
-        let mut v: Vec<u32> = (0..64).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Time-series recording utilities.
 //!
-//! Two shapes cover everything the simulators log:
+//! Three shapes cover everything the simulators log:
 //!
-//! * [`TimeSeries`] — discrete samples `(t, value)` as produced by the
-//!   Monsoon sampling loop or CPU utilisation pollers.
+//! * [`TimeSeries`] — discrete samples `(t, value)` as produced by CPU
+//!   utilisation pollers and other irregular recorders.
+//! * [`UniformSeries`] — samples on a fixed grid `start + k·period`, as
+//!   the Monsoon produces them; the instants are implied, not stored.
 //! * [`StepSignal`] — a piecewise-constant signal (component power states,
 //!   CPU load contributed by a process) with exact integration.
 
@@ -164,6 +166,68 @@ impl TimeSeries {
             out.push(t0 + width * bucket_idx, sum / count as f64);
         }
         out
+    }
+}
+
+/// Samples on a uniform grid: value `k` was taken at `start + k·period`.
+///
+/// A fixed-rate meter's trace needs no stored timestamps, which saves
+/// 8 bytes per sample against [`TimeSeries`] and the work of filling them.
+#[derive(Clone, Debug, Default)]
+pub struct UniformSeries {
+    start: SimTime,
+    period: SimDuration,
+    values: Vec<f64>,
+}
+
+impl UniformSeries {
+    /// A series of `values` taken every `period` from `start`.
+    pub fn new(start: SimTime, period: SimDuration, values: Vec<f64>) -> Self {
+        assert!(!period.is_zero(), "sample period must be positive");
+        UniformSeries {
+            start,
+            period,
+            values,
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// True when no samples are recorded.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Sample values, in time order.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Instant of the first sample (of the grid, when empty).
+    pub fn start(&self) -> SimTime {
+        self.start
+    }
+
+    /// Spacing between consecutive samples.
+    pub fn period(&self) -> SimDuration {
+        self.period
+    }
+
+    /// Instant of sample `k`.
+    pub fn time(&self, k: usize) -> SimTime {
+        self.start + self.period * k as u64
+    }
+
+    /// Arithmetic mean of values; `None` when empty.
+    pub fn mean(&self) -> Option<f64> {
+        if self.values.is_empty() {
+            None
+        } else {
+            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
+        }
     }
 }
 
@@ -344,6 +408,20 @@ impl StepCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn uniform_series_implies_its_instants() {
+        let s = UniformSeries::new(
+            SimTime::from_millis(5),
+            SimDuration::from_micros(200),
+            vec![1.0, 2.0, 6.0],
+        );
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.time(0), SimTime::from_millis(5));
+        assert_eq!(s.time(2), SimTime::from_micros(5_400));
+        assert_eq!(s.mean(), Some(3.0));
+        assert_eq!(UniformSeries::default().mean(), None);
+    }
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

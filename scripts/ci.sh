@@ -25,8 +25,9 @@ cargo test -q
 # including the merged platform_metrics.json).
 cargo test -q -p batterylab-tests --test parallel_determinism
 
-# Sampling fast path: the segment-batched pipeline must stay bit-for-bit
-# identical to the per-sample reference path (noise-free and noisy).
+# One sampling engine: the segment-batched, per-sample reference and
+# checkpointed runs must stay bit-for-bit identical (noise-free and
+# noisy, wherever noise blocks, segments and checkpoint seals fall).
 cargo test -q -p batterylab-tests --test sampling_fastpath
 
 # Bounded chaos soak (seconds, not minutes): experiment pipelines under
@@ -51,6 +52,10 @@ cargo test -q -p batterylab-tests --test durable_recovery
 # artifact holds only its own lines and its `Completed` WAL record is as
 # long as the first job's.
 cargo test -q -p batterylab-tests --test job_path_bounded
+
+# Committed artifacts match the code: paper-scale `eval all` must
+# reproduce eval_output.txt byte for byte below its header line.
+cargo test -q -p batterylab-tests --test artifacts_golden
 
 # Wall-clock split: evaluation at jobs=1 vs every available core.
 # Prints the per-figure table and refreshes BENCH_eval.json.

@@ -132,6 +132,57 @@ proptest! {
     }
 }
 
+/// One engine: on a fresh stream, a checkpointed run is the plain run
+/// plus sealing — same samples, aggregates, histogram and counters.
+#[test]
+fn plain_run_matches_checkpointed_run_on_a_fresh_stream() {
+    let load = ConstantLoad::new(300.0, 4.0);
+    let run = |stream: Option<&mut CheckpointStream>| {
+        let registry = Registry::new();
+        let mut meter = armed_monsoon(5);
+        meter.set_telemetry(&registry);
+        let run = match stream {
+            Some(stream) => {
+                meter.sample_run_checkpointed(&load, SimTime::ZERO, DURATION_S, RATE_HZ, stream)
+            }
+            None => meter.sample_run_at_rate(&load, SimTime::ZERO, DURATION_S, RATE_HZ),
+        };
+        (run.expect("fault-free run"), registry.snapshot())
+    };
+    let (plain, plain_report) = run(None);
+    let mut stream = CheckpointStream::new(INTERVAL);
+    let (sealed, sealed_report) = run(Some(&mut stream));
+
+    assert_eq!(plain.samples.values(), sealed.samples.values());
+    assert_eq!(plain.energy.mah().to_bits(), sealed.energy.mah().to_bits());
+    assert_eq!(plain.energy.mwh().to_bits(), sealed.energy.mwh().to_bits());
+    assert_eq!(plain.energy.samples(), sealed.energy.samples());
+    assert_eq!(
+        sample_histogram(plain.samples.values()),
+        sample_histogram(sealed.samples.values())
+    );
+    for counter in [
+        "power.samples",
+        "power.sample_runs",
+        "power.overcurrent_trips",
+    ] {
+        assert_eq!(
+            plain_report.counter(counter),
+            sealed_report.counter(counter),
+            "{counter}"
+        );
+    }
+    assert_eq!(
+        plain_report.histogram("power.sample_ua"),
+        sealed_report.histogram("power.sample_ua")
+    );
+    assert_eq!(
+        plain_report.histogram("power.run_us"),
+        sealed_report.histogram("power.run_us")
+    );
+    assert_eq!(sealed_report.counter("durable.checkpoints_sealed"), 10);
+}
+
 /// A torn tail — a record that never reached its fsync barrier — is
 /// truncated on recovery, surfaced in the recovery telemetry, and the
 /// recovered server keeps working from the durable prefix.

@@ -2,14 +2,16 @@
 //! retained per-sample reference path, across the whole meter chain.
 //!
 //! The contract under test (DESIGN.md §3e): for any piecewise-constant
-//! load, `Monsoon::sample_run_at_rate` (segment-batched) and
-//! `Monsoon::sample_run_reference_at_rate` (per-sample) produce
-//! **bit-identical** output — samples, aggregates, counters and trip
-//! errors — given the same RNG seed. Noise does not weaken this: both
-//! paths consume exactly one standard normal per emitted sample in time
-//! order, so even noisy runs match bit for bit.
+//! load, `Monsoon::sample_run_at_rate` (segment-batched),
+//! `Monsoon::sample_run_reference_at_rate` (per-sample) and
+//! `Monsoon::sample_run_checkpointed` (segment-batched with a sealing
+//! sink) produce **bit-identical** output — samples, aggregates,
+//! counters and trip errors — given the same RNG seed. Noise does not
+//! weaken this: every path takes sample k's noise from the block stream
+//! keyed by (run key, k / 1024), wherever segments and seals fall.
 
 use batterylab::device::boot_j7_duo;
+use batterylab::durable::CheckpointStream;
 use batterylab::power::{Calibration, Monsoon, MonsoonError, SampleRun, TraceLoad};
 use batterylab::sim::{SimDuration, SimRng, SimTime, StepSignal};
 use proptest::prelude::*;
@@ -44,7 +46,8 @@ fn trace_from_steps(initial: f64, steps: &[(u64, f64)]) -> StepSignal {
 
 fn assert_runs_bit_identical(fast: &SampleRun, reference: &SampleRun) {
     assert_eq!(fast.samples.len(), reference.samples.len());
-    assert_eq!(fast.samples.times(), reference.samples.times());
+    assert_eq!(fast.samples.start(), reference.samples.start());
+    assert_eq!(fast.samples.period(), reference.samples.period());
     for (a, b) in fast.samples.values().iter().zip(reference.samples.values()) {
         assert_eq!(a.to_bits(), b.to_bits(), "sample mismatch: {a} vs {b}");
     }
@@ -114,6 +117,40 @@ proptest! {
         let distinct: std::collections::BTreeSet<u64> =
             fast.samples.values().iter().map(|v| v.to_bits()).collect();
         prop_assert!(distinct.len() > 3, "noise missing: {} distinct readings", distinct.len());
+    }
+
+    /// Noise blocks straddle segment boundaries and checkpoint seals that
+    /// do not divide the block: the plain, reference and checkpointed
+    /// runs still agree bit for bit, and so does a resume from any
+    /// sealed prefix on a meter in the same state.
+    #[test]
+    fn noise_blocks_are_independent_of_segments_and_seals(
+        seed in 0u64..1000,
+        initial in 50.0f64..1500.0,
+        steps in proptest::collection::vec((1u64..200_000, 0.0f64..1500.0), 0..12),
+        interval in 1u64..3000,
+        keep_frac in 0.0f64..1.0,
+    ) {
+        let load = TraceLoad::new(trace_from_steps(initial, &steps), 4.0);
+        let (duration_s, rate) = (0.9, 5000.0);
+        let fast = powered(seed, Calibration::default())
+            .sample_run_at_rate(&load, SimTime::ZERO, duration_s, rate)
+            .unwrap();
+        let reference = powered(seed, Calibration::default())
+            .sample_run_reference_at_rate(&load, SimTime::ZERO, duration_s, rate)
+            .unwrap();
+        assert_runs_bit_identical(&fast, &reference);
+        let mut stream = CheckpointStream::new(interval);
+        let sealed = powered(seed, Calibration::default())
+            .sample_run_checkpointed(&load, SimTime::ZERO, duration_s, rate, &mut stream)
+            .unwrap();
+        assert_runs_bit_identical(&fast, &sealed);
+        let keep = (stream.segments.len() as f64 * keep_frac) as usize;
+        stream.segments.truncate(keep);
+        let resumed = powered(seed, Calibration::default())
+            .sample_run_checkpointed(&load, SimTime::ZERO, duration_s, rate, &mut stream)
+            .unwrap();
+        assert_runs_bit_identical(&fast, &resumed);
     }
 
     /// A monotone cursor walk over a random trace reads exactly what
