@@ -1,7 +1,6 @@
 //! Microbenches of the platform's hot paths: ADB wire framing, Monsoon
-//! sampling, relay switching, device-trace building, the DES engine and
-//! the scheduler. These are the costs a vantage point actually pays per
-//! measurement second.
+//! sampling, relay switching and device-trace building. These are the
+//! costs a vantage point actually pays per measurement second.
 //!
 //! The `*_instrumented` variants run the same work with telemetry bound
 //! to a shared registry. Budget: instrumentation must stay within 5 % of
@@ -15,7 +14,7 @@ use batterylab::adb::{AdbKey, AdbLink, MockServices, Packet, TransportKind};
 use batterylab::device::boot_j7_duo;
 use batterylab::power::{ConstantLoad, Monsoon, TraceLoad};
 use batterylab::relay::CircuitSwitch;
-use batterylab::sim::{Engine, SimDuration, SimRng, SimTime, StepSignal};
+use batterylab::sim::{SimDuration, SimRng, SimTime, StepSignal};
 use batterylab::telemetry::Registry;
 use bytes::BytesMut;
 
@@ -161,30 +160,12 @@ fn bench_device(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine");
-    group.throughput(Throughput::Elements(10_000));
-    group.bench_function("schedule_and_run_10k", |b| {
-        b.iter(|| {
-            let mut eng: Engine<u64> = Engine::new();
-            let mut acc = 0u64;
-            for i in 0..10_000u64 {
-                eng.schedule_at(SimTime::from_micros(i * 7 % 65_536), move |_, a| *a += i);
-            }
-            eng.run_to_completion(&mut acc);
-            black_box(acc)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_adb_framing,
     bench_monsoon,
     bench_sampling,
     bench_relay,
-    bench_device,
-    bench_engine
+    bench_device
 );
 criterion_main!(benches);

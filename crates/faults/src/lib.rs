@@ -204,12 +204,6 @@ impl FaultPlan {
         self
     }
 
-    /// Compat shim for the old `PowerSocket::inject_unreachable(n)` knob:
-    /// the next `n` socket commands at `site` return unreachable.
-    pub fn socket_unreachable_next(self, site: &str, n: u32) -> Self {
-        self.next_n(site, FaultKind::SocketUnreachable, n)
-    }
-
     /// A randomized-but-seeded chaos profile for one node, scaled by
     /// `intensity` in `[0, 1]`. Drawing the plan consumes `rng`
     /// deterministically, so the same (seed, intensity) always yields
@@ -497,7 +491,7 @@ mod tests {
 
     #[test]
     fn count_trigger_consumes_exactly_n() {
-        let plan = FaultPlan::new().socket_unreachable_next("s", 2);
+        let plan = FaultPlan::new().next_n("s", FaultKind::SocketUnreachable, 2);
         let inj = FaultInjector::new(&plan, 1);
         assert!(inj.check("s", FaultKind::SocketUnreachable, SimTime::ZERO));
         assert!(inj.check("s", FaultKind::SocketUnreachable, SimTime::ZERO));

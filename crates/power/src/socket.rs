@@ -173,8 +173,7 @@ mod tests {
     fn unreachable_fault_then_recovery() {
         use batterylab_faults::FaultPlan;
         let mut s = PowerSocket::new();
-        // The compat shim for the old `inject_unreachable(2)` knob.
-        let plan = FaultPlan::new().socket_unreachable_next(s.fault_site(), 2);
+        let plan = FaultPlan::new().next_n(s.fault_site(), FaultKind::SocketUnreachable, 2);
         let injector = FaultInjector::new(&plan, 1);
         let site = s.fault_site().to_string();
         s.set_faults(&injector, &site);

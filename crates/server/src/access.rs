@@ -8,14 +8,14 @@ use batterylab_controller::VantagePoint;
 use batterylab_durable::Wal;
 use batterylab_sim::SimTime;
 
-use crate::auth::{AuthError, AuthService, Permission, Role, Session};
+use crate::auth::{hash_password, AuthError, AuthService, Permission, Role, Session};
 use crate::credits::{CreditError, CreditLedger};
-use crate::jobs::{BuildRecord, BuildState, Constraints, JobId, Payload};
-use crate::maintenance;
+use crate::jobs::{BuildRecord, Constraints, JobId, Payload};
+use crate::maintenance::{self, MaintenanceReport};
 use crate::registry::{NodeRegistry, RegistryError, REQUIRED_PORTS};
 use crate::scheduler::Scheduler;
 use crate::ssh::SshClient;
-use crate::wal::{ChargeRecord, WalRecord};
+use crate::wal::WalRecord;
 use batterylab_sim::SimDuration;
 
 /// Access-server faults.
@@ -66,6 +66,10 @@ impl std::fmt::Display for ServerError {
 impl std::error::Error for ServerError {}
 
 /// The BatteryLab access server.
+///
+/// Every state transition is decided once, written as one [`WalRecord`]
+/// and applied by one private `apply`; [`AccessServer::recover`] replays
+/// the log through that same `apply`.
 pub struct AccessServer {
     auth: AuthService,
     registry: NodeRegistry,
@@ -86,77 +90,69 @@ pub struct AccessServer {
 impl AccessServer {
     /// Boot the server (AWS-hosted in the paper) with a bootstrap admin.
     pub fn new(public_ip: &str, admin_user: &str, admin_password: &str) -> Self {
+        Self::with_state(
+            public_ip.to_string(),
+            AuthService::new(admin_user, admin_password),
+            Wal::disabled(),
+        )
+    }
+
+    fn with_state(public_ip: String, auth: AuthService, wal: Wal) -> Self {
         AccessServer {
-            auth: AuthService::new(admin_user, admin_password),
+            auth,
             registry: NodeRegistry::new(SimTime::ZERO),
             scheduler: Scheduler::new(),
             nodes: BTreeMap::new(),
             ssh: SshClient::new("fp:access-server"),
-            public_ip: public_ip.to_string(),
+            public_ip,
             billing: None,
             node_owners: BTreeMap::new(),
             last_accrual: SimTime::ZERO,
-            wal: Wal::disabled(),
+            wal,
         }
     }
 
     /// Make the server crash-consistent: every state transition from here
-    /// on appends one fsynced record to `wal` before taking effect, and
-    /// the current state (accounts, billing flag, enrolled nodes, node
-    /// owners) is snapshotted into the log first so `wal` alone is enough
-    /// to rebuild the server via [`AccessServer::recover`].
+    /// on appends one fsynced record to `wal`, and the current state
+    /// (accounts, billing flag, enrolled nodes, node owners) is
+    /// snapshotted into the log first so `wal` alone is enough to rebuild
+    /// the server via [`AccessServer::recover`]. The snapshot is
+    /// append-only: the state it describes already exists.
     pub fn attach_wal(&mut self, wal: &Wal) {
         self.wal = wal.clone();
-        self.scheduler.set_wal(wal);
-        self.wal.append(
-            &WalRecord::Booted {
-                public_ip: self.public_ip.clone(),
+        let mut snapshot = vec![WalRecord::Booted {
+            public_ip: self.public_ip.clone(),
+        }];
+        snapshot.extend(self.auth.accounts().map(|(name, password_hash, role)| {
+            WalRecord::UserAdded {
+                name: name.to_string(),
+                password_hash,
+                role,
             }
-            .encode(),
-        );
-        let accounts: Vec<(String, u64, Role)> = self
-            .auth
-            .accounts()
-            .map(|(name, hash, role)| (name.to_string(), hash, role))
-            .collect();
-        for (name, password_hash, role) in accounts {
-            self.wal.append(
-                &WalRecord::UserAdded {
-                    name,
-                    password_hash,
-                    role,
-                }
-                .encode(),
-            );
-        }
+        }));
         if self.billing.is_some() {
-            self.wal.append(&WalRecord::BillingEnabled.encode());
+            snapshot.push(WalRecord::BillingEnabled);
         }
-        for name in self.registry.names() {
-            let rec = self
-                .registry
-                .node(&name)
-                .expect("listed node exists")
-                .clone();
-            self.wal.append(
-                &WalRecord::NodeEnrolled {
-                    name: rec.name,
-                    ip: rec.ip,
-                    host_key: rec.host_key,
-                    open_ports: REQUIRED_PORTS.iter().map(|(p, _)| *p).collect(),
-                    at: rec.enrolled_at,
-                }
-                .encode(),
-            );
-        }
-        let owners: Vec<(String, String)> = self
-            .node_owners
-            .iter()
-            .map(|(n, o)| (n.clone(), o.clone()))
-            .collect();
-        for (node, owner) in owners {
-            self.wal
-                .append(&WalRecord::NodeOwner { node, owner }.encode());
+        snapshot.extend(self.registry.names().into_iter().map(|name| {
+            let rec = self.registry.node(&name).expect("listed node exists");
+            WalRecord::NodeEnrolled {
+                name,
+                ip: rec.ip.clone(),
+                host_key: rec.host_key.clone(),
+                open_ports: REQUIRED_PORTS.iter().map(|(p, _)| *p).collect(),
+                at: rec.enrolled_at,
+            }
+        }));
+        snapshot.extend(
+            self.node_owners
+                .iter()
+                .map(|(node, owner)| WalRecord::NodeOwner {
+                    node: node.clone(),
+                    owner: owner.clone(),
+                }),
+        );
+        for record in snapshot {
+            self.wal.append(&record.encode());
         }
     }
 
@@ -178,8 +174,8 @@ impl AccessServer {
     /// grant lazily on first use.
     pub fn enable_billing(&mut self) {
         if self.billing.is_none() {
-            self.billing = Some(CreditLedger::new());
-            self.wal.append(&WalRecord::BillingEnabled.encode());
+            self.commit(WalRecord::BillingEnabled, None)
+                .expect("enabling billing always applies");
         }
     }
 
@@ -195,14 +191,12 @@ impl AccessServer {
 
     /// Record that `owner` hosts `node` (earns hosting credits).
     pub fn set_node_owner(&mut self, node: &str, owner: &str) {
-        self.node_owners.insert(node.to_string(), owner.to_string());
-        self.wal.append(
-            &WalRecord::NodeOwner {
-                node: node.to_string(),
-                owner: owner.to_string(),
-            }
-            .encode(),
-        );
+        let record = WalRecord::NodeOwner {
+            node: node.to_string(),
+            owner: owner.to_string(),
+        };
+        self.commit(record, None)
+            .expect("node ownership always applies");
     }
 
     /// User directory access.
@@ -234,19 +228,14 @@ impl AccessServer {
         role: Role,
     ) -> Result<(), ServerError> {
         self.auth.authorize(token, Permission::ManageNodes)?;
-        self.auth.add_user(name, password, role)?;
         // Log the stored hash (never cleartext) so recovery rebuilds the
         // full directory.
-        if let Some((_, password_hash, role)) = self.auth.accounts().find(|(n, _, _)| *n == name) {
-            self.wal.append(
-                &WalRecord::UserAdded {
-                    name: name.to_string(),
-                    password_hash,
-                    role,
-                }
-                .encode(),
-            );
-        }
+        let record = WalRecord::UserAdded {
+            name: name.to_string(),
+            password_hash: hash_password(password),
+            role,
+        };
+        self.commit(record, None)?;
         Ok(())
     }
 
@@ -263,22 +252,17 @@ impl AccessServer {
     ) -> Result<String, ServerError> {
         self.auth.authorize(token, Permission::ManageNodes)?;
         let name = vp.name().to_string();
-        let public_ip = self.public_ip.clone();
-        self.registry
-            .enroll(&name, ip, host_key, open_ports, &public_ip, now)?;
-        self.ssh.pin_host(&name, host_key);
-        self.nodes.insert(name.clone(), vp);
-        self.wal.append(
-            &WalRecord::NodeEnrolled {
-                name: name.clone(),
-                ip: ip.to_string(),
-                host_key: host_key.to_string(),
-                open_ports: open_ports.to_vec(),
-                at: now,
-            }
-            .encode(),
-        );
-        Ok(format!("{name}.batterylab.dev"))
+        let record = WalRecord::NodeEnrolled {
+            name: name.clone(),
+            ip: ip.to_string(),
+            host_key: host_key.to_string(),
+            open_ports: open_ports.to_vec(),
+            at: now,
+        };
+        self.commit(record, None)?;
+        let fqdn = format!("{name}.batterylab.dev");
+        self.nodes.insert(name, vp);
+        Ok(fqdn)
     }
 
     /// Enrolled nodes.
@@ -304,61 +288,30 @@ impl AccessServer {
         constraints: Constraints,
         payload: Payload,
     ) -> Result<JobId, ServerError> {
-        let session = self.auth.authorize(token, Permission::CreateJob)?;
-        let owner = session.user.clone();
+        let owner = self
+            .auth
+            .authorize(token, Permission::CreateJob)?
+            .user
+            .clone();
         self.auth.authorize(token, Permission::RunJob)?;
-        if let Some(ledger) = &mut self.billing {
+        if let Some(ledger) = &self.billing {
             // Affordability gate: reserve a conservative 10 device-minutes.
-            ledger.open_account(&owner);
             ledger.check_affordable(&owner, SimDuration::from_secs(600))?;
         }
-        Ok(self.scheduler.submit(name, &owner, constraints, payload))
+        let (id, record) = self.scheduler.submit(name, &owner, constraints, &payload);
+        self.commit(record, Some(payload))
+            .expect("submissions always apply");
+        Ok(id)
     }
 
     /// Run one dispatcher pass. With billing on, the submitting user is
     /// charged for the device time the build actually consumed.
     pub fn tick(&mut self) -> Option<JobId> {
-        let id = self.scheduler.tick(&mut self.nodes)?;
-        // A `Queued` build after a tick means the run failed transiently
-        // and was requeued — the scheduler logged `Retried`. Anything
-        // else is terminal: commit the build and its charge as ONE WAL
-        // record, so no log prefix can separate the bill from the job.
-        let terminal = self
+        let (id, record) = self
             .scheduler
-            .build(id)
-            .map(|b| !matches!(b.state, BuildState::Queued))
-            .unwrap_or(false);
-        if terminal {
-            let build = self
-                .scheduler
-                .build(id)
-                .expect("terminal build exists")
-                .clone();
-            let secs = build
-                .summary
-                .as_ref()
-                .and_then(|s| s["duration_s"].as_f64())
-                .unwrap_or(0.0);
-            let charge = if self.billing.is_some() && secs > 0.0 {
-                Some(ChargeRecord {
-                    user: build.owner.clone(),
-                    job: build.name.clone(),
-                    device_time: SimDuration::from_secs_f64(secs),
-                })
-            } else {
-                None
-            };
-            self.wal.append(
-                &WalRecord::Completed {
-                    record: build,
-                    charge: charge.clone(),
-                }
-                .encode(),
-            );
-            if let (Some(ledger), Some(c)) = (&mut self.billing, charge) {
-                let _ = ledger.charge_experiment(&c.user, &c.job, c.device_time);
-            }
-        }
+            .tick(&mut self.nodes, self.billing.is_some())?;
+        self.commit(record, None)
+            .expect("dispatch outcomes always apply");
         Some(id)
     }
 
@@ -387,28 +340,16 @@ impl AccessServer {
         from: SimTime,
         to: SimTime,
     ) -> Result<(), ServerError> {
-        let session = self.auth.authorize(token, Permission::RunJob)?;
-        let user = session.user.clone();
+        let user = self.auth.authorize(token, Permission::RunJob)?.user.clone();
         self.registry.node(node)?;
-        self.scheduler
-            .slots_mut()
-            .reserve(node, device, &user, from, to)
-            .map_err(|e| {
-                ServerError::Auth(AuthError::Forbidden {
-                    user: format!("{user} ({e})"),
-                    permission: Permission::RunJob,
-                })
-            })?;
-        self.wal.append(
-            &WalRecord::SlotReserved {
-                node: node.to_string(),
-                device: device.to_string(),
-                user,
-                from,
-                to,
-            }
-            .encode(),
-        );
+        let record = WalRecord::SlotReserved {
+            node: node.to_string(),
+            device: device.to_string(),
+            user,
+            from,
+            to,
+        };
+        self.commit(record, None)?;
         Ok(())
     }
 
@@ -425,22 +366,14 @@ impl AccessServer {
 
     /// Run the maintenance sweeps at `now`. With billing on, node owners
     /// accrue hosting credits for the interval since the last sweep.
-    pub fn run_maintenance(&mut self, now: SimTime) -> maintenance::MaintenanceReport {
-        let mut report = maintenance::certificate_sweep(&mut self.registry, now);
+    pub fn run_maintenance(&mut self, now: SimTime) -> MaintenanceReport {
+        // Node-side actuation: the vantage points survive a crash, so the
+        // power sweep is not part of the logged transition.
         let power = maintenance::power_safety_sweep(&mut self.nodes);
+        let mut report = self
+            .commit(WalRecord::MaintenanceRan { at: now }, None)
+            .expect("maintenance always applies");
         report.meters_powered_off = power.meters_powered_off;
-        self.scheduler.prune_workspaces(now);
-        if let Some(ledger) = &mut self.billing {
-            let online = now.duration_since(self.last_accrual);
-            if !online.is_zero() {
-                for (node, owner) in &self.node_owners {
-                    ledger.earn_hosting(owner, node, online);
-                }
-            }
-        }
-        self.last_accrual = now;
-        self.wal
-            .append(&WalRecord::MaintenanceRan { at: now }.encode());
         report
     }
 
@@ -456,22 +389,19 @@ impl AccessServer {
     /// Probe every enrolled node's health at `now` and record the outcome
     /// in the registry. Returns `(name, healthy)` pairs in name order.
     pub fn probe_nodes(&mut self, now: SimTime) -> Vec<(String, bool)> {
-        let names: Vec<String> = self.nodes.keys().cloned().collect();
-        let mut outcomes = Vec::with_capacity(names.len());
-        for name in names {
-            let healthy = self.scheduler.supervisor_mut().heartbeat_probe(&name, now);
-            let _ = self.registry.record_heartbeat(&name, now, healthy);
-            outcomes.push((name, healthy));
-        }
-        // One batched record: the *decided* outcomes, so replay never
+        let supervisor = self.scheduler.supervisor_mut();
+        let outcomes: Vec<(String, bool)> = self
+            .nodes
+            .keys()
+            .map(|name| (name.clone(), supervisor.heartbeat_probe(name, now)))
+            .collect();
+        // One batched record of the *decided* outcomes, so replay never
         // consults the fault injector again.
-        self.wal.append(
-            &WalRecord::Heartbeats {
-                at: now,
-                outcomes: outcomes.clone(),
-            }
-            .encode(),
-        );
+        let record = WalRecord::Heartbeats {
+            at: now,
+            outcomes: outcomes.clone(),
+        };
+        self.commit(record, None).expect("heartbeats always apply");
         outcomes
     }
 
@@ -512,10 +442,11 @@ impl AccessServer {
     /// Rebuild a server from a write-ahead log after a crash.
     ///
     /// Replays every whole record in `wal` (truncating any torn tail
-    /// first). Replay is **telemetry-silent** on the platform side: the
-    /// original operations already counted into the surviving registry,
-    /// so the recovered scheduler/supervisor run against throwaway
-    /// registries until the caller rebinds
+    /// first) through `apply`, the same transition code the live
+    /// operations run. Replay is **telemetry-silent** on the platform
+    /// side: the original operations already counted into the surviving
+    /// registry, so the recovered scheduler/supervisor run against
+    /// throwaway registries until the caller rebinds
     /// [`AccessServer::set_telemetry`]. Recovery-side `durable.*` metrics
     /// go to the separate `recovery_telemetry` registry instead.
     ///
@@ -544,31 +475,47 @@ impl AccessServer {
             Some(Err(e)) => return Err(ServerError::Recovery(e)),
             None => return Err(ServerError::Recovery("empty write-ahead log".to_string())),
         };
-        let mut server = AccessServer {
-            auth: AuthService::empty(),
-            registry: NodeRegistry::new(SimTime::ZERO),
-            scheduler: Scheduler::new(),
-            nodes: BTreeMap::new(),
-            ssh: SshClient::new("fp:access-server"),
-            public_ip,
-            billing: None,
-            node_owners: BTreeMap::new(),
-            last_accrual: SimTime::ZERO,
-            // Disabled during replay so re-applied operations don't
-            // re-log themselves; the real handle is wired in afterwards.
-            wal: Wal::disabled(),
-        };
+        // `apply` never appends, so the surviving log is adopted up front:
+        // later appends continue the same sequence.
+        let mut server = Self::with_state(public_ip, AuthService::empty(), wal.clone());
         for record in records {
-            server.apply_replayed(record.map_err(ServerError::Recovery)?)?;
+            // A custom payload's closure died with the server; `apply`
+            // falls back to the logged spec.
+            server
+                .apply(record.map_err(ServerError::Recovery)?, None)
+                .map_err(|e| ServerError::Recovery(format!("replay failed: {e}")))?;
         }
-        // Adopt the surviving log: appends continue the same sequence.
-        server.wal = wal.clone();
-        server.scheduler.set_wal(wal);
         Ok(server)
     }
 
-    /// Apply one replayed WAL record (everything after `Booted`).
-    fn apply_replayed(&mut self, record: WalRecord) -> Result<(), ServerError> {
+    /// Commit one decided transition: apply it, then make it durable. The
+    /// record is encoded (only when the log is on) before `apply` consumes
+    /// it and appended only once `apply` succeeded, so a refused
+    /// transition leaves neither state nor log behind.
+    fn commit(
+        &mut self,
+        record: WalRecord,
+        payload: Option<Payload>,
+    ) -> Result<MaintenanceReport, ServerError> {
+        let bytes = self.wal.is_enabled().then(|| record.encode());
+        let report = self.apply(record, payload)?;
+        if let Some(bytes) = bytes {
+            self.wal.append(&bytes);
+        }
+        Ok(report)
+    }
+
+    /// Apply one transition to the server state: the single path shared
+    /// by live operations (through [`Self::commit`]) and WAL replay. A
+    /// `Submitted` job runs `payload` when the live caller still holds it,
+    /// else the logged spec. Returns the certificate sweep a
+    /// `MaintenanceRan` performed (empty for every other record).
+    fn apply(
+        &mut self,
+        record: WalRecord,
+        payload: Option<Payload>,
+    ) -> Result<MaintenanceReport, ServerError> {
+        let mut sweep = MaintenanceReport::default();
         match record {
             WalRecord::Booted { .. } => {
                 return Err(ServerError::Recovery(
@@ -579,13 +526,9 @@ impl AccessServer {
                 name,
                 password_hash,
                 role,
-            } => {
-                self.auth.add_user_hashed(&name, password_hash, role)?;
-            }
+            } => self.auth.add_user_hashed(&name, password_hash, role)?,
             WalRecord::BillingEnabled => {
-                if self.billing.is_none() {
-                    self.billing = Some(CreditLedger::new());
-                }
+                self.billing.get_or_insert_with(CreditLedger::new);
             }
             WalRecord::NodeEnrolled {
                 name,
@@ -594,12 +537,9 @@ impl AccessServer {
                 open_ports,
                 at,
             } => {
-                let public_ip = self.public_ip.clone();
                 self.registry
-                    .enroll(&name, &ip, &host_key, &open_ports, &public_ip, at)?;
+                    .enroll(&name, &ip, &host_key, &open_ports, &self.public_ip, at)?;
                 self.ssh.pin_host(&name, &host_key);
-                // The vantage point itself survived the crash; it is
-                // re-attached later via `adopt_node`.
             }
             WalRecord::NodeOwner { node, owner } => {
                 self.node_owners.insert(node, owner);
@@ -611,12 +551,12 @@ impl AccessServer {
                 constraints,
                 spec,
             } => {
-                // Mirror submit_job's welcome-grant ordering.
                 if let Some(ledger) = &mut self.billing {
                     ledger.open_account(&owner);
                 }
+                let payload = payload.or_else(|| spec.map(Payload::Experiment));
                 self.scheduler
-                    .restore_submitted(JobId(id), &name, &owner, constraints, spec);
+                    .enqueue(JobId(id), name, owner, constraints, payload);
             }
             WalRecord::Retried {
                 id,
@@ -624,31 +564,26 @@ impl AccessServer {
                 attempts,
                 not_before,
                 failed_at,
-                error: _,
-            } => {
-                self.scheduler
-                    .restore_retried(JobId(id), &node, attempts, not_before, failed_at);
-            }
+                error,
+            } => self
+                .scheduler
+                .requeue(JobId(id), node, attempts, not_before, failed_at, &error),
             WalRecord::Completed { record, charge } => {
                 if let (Some(ledger), Some(c)) = (&mut self.billing, &charge) {
                     let _ = ledger.charge_experiment(&c.user, &c.job, c.device_time);
                 }
-                self.scheduler.restore_completed(record);
+                self.scheduler.finish(record);
             }
             WalRecord::Heartbeats { at, outcomes } => {
-                for (node, healthy) in outcomes {
+                for (node, healthy) in &outcomes {
                     self.scheduler
                         .supervisor_mut()
-                        .apply_probe(&node, healthy, at);
-                    let _ = self.registry.record_heartbeat(&node, at, healthy);
+                        .apply_probe(node, *healthy, at);
+                    let _ = self.registry.record_heartbeat(node, at, *healthy);
                 }
             }
             WalRecord::MaintenanceRan { at } => {
-                // Re-derive the deterministic sweeps. The node-side power
-                // sweep is naturally a no-op: `nodes` is empty during
-                // replay (vantage points are re-adopted afterwards).
-                let _ = maintenance::certificate_sweep(&mut self.registry, at);
-                let _ = maintenance::power_safety_sweep(&mut self.nodes);
+                sweep = maintenance::certificate_sweep(&mut self.registry, at);
                 self.scheduler.prune_workspaces(at);
                 if let Some(ledger) = &mut self.billing {
                     let online = at.duration_since(self.last_accrual);
@@ -666,25 +601,36 @@ impl AccessServer {
                 user,
                 from,
                 to,
-            } => {
-                self.scheduler
-                    .slots_mut()
-                    .reserve(&node, &device, &user, from, to)
-                    .map_err(|e| ServerError::Recovery(format!("slot replay failed: {e}")))?;
-            }
+            } => self
+                .scheduler
+                .slots_mut()
+                .reserve(&node, &device, &user, from, to)
+                .map_err(|e| {
+                    ServerError::Auth(AuthError::Forbidden {
+                        user: format!("{user} ({e})"),
+                        permission: Permission::RunJob,
+                    })
+                })?,
         }
-        Ok(())
+        Ok(sweep)
+    }
+
+    /// The scheduler, for white-box tests.
+    #[cfg(test)]
+    pub(crate) fn scheduler_mut(&mut self) -> &mut Scheduler {
+        &mut self.scheduler
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jobs::ExperimentSpec;
+    use crate::jobs::{BuildState, ExperimentSpec};
     use batterylab_automation::Script;
     use batterylab_controller::VantageConfig;
     use batterylab_device::boot_j7_duo;
     use batterylab_sim::SimRng;
+    use batterylab_telemetry::Registry;
 
     const PORTS: [u16; 3] = [2222, 8080, 6081];
 
@@ -786,8 +732,6 @@ mod tests {
 
     #[test]
     fn factory_reset_racing_job_fails_cleanly() {
-        use crate::jobs::BuildState;
-
         let (mut server, admin) = server_with_node();
         let id = server
             .submit_job(
@@ -820,8 +764,6 @@ mod tests {
 
     #[test]
     fn recovery_replays_jobs_and_charges() {
-        use batterylab_telemetry::Registry;
-
         let (mut server, admin) = server_with_node();
         let wal = Wal::new();
         server.attach_wal(&wal);
@@ -951,6 +893,273 @@ mod tests {
         let report = server.run_maintenance(SimTime::from_secs(70 * 24 * 3600));
         assert!(report.cert_renewed);
         assert_eq!(report.meters_powered_off, vec!["node1".to_string()]);
+    }
+
+    /// Everything recovery must rebuild, rendered for comparison.
+    fn durable_state(server: &mut AccessServer) -> String {
+        let names = server.registry.names();
+        let breakers: Vec<_> = names
+            .iter()
+            .map(|n| server.scheduler.supervisor_mut().breaker_state(n))
+            .collect();
+        let queue: Vec<_> = server
+            .scheduler
+            .queue()
+            .iter()
+            .map(|j| (j.id, j.attempts, j.not_before))
+            .collect();
+        let builds: Vec<_> = server.scheduler.builds().collect();
+        let nodes: Vec<_> = names
+            .iter()
+            .map(|n| server.registry.node(n).unwrap())
+            .collect();
+        let accounts: Vec<_> = server.auth.accounts().collect();
+        format!(
+            "queue {queue:?}\nbuilds {builds:?}\nledger {:?}\nbreakers {breakers:?}\n\
+             slots {:?}\nowners {:?}\naccrual {:?}\nnodes {nodes:?}\ncert {:?}\n\
+             accounts {accounts:?}",
+            server.billing,
+            server.scheduler.slots(),
+            server.node_owners,
+            server.last_accrual,
+            server.registry.certificate(),
+        )
+    }
+
+    fn assert_recovers(server: &mut AccessServer, wal: &Wal, step: &str) {
+        let mut recovered = AccessServer::recover(wal, &Registry::new()).unwrap();
+        assert_eq!(
+            durable_state(&mut recovered),
+            durable_state(server),
+            "after {step}"
+        );
+    }
+
+    fn assert_refused<T>(
+        server: &mut AccessServer,
+        wal: &Wal,
+        step: &str,
+        op: impl FnOnce(&mut AccessServer) -> Result<T, ServerError>,
+    ) {
+        let (state, records) = (durable_state(server), wal.record_count());
+        assert!(op(server).is_err(), "{step} must be refused");
+        assert_eq!(durable_state(server), state, "{step} changed state");
+        assert_eq!(wal.record_count(), records, "{step} was logged");
+    }
+
+    fn browse(device: &str) -> Payload {
+        Payload::Experiment(ExperimentSpec::measured(
+            device,
+            Script::browser_workload("com.brave.browser", &["https://a.example"], 1),
+        ))
+    }
+
+    #[test]
+    fn live_state_equals_recovered_state_at_every_operation() {
+        use batterylab_faults::{FaultInjector, FaultKind, FaultPlan};
+
+        let (mut server, admin) = server_with_node();
+        let wal = Wal::new();
+        server.attach_wal(&wal);
+        assert_recovers(&mut server, &wal, "attach_wal");
+
+        server
+            .add_user(admin, "alice", "pw-a", Role::Experimenter)
+            .unwrap();
+        assert_recovers(&mut server, &wal, "add_user");
+        let alice = server.login("alice", "pw-a", true).unwrap().token;
+        assert_refused(&mut server, &wal, "unauthorised add_user", |s| {
+            s.add_user(alice, "mallory", "pw", Role::Admin)
+        });
+        assert_refused(&mut server, &wal, "duplicate user", |s| {
+            s.add_user(admin, "alice", "other", Role::Tester)
+        });
+
+        let rng = SimRng::new(63);
+        let node2 = || {
+            let config = VantageConfig {
+                name: "node2".to_string(),
+                ..VantageConfig::imperial_college()
+            };
+            VantagePoint::new(config, rng.derive("vp2"))
+        };
+        assert_refused(&mut server, &wal, "enrolment with a missing port", |s| {
+            s.enroll_node(
+                admin,
+                node2(),
+                "1.2.3.4",
+                "hk:2",
+                &PORTS[..2],
+                SimTime::ZERO,
+            )
+        });
+        server
+            .enroll_node(admin, node2(), "1.2.3.4", "hk:2", &PORTS, SimTime::ZERO)
+            .unwrap();
+        assert_recovers(&mut server, &wal, "enroll_node");
+        server.set_node_owner("node1", "admin");
+        assert_recovers(&mut server, &wal, "set_node_owner");
+        server.enable_billing();
+        assert_recovers(&mut server, &wal, "enable_billing");
+
+        let (from, to) = (SimTime::from_secs(1_000_000), SimTime::from_secs(1_003_600));
+        server
+            .reserve_slot(alice, "node1", "acc-dev", from, to)
+            .unwrap();
+        assert_recovers(&mut server, &wal, "reserve_slot");
+        assert_refused(&mut server, &wal, "double-booked slot", |s| {
+            s.reserve_slot(admin, "node1", "acc-dev", from, to)
+        });
+
+        let retry_once = Constraints {
+            max_retries: 1,
+            ..Default::default()
+        };
+        let flaky = server
+            .submit_job(alice, "flaky", retry_once.clone(), browse("acc-dev"))
+            .unwrap();
+        assert_recovers(&mut server, &wal, "submit_job");
+        // The browser is wiped under the first attempt: a retry.
+        let device = server
+            .node_mut("node1")
+            .unwrap()
+            .device_handle("acc-dev")
+            .unwrap();
+        device.factory_reset();
+        assert_eq!(server.tick(), Some(flaky));
+        assert_eq!(server.queue_len(), 1);
+        assert_recovers(&mut server, &wal, "a tick that retries");
+        device.install_package("com.brave.browser");
+        assert!(server.wait_for_backoff());
+        assert_eq!(server.tick(), Some(flaky));
+        assert_eq!(
+            server.build(alice, flaky).unwrap().state,
+            BuildState::Succeeded
+        );
+        assert_recovers(&mut server, &wal, "a tick that succeeds");
+
+        let doomed = server
+            .submit_job(alice, "doomed", retry_once, browse("ghost"))
+            .unwrap();
+        assert_eq!(server.tick(), Some(doomed));
+        assert!(server.wait_for_backoff());
+        assert_eq!(server.tick(), Some(doomed));
+        assert!(matches!(
+            server.build(alice, doomed).unwrap().state,
+            BuildState::Failed(_)
+        ));
+        assert_recovers(&mut server, &wal, "a tick that exhausts its retries");
+
+        let reboot = FaultPlan::new().window(
+            "node1.node",
+            FaultKind::NodeReboot,
+            SimTime::ZERO,
+            SimTime::from_secs(7200),
+        );
+        server.attach_faults(&FaultInjector::new(&reboot, 1));
+        assert_eq!(
+            server.probe_nodes(SimTime::from_secs(3600)),
+            vec![("node1".to_string(), false), ("node2".to_string(), true)]
+        );
+        assert_recovers(&mut server, &wal, "probe_nodes");
+        server.run_maintenance(SimTime::from_secs(70 * 24 * 3600));
+        assert_recovers(&mut server, &wal, "run_maintenance");
+
+        // Spend bob below the 10 device-minute gate. `ledger_mut` is not
+        // logged, so this runs after the last recovery check.
+        server
+            .add_user(admin, "bob", "pw-b", Role::Experimenter)
+            .unwrap();
+        let bob = server.login("bob", "pw-b", true).unwrap().token;
+        let ledger = server.ledger_mut().unwrap();
+        ledger.open_account("bob");
+        ledger
+            .charge_experiment("bob", "spent", SimDuration::from_secs(25 * 60))
+            .unwrap();
+        assert_refused(&mut server, &wal, "unaffordable submission", |s| {
+            s.submit_job(bob, "broke", Constraints::default(), browse("acc-dev"))
+        });
+    }
+
+    #[test]
+    fn retry_of_a_device_less_job_runs_on_the_device_it_leased() {
+        fn ran_on(server: &mut AccessServer, id: JobId) -> String {
+            server.drain();
+            let alice = server.login("alice", "pw-a", true).unwrap().token;
+            let build = server.build(alice, id).unwrap();
+            assert_eq!(build.state, BuildState::Succeeded, "{build:?}");
+            build.summary.as_ref().unwrap()["device"]
+                .as_str()
+                .unwrap()
+                .to_string()
+        }
+
+        let mut server = AccessServer::new("52.1.2.3", "admin", "pw");
+        let admin = server.login("admin", "pw", true).unwrap().token;
+        let rng = SimRng::new(64);
+        let mut vp = VantagePoint::new(VantageConfig::imperial_college(), rng.derive("vp"));
+        for serial in ["dev-a", "dev-b"] {
+            let d = boot_j7_duo(&rng, serial);
+            d.install_package("com.brave.browser");
+            vp.add_device(d);
+        }
+        server
+            .enroll_node(admin, vp, "155.198.1.10", "hk:node1", &PORTS, SimTime::ZERO)
+            .unwrap();
+        let wal = Wal::new();
+        server.attach_wal(&wal);
+        for user in ["alice", "bob"] {
+            let password = format!("pw-{}", &user[..1]);
+            server
+                .add_user(admin, user, &password, Role::Experimenter)
+                .unwrap();
+        }
+        let alice = server.login("alice", "pw-a", true).unwrap().token;
+        let bob = server.login("bob", "pw-b", true).unwrap().token;
+
+        // No device named anywhere: each attempt is placed afresh.
+        let retry_once = Constraints {
+            max_retries: 1,
+            ..Default::default()
+        };
+        let id = server
+            .submit_job(alice, "roaming", retry_once, browse(""))
+            .unwrap();
+        // The first attempt lands on dev-a, whose browser was just wiped.
+        server
+            .node_mut("node1")
+            .unwrap()
+            .device_handle("dev-a")
+            .unwrap()
+            .factory_reset();
+        assert_eq!(server.tick(), Some(id));
+        assert_eq!(
+            server.build(alice, id).unwrap().node.as_deref(),
+            Some("node1")
+        );
+        assert_eq!(server.queue_len(), 1, "first attempt retried");
+        // Bob then books dev-a, so the retry may only be placed on dev-b.
+        server
+            .reserve_slot(
+                bob,
+                "node1",
+                "dev-a",
+                SimTime::ZERO,
+                SimTime::from_secs(86_400),
+            )
+            .unwrap();
+        let before_retry = wal.record_count();
+        assert_eq!(ran_on(&mut server, id), "dev-b", "live retry");
+
+        // Recovered from the log as it stood before the retry, the job
+        // is placed and run on dev-b too.
+        let nodes = server.take_nodes();
+        let mut recovered =
+            AccessServer::recover(&wal.prefix(before_retry), &Registry::new()).unwrap();
+        for (_, vp) in nodes {
+            recovered.adopt_node(vp).unwrap();
+        }
+        assert_eq!(ran_on(&mut recovered, id), "dev-b", "recovered retry");
     }
 }
 

@@ -112,7 +112,7 @@ pub struct AuthService {
     next_token: u64,
 }
 
-fn hash_password(pw: &str) -> u64 {
+pub(crate) fn hash_password(pw: &str) -> u64 {
     pw.bytes().fold(0xcbf29ce484222325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x100000001b3)
     })
@@ -147,8 +147,8 @@ impl AuthService {
         }
     }
 
-    /// Register a user from an already-hashed password (WAL replay: the
-    /// log stores password hashes, never cleartext).
+    /// Register a user from an already-hashed password (the WAL stores
+    /// password hashes, never cleartext).
     pub fn add_user_hashed(
         &mut self,
         name: &str,
@@ -178,17 +178,7 @@ impl AuthService {
 
     /// Register a user (admin action, checked by the caller).
     pub fn add_user(&mut self, name: &str, password: &str, role: Role) -> Result<(), AuthError> {
-        if self.accounts.contains_key(name) {
-            return Err(AuthError::DuplicateUser(name.to_string()));
-        }
-        self.accounts.insert(
-            name.to_string(),
-            Account {
-                role,
-                password_hash: hash_password(password),
-            },
-        );
-        Ok(())
+        self.add_user_hashed(name, hash_password(password), role)
     }
 
     /// Log in over the console. `https` models the transport the request

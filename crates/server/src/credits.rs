@@ -65,7 +65,7 @@ pub struct LedgerEntry {
 }
 
 /// The platform's credit ledger.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct CreditLedger {
     balances: BTreeMap<String, f64>,
     history: Vec<LedgerEntry>,
@@ -115,12 +115,14 @@ impl CreditLedger {
     }
 
     /// Check the account can afford `device_time` (pre-dispatch gate).
+    /// An account not yet opened is checked against the welcome grant it
+    /// opens with.
     pub fn check_affordable(
         &self,
         user: &str,
         device_time: SimDuration,
     ) -> Result<(), CreditError> {
-        let balance = self.balance(user)?;
+        let balance = self.balance(user).unwrap_or(WELCOME_GRANT);
         let needed = Self::cost_of(device_time);
         if balance < needed {
             return Err(CreditError::InsufficientCredits {

@@ -14,7 +14,6 @@
 mod access;
 pub mod auth;
 pub mod credits;
-pub mod fleet;
 pub mod jobs;
 pub mod maintenance;
 pub mod pipelines;
@@ -31,7 +30,6 @@ pub mod wal;
 pub use access::{AccessServer, ServerError};
 pub use auth::{allows, AuthError, AuthService, Permission, Role, Session};
 pub use credits::{CreditError, CreditLedger, LedgerEntry};
-pub use fleet::{FleetExecutor, FleetJob, FleetResult};
 pub use jobs::{
     Artifact, BuildRecord, BuildState, Constraints, ExperimentSpec, JobId, Payload, QueuedJob,
 };

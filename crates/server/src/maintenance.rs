@@ -156,14 +156,17 @@ mod tests {
 
     #[test]
     fn power_safety_sweep_leaves_tripped_socket_for_next_pass() {
-        use batterylab_faults::{scoped_site, site, FaultInjector, FaultPlan};
+        use batterylab_faults::{scoped_site, site, FaultInjector, FaultKind, FaultPlan};
 
         let mut nodes = nodes();
         nodes.get_mut("node1").unwrap().power_monitor().unwrap(); // meter on
                                                                   // power_monitor retries 3 times internally: 4 faults exhaust the
                                                                   // whole actuation attempt, so the sweep genuinely fails once.
-        let plan =
-            FaultPlan::new().socket_unreachable_next(&scoped_site("node1", site::POWER_SOCKET), 4);
+        let plan = FaultPlan::new().next_n(
+            &scoped_site("node1", site::POWER_SOCKET),
+            FaultKind::SocketUnreachable,
+            4,
+        );
         let injector = FaultInjector::new(&plan, 7);
         nodes.get_mut("node1").unwrap().attach_faults(&injector);
 

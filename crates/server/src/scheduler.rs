@@ -3,11 +3,14 @@
 //! Dispatch honours experimenter constraints (target node/device,
 //! network location) and BatteryLab constraints (one job at a time per
 //! device; optionally only when the controller CPU is low).
+//!
+//! The scheduler decides but never commits: [`Scheduler::submit`] and
+//! [`Scheduler::tick`] return the decided [`WalRecord`], and the access
+//! server applies it through the same path WAL replay takes.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use batterylab_controller::VantagePoint;
-use batterylab_durable::Wal;
 use batterylab_sim::{SimDuration, SimTime};
 use batterylab_telemetry::{Counter, Registry};
 
@@ -16,8 +19,8 @@ use crate::jobs::{
 };
 use crate::slots::SlotCalendar;
 use crate::supervise::Supervisor;
-use crate::vantage_exec::{run_experiment, JobOutcome};
-use crate::wal::WalRecord;
+use crate::vantage_exec::run_experiment;
+use crate::wal::{ChargeRecord, WalRecord};
 
 /// Workspace retention: "available for several days".
 pub const DEFAULT_RETENTION: SimDuration = SimDuration::from_secs(7 * 24 * 3600);
@@ -52,16 +55,11 @@ pub struct Scheduler {
     builds: BTreeMap<JobId, BuildRecord>,
     next_id: u64,
     retention: SimDuration,
-    /// Devices currently leased by a running job (node, serial).
-    busy: BTreeSet<(String, String)>,
     /// Time-slot reservations (§3.1 "concurrent timed sessions").
     slots: SlotCalendar,
     telemetry: SchedulerTelemetry,
     /// Supervision: per-node circuit breakers + retry backoff.
     supervisor: Supervisor,
-    /// Durability: submissions and requeues append here (disabled by
-    /// default; the access server attaches a live log).
-    wal: Wal,
 }
 
 impl Scheduler {
@@ -72,11 +70,9 @@ impl Scheduler {
             builds: BTreeMap::new(),
             next_id: 1,
             retention: DEFAULT_RETENTION,
-            busy: BTreeSet::new(),
             slots: SlotCalendar::new(),
             telemetry: SchedulerTelemetry::bind(&Registry::new()),
             supervisor: Supervisor::new(0),
-            wal: Wal::disabled(),
         }
     }
 
@@ -85,19 +81,7 @@ impl Scheduler {
         &mut self.supervisor
     }
 
-    /// Append queue transitions (submissions, supervised requeues) to
-    /// `wal`. The access server wires this when durability is attached.
-    pub(crate) fn set_wal(&mut self, wal: &Wal) {
-        self.wal = wal.clone();
-    }
-
     /// Rebind telemetry to a shared registry (`scheduler.*` metrics).
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.set_telemetry(registry);
-        self
-    }
-
-    /// In-place variant of [`Self::with_telemetry`].
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = SchedulerTelemetry::bind(registry);
         self.supervisor.set_telemetry(registry);
@@ -118,54 +102,69 @@ impl Scheduler {
         self.retention = retention;
     }
 
-    /// Enqueue a job; returns its id.
+    /// Decide a submission: the next job id and the `Submitted` record
+    /// that queues it once applied.
     pub fn submit(
-        &mut self,
+        &self,
         name: &str,
         owner: &str,
         constraints: Constraints,
-        payload: Payload,
-    ) -> JobId {
-        let id = JobId(self.next_id);
-        self.next_id += 1;
+        payload: &Payload,
+    ) -> (JobId, WalRecord) {
+        let record = WalRecord::Submitted {
+            id: self.next_id,
+            name: name.to_string(),
+            owner: owner.to_string(),
+            constraints,
+            spec: match payload {
+                Payload::Experiment(spec) => Some(spec.clone()),
+                Payload::Custom(_) => None, // boxed closures don't serialise
+            },
+        };
+        (JobId(self.next_id), record)
+    }
+
+    /// Apply a `Submitted` record: open the build and queue `payload`.
+    /// Without a payload (a custom closure that died with the server)
+    /// the build is marked failed rather than silently dropped.
+    pub(crate) fn enqueue(
+        &mut self,
+        id: JobId,
+        name: String,
+        owner: String,
+        constraints: Constraints,
+        payload: Option<Payload>,
+    ) {
+        self.next_id = self.next_id.max(id.0 + 1);
+        let state = match payload {
+            Some(_) => BuildState::Queued,
+            None => BuildState::Failed("custom payload lost in server crash".to_string()),
+        };
         self.builds.insert(
             id,
             BuildRecord {
                 id,
-                name: name.to_string(),
-                owner: owner.to_string(),
+                name: name.clone(),
+                owner: owner.clone(),
                 node: None,
-                state: BuildState::Queued,
+                state,
                 summary: None,
                 artifacts: Vec::new(),
                 finished_at: None,
             },
         );
-        let spec = match &payload {
-            Payload::Experiment(spec) => Some(spec.clone()),
-            Payload::Custom(_) => None, // boxed closures don't serialise
-        };
-        self.wal.append(
-            &WalRecord::Submitted {
-                id: id.0,
-                name: name.to_string(),
-                owner: owner.to_string(),
-                constraints: constraints.clone(),
-                spec,
-            }
-            .encode(),
-        );
-        self.queue.push_back(QueuedJob {
-            id,
-            name: name.to_string(),
-            owner: owner.to_string(),
-            constraints,
-            payload,
-            attempts: 0,
-            not_before: None,
-        });
+        if let Some(payload) = payload {
+            self.queue.push_back(QueuedJob {
+                id,
+                name,
+                owner,
+                constraints,
+                payload,
+                attempts: 0,
+                not_before: None,
+            });
+        }
         self.telemetry.jobs_submitted.inc();
-        id
     }
 
     /// Jobs waiting.
@@ -204,9 +203,6 @@ impl Scheduler {
                 None => devices.iter().collect(),
             };
             for serial in candidates {
-                if self.busy.contains(&(name.clone(), serial.clone())) {
-                    continue; // one job at a time per device
-                }
                 if job.constraints.require_low_cpu && vp.pi_mut().sample_cpu() > LOW_CPU_THRESHOLD {
                     continue;
                 }
@@ -227,17 +223,24 @@ impl Scheduler {
         None
     }
 
-    /// Dispatch and run the first placeable queued job. Returns the id of
-    /// the build that ran, or `None` when nothing could be placed.
+    /// Dispatch and run the first placeable queued job, and decide its
+    /// outcome: `Retried` with the supervised backoff deadline, or
+    /// `Completed` with the terminal build (and, when `billed`, the
+    /// charge for its device time). `None` when nothing could be placed.
     ///
-    /// Execution is synchronous on the virtual clock; the busy set still
-    /// matters because `Custom` payloads may leave long-running state.
-    pub fn tick(&mut self, nodes: &mut BTreeMap<String, VantagePoint>) -> Option<JobId> {
+    /// The queue and build table change only when the server applies the
+    /// returned record. Execution is synchronous on the virtual clock, so
+    /// a device never runs two jobs at once.
+    pub fn tick(
+        &mut self,
+        nodes: &mut BTreeMap<String, VantagePoint>,
+        billed: bool,
+    ) -> Option<(JobId, WalRecord)> {
         // Breaker gating, decided once per tick (before queue iteration,
         // which only holds shared borrows of self).
         let node_nows: Vec<(String, SimTime)> = nodes
             .iter()
-            .map(|(name, vp)| (name.clone(), vp_now(Some(vp)).unwrap_or(SimTime::ZERO)))
+            .map(|(name, vp)| (name.clone(), vp_now(vp)))
             .collect();
         let available: BTreeSet<String> = node_nows
             .into_iter()
@@ -250,91 +253,124 @@ impl Scheduler {
                 .map(|placement| (i, placement))
         });
         let (i, (node, device)) = idx?;
-        let mut job = self.queue.remove(i).expect("index valid");
-        self.busy.insert((node.clone(), device.clone()));
         let vp = nodes.get_mut(&node).expect("placement node exists");
-        let result: Result<JobOutcome, String> = match &mut job.payload {
-            Payload::Experiment(spec) => {
-                // Fill the device constraint from placement if unset.
-                if spec.device.is_empty() {
-                    spec.device = device.clone();
-                }
-                run_experiment(vp, spec)
-            }
+        let result = match &mut self.queue[i].payload {
+            // A device-less spec runs on the placed device through a
+            // per-dispatch copy: the queued spec stays unpinned, so a
+            // retry is placed (leased, slot-checked) afresh.
+            Payload::Experiment(spec) if spec.device.is_empty() => run_experiment(
+                vp,
+                &ExperimentSpec {
+                    device,
+                    ..spec.clone()
+                },
+            ),
+            Payload::Experiment(spec) => run_experiment(vp, spec),
             Payload::Custom(f) => f(vp),
         };
-        self.busy.remove(&(node.clone(), device.clone()));
-        let id = job.id;
-        let record = self.builds.get_mut(&id).expect("record exists");
-        record.node = Some(node);
-        let now_on_node =
-            vp_now(nodes.get(record.node.as_deref().unwrap_or_default())).unwrap_or(SimTime::ZERO);
-        match result {
+        let now = vp_now(vp);
+        let job = &self.queue[i];
+        let terminal = |state, finished_at| BuildRecord {
+            id: job.id,
+            name: job.name.clone(),
+            owner: job.owner.clone(),
+            node: Some(node.clone()),
+            state,
+            summary: None,
+            artifacts: Vec::new(),
+            finished_at: Some(finished_at),
+        };
+        let record = match result {
             Ok(outcome) => {
-                record.state = BuildState::Succeeded;
-                record.summary = Some(outcome.summary);
-                record.artifacts = outcome.artifacts;
-                record.finished_at = Some(outcome.finished_at);
-                self.telemetry.jobs_succeeded.inc();
-                let node = record.node.clone().unwrap_or_default();
-                self.supervisor.record_success(&node);
+                let secs = outcome.summary["duration_s"].as_f64().unwrap_or(0.0);
+                let charge = (billed && secs > 0.0).then(|| ChargeRecord {
+                    user: job.owner.clone(),
+                    job: job.name.clone(),
+                    device_time: SimDuration::from_secs_f64(secs),
+                });
+                WalRecord::Completed {
+                    record: BuildRecord {
+                        summary: Some(outcome.summary),
+                        artifacts: outcome.artifacts,
+                        ..terminal(BuildState::Succeeded, outcome.finished_at)
+                    },
+                    charge,
+                }
             }
-            Err(err) if job.attempts < job.constraints.max_retries => {
-                // Transient failure budget left: back into the queue with
-                // supervised backoff (capped exponential, seeded jitter).
-                record.state = BuildState::Queued;
-                job.attempts += 1;
-                let node = record.node.clone().unwrap_or_default();
-                self.supervisor.record_failure(&node, now_on_node);
-                job.not_before = self
-                    .supervisor
-                    .retry_backoff(&node, job.attempts)
-                    .map(|backoff| now_on_node + backoff);
-                self.telemetry.retries.inc();
-                self.wal.append(
-                    &WalRecord::Retried {
-                        id: id.0,
-                        node: node.clone(),
-                        attempts: job.attempts,
-                        not_before: job.not_before,
-                        failed_at: now_on_node,
-                        error: err.clone(),
-                    }
-                    .encode(),
-                );
-                self.telemetry.registry.event(
-                    "scheduler.retry",
-                    format!("job {} attempt {}: {err}", id.0, job.attempts + 1),
-                );
-                self.queue.push_back(job);
+            // Transient failure budget left: back into the queue with
+            // supervised backoff (capped exponential, seeded jitter).
+            Err(error) if job.attempts < job.constraints.max_retries => {
+                let attempts = job.attempts + 1;
+                WalRecord::Retried {
+                    id: job.id.0,
+                    not_before: self
+                        .supervisor
+                        .retry_backoff(&node, attempts)
+                        .map(|backoff| now + backoff),
+                    node,
+                    attempts,
+                    failed_at: now,
+                    error,
+                }
             }
-            Err(err) => {
-                record.state = BuildState::Failed(err);
-                record.finished_at = Some(now_on_node);
-                self.telemetry.jobs_failed.inc();
-                let node = record.node.clone().unwrap_or_default();
-                self.supervisor.record_failure(&node, now_on_node);
-            }
-        }
-        Some(id)
+            Err(error) => WalRecord::Completed {
+                record: terminal(BuildState::Failed(error), now),
+                charge: None,
+            },
+        };
+        Some((job.id, record))
     }
 
-    /// Run the queue until nothing is placeable ("graceful drain").
-    /// Jobs waiting out supervised retry backoff are waited for: the
-    /// bench idles forward to the earliest `not_before` and dispatch
-    /// resumes, so a drain still runs every job that can ever run.
-    pub fn drain(&mut self, nodes: &mut BTreeMap<String, VantagePoint>) -> Vec<JobId> {
-        let mut ran = Vec::new();
-        loop {
-            if let Some(id) = self.tick(nodes) {
-                ran.push(id);
-                continue;
-            }
-            if !self.wait_for_backoff(nodes) {
-                break; // backoff lapsed yet still unplaceable (breaker open)
-            }
+    /// Apply a `Retried` record: feed the failure into the node's
+    /// breaker, pin the build to the node, and move the job to the back
+    /// of the queue with its attempt count and backoff deadline.
+    pub(crate) fn requeue(
+        &mut self,
+        id: JobId,
+        node: String,
+        attempts: u32,
+        not_before: Option<SimTime>,
+        failed_at: SimTime,
+        error: &str,
+    ) {
+        self.supervisor.record_failure(&node, failed_at);
+        if let Some(i) = self.queue.iter().position(|j| j.id == id) {
+            let mut job = self.queue.remove(i).expect("index valid");
+            job.attempts = attempts;
+            job.not_before = not_before;
+            self.queue.push_back(job);
         }
-        ran
+        if let Some(record) = self.builds.get_mut(&id) {
+            record.node = Some(node);
+        }
+        self.telemetry.retries.inc();
+        self.telemetry.registry.event(
+            "scheduler.retry",
+            format!("job {} attempt {}: {error}", id.0, attempts + 1),
+        );
+    }
+
+    /// Apply a `Completed` record: retire the job from the queue, feed the
+    /// outcome into the node's breaker, and adopt the terminal build.
+    pub(crate) fn finish(&mut self, record: BuildRecord) {
+        if let Some(i) = self.queue.iter().position(|j| j.id == record.id) {
+            self.queue.remove(i);
+        }
+        self.next_id = self.next_id.max(record.id.0 + 1);
+        let node = record.node.as_deref().unwrap_or_default();
+        match &record.state {
+            BuildState::Succeeded => {
+                self.telemetry.jobs_succeeded.inc();
+                self.supervisor.record_success(node);
+            }
+            BuildState::Failed(_) => {
+                self.telemetry.jobs_failed.inc();
+                self.supervisor
+                    .record_failure(node, record.finished_at.unwrap_or(SimTime::ZERO));
+            }
+            BuildState::Queued => {}
+        }
+        self.builds.insert(record.id, record);
     }
 
     /// If queued jobs are only waiting out supervised retry backoff or an
@@ -371,100 +407,6 @@ impl Scheduler {
         advanced
     }
 
-    // -----------------------------------------------------------------
-    // WAL replay (recovery). None of these touch telemetry counters: the
-    // original operations already counted into the surviving platform
-    // registry, so replay runs against the scheduler's throwaway
-    // registry until the caller rebinds `set_telemetry`.
-    // -----------------------------------------------------------------
-
-    /// Replay a `Submitted` record: reinsert the queued job exactly as
-    /// submission left it. A `None` spec was a boxed custom payload —
-    /// the closure died with the server, so the build is marked failed
-    /// rather than silently dropped.
-    pub(crate) fn restore_submitted(
-        &mut self,
-        id: JobId,
-        name: &str,
-        owner: &str,
-        constraints: Constraints,
-        spec: Option<ExperimentSpec>,
-    ) {
-        self.next_id = self.next_id.max(id.0 + 1);
-        self.builds.insert(
-            id,
-            BuildRecord {
-                id,
-                name: name.to_string(),
-                owner: owner.to_string(),
-                node: None,
-                state: BuildState::Queued,
-                summary: None,
-                artifacts: Vec::new(),
-                finished_at: None,
-            },
-        );
-        match spec {
-            Some(spec) => self.queue.push_back(QueuedJob {
-                id,
-                name: name.to_string(),
-                owner: owner.to_string(),
-                constraints,
-                payload: Payload::Experiment(spec),
-                attempts: 0,
-                not_before: None,
-            }),
-            None => {
-                let record = self.builds.get_mut(&id).expect("just inserted");
-                record.state =
-                    BuildState::Failed("custom payload lost in server crash".to_string());
-            }
-        }
-    }
-
-    /// Replay a `Retried` record: move the job to the back of the queue
-    /// (mirroring the dispatch-remove + requeue-push of the live path)
-    /// with its logged attempt count and backoff deadline, and feed the
-    /// failure into the breaker exactly as the live run did.
-    pub(crate) fn restore_retried(
-        &mut self,
-        id: JobId,
-        node: &str,
-        attempts: u32,
-        not_before: Option<SimTime>,
-        failed_at: SimTime,
-    ) {
-        if let Some(i) = self.queue.iter().position(|j| j.id == id) {
-            let mut job = self.queue.remove(i).expect("index valid");
-            job.attempts = attempts;
-            job.not_before = not_before;
-            self.queue.push_back(job);
-        }
-        if let Some(record) = self.builds.get_mut(&id) {
-            record.node = Some(node.to_string());
-        }
-        self.supervisor.record_failure(node, failed_at);
-    }
-
-    /// Replay a `Completed` record: remove the job from the queue, adopt
-    /// the terminal build record verbatim, and feed the outcome into the
-    /// breaker as the live run did.
-    pub(crate) fn restore_completed(&mut self, record: BuildRecord) {
-        if let Some(i) = self.queue.iter().position(|j| j.id == record.id) {
-            self.queue.remove(i);
-        }
-        self.next_id = self.next_id.max(record.id.0 + 1);
-        let node = record.node.clone().unwrap_or_default();
-        match &record.state {
-            BuildState::Succeeded => self.supervisor.record_success(&node),
-            BuildState::Failed(_) => self
-                .supervisor
-                .record_failure(&node, record.finished_at.unwrap_or(SimTime::ZERO)),
-            BuildState::Queued => {}
-        }
-        self.builds.insert(record.id, record);
-    }
-
     /// Prune expired workspaces (artifacts dropped, record kept).
     pub fn prune_workspaces(&mut self, now: SimTime) -> usize {
         let retention = self.retention;
@@ -480,6 +422,12 @@ impl Scheduler {
         }
         pruned
     }
+
+    /// The queue in dispatch order.
+    #[cfg(test)]
+    pub(crate) fn queue(&self) -> &VecDeque<QueuedJob> {
+        &self.queue
+    }
 }
 
 impl Default for Scheduler {
@@ -488,32 +436,47 @@ impl Default for Scheduler {
     }
 }
 
-fn vp_now(vp: Option<&VantagePoint>) -> Option<SimTime> {
-    let vp = vp?;
-    let serial = vp.list_devices().into_iter().next()?;
-    vp.device_handle(&serial)
-        .ok()
-        .map(|d| d.with_sim(|s| s.now()))
+/// A node's "now": its first device's clock (`ZERO` for a node without
+/// devices).
+fn vp_now(vp: &VantagePoint) -> SimTime {
+    vp.list_devices()
+        .first()
+        .and_then(|serial| vp.device_handle(serial).ok())
+        .map_or(SimTime::ZERO, |d| d.with_sim(|s| s.now()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::jobs::ExperimentSpec;
+    use crate::vantage_exec::JobOutcome;
+    use crate::AccessServer;
     use batterylab_automation::Script;
     use batterylab_controller::VantageConfig;
     use batterylab_device::boot_j7_duo;
     use batterylab_sim::SimRng;
 
-    fn nodes() -> BTreeMap<String, VantagePoint> {
+    /// A server with one node (`node1`, device `sched-dev`) and the
+    /// bootstrap admin's token.
+    fn server() -> (AccessServer, u64) {
+        let mut server = AccessServer::new("52.1.2.3", "admin", "pw");
+        let admin = server.login("admin", "pw", true).unwrap().token;
         let rng = SimRng::new(41);
         let mut vp = VantagePoint::new(VantageConfig::imperial_college(), rng.derive("vp"));
         let d = boot_j7_duo(&rng, "sched-dev");
         d.install_package("com.brave.browser");
         vp.add_device(d);
-        let mut m = BTreeMap::new();
-        m.insert("node1".to_string(), vp);
-        m
+        server
+            .enroll_node(
+                admin,
+                vp,
+                "1.2.3.4",
+                "hk",
+                &[2222, 8080, 6081],
+                SimTime::ZERO,
+            )
+            .unwrap();
+        (server, admin)
     }
 
     fn job_spec() -> ExperimentSpec {
@@ -523,30 +486,38 @@ mod tests {
         )
     }
 
+    fn state(server: &AccessServer, admin: u64, id: JobId) -> BuildState {
+        server.build(admin, id).unwrap().state.clone()
+    }
+
     #[test]
     fn fifo_dispatch_and_success() {
-        let mut nodes = nodes();
-        let mut s = Scheduler::new();
-        let a = s.submit(
-            "job-a",
-            "alice",
-            Constraints::default(),
-            Payload::Experiment(job_spec()),
-        );
-        let b = s.submit(
-            "job-b",
-            "alice",
-            Constraints::default(),
-            Payload::Experiment(job_spec()),
-        );
+        let (mut s, admin) = server();
+        let a = s
+            .submit_job(
+                admin,
+                "job-a",
+                Constraints::default(),
+                Payload::Experiment(job_spec()),
+            )
+            .unwrap();
+        let b = s
+            .submit_job(
+                admin,
+                "job-b",
+                Constraints::default(),
+                Payload::Experiment(job_spec()),
+            )
+            .unwrap();
         assert_eq!(s.queue_len(), 2);
-        assert_eq!(s.tick(&mut nodes), Some(a));
-        assert_eq!(s.tick(&mut nodes), Some(b));
-        assert_eq!(s.tick(&mut nodes), None);
-        assert_eq!(s.build(a).unwrap().state, BuildState::Succeeded);
-        assert_eq!(s.build(a).unwrap().node.as_deref(), Some("node1"));
+        assert_eq!(s.tick(), Some(a));
+        assert_eq!(s.tick(), Some(b));
+        assert_eq!(s.tick(), None);
+        let build = s.build(admin, a).unwrap();
+        assert_eq!(build.state, BuildState::Succeeded);
+        assert_eq!(build.node.as_deref(), Some("node1"));
         assert!(
-            s.build(a).unwrap().summary.as_ref().unwrap()["discharge_mah"]
+            build.summary.as_ref().unwrap()["discharge_mah"]
                 .as_f64()
                 .unwrap()
                 > 0.0
@@ -555,80 +526,85 @@ mod tests {
 
     #[test]
     fn node_constraint_must_match() {
-        let mut nodes = nodes();
-        let mut s = Scheduler::new();
-        let id = s.submit(
-            "wrong-node",
-            "alice",
-            Constraints {
-                node: Some("node9".to_string()),
-                ..Default::default()
-            },
-            Payload::Experiment(job_spec()),
-        );
-        assert_eq!(s.tick(&mut nodes), None, "no such node: job stays queued");
-        assert_eq!(s.build(id).unwrap().state, BuildState::Queued);
+        let (mut s, admin) = server();
+        let id = s
+            .submit_job(
+                admin,
+                "wrong-node",
+                Constraints {
+                    node: Some("node9".to_string()),
+                    ..Default::default()
+                },
+                Payload::Experiment(job_spec()),
+            )
+            .unwrap();
+        assert_eq!(s.tick(), None, "no such node: job stays queued");
+        assert_eq!(state(&s, admin, id), BuildState::Queued);
         assert_eq!(s.queue_len(), 1);
     }
 
     #[test]
     fn device_constraint_must_match() {
-        let mut nodes = nodes();
-        let mut s = Scheduler::new();
-        s.submit(
+        let (mut s, admin) = server();
+        s.submit_job(
+            admin,
             "wrong-device",
-            "alice",
             Constraints {
                 device: Some("ghost".to_string()),
                 ..Default::default()
             },
             Payload::Experiment(job_spec()),
-        );
-        assert_eq!(s.tick(&mut nodes), None);
+        )
+        .unwrap();
+        assert_eq!(s.tick(), None);
         // A feasible job behind it still dispatches (queue skips blocked).
-        let ok = s.submit(
-            "ok",
-            "alice",
-            Constraints::default(),
-            Payload::Experiment(job_spec()),
-        );
-        assert_eq!(s.tick(&mut nodes), Some(ok));
+        let ok = s
+            .submit_job(
+                admin,
+                "ok",
+                Constraints::default(),
+                Payload::Experiment(job_spec()),
+            )
+            .unwrap();
+        assert_eq!(s.tick(), Some(ok));
     }
 
     #[test]
     fn failed_job_records_error() {
-        let mut nodes = nodes();
-        let mut s = Scheduler::new();
+        let (mut s, admin) = server();
         let mut spec = job_spec();
         spec.device = "ghost".to_string();
-        let id = s.submit(
-            "bad",
-            "alice",
-            Constraints::default(),
-            Payload::Experiment(spec),
-        );
-        s.tick(&mut nodes);
-        assert!(matches!(s.build(id).unwrap().state, BuildState::Failed(_)));
+        let id = s
+            .submit_job(
+                admin,
+                "bad",
+                Constraints::default(),
+                Payload::Experiment(spec),
+            )
+            .unwrap();
+        s.tick();
+        assert!(matches!(state(&s, admin, id), BuildState::Failed(_)));
     }
 
     #[test]
     fn custom_payload_runs() {
-        let mut nodes = nodes();
-        let mut s = Scheduler::new();
-        let id = s.submit(
-            "custom",
-            "alice",
-            Constraints::default(),
-            Payload::Custom(Box::new(|vp| {
-                Ok(JobOutcome {
-                    summary: serde_json::json!({"devices": vp.list_devices()}),
-                    artifacts: vec![],
-                    finished_at: SimTime::ZERO,
-                })
-            })),
-        );
-        s.tick(&mut nodes);
-        let b = s.build(id).unwrap();
+        let (mut s, admin) = server();
+        let id = s
+            .submit_job(
+                admin,
+                "custom",
+                Constraints::default(),
+                Payload::Custom(Box::new(|vp| {
+                    Ok(JobOutcome {
+                        summary: serde_json::json!({"devices": vp.list_devices()}),
+                        artifacts: vec![],
+                        finished_at: SimTime::ZERO,
+                    })
+                })),
+            )
+            .unwrap();
+        s.tick();
+        let b = s.build(admin, id).unwrap();
         assert_eq!(b.state, BuildState::Succeeded);
         assert_eq!(b.summary.as_ref().unwrap()["devices"][0], "sched-dev");
     }
@@ -636,31 +612,33 @@ mod tests {
     #[test]
     fn transient_failures_retry_then_succeed() {
         let registry = Registry::new();
-        let mut nodes = nodes();
-        let mut s = Scheduler::new().with_telemetry(&registry);
+        let (mut s, admin) = server();
+        s.set_telemetry(&registry);
         let mut failures_left = 2u32;
-        let id = s.submit(
-            "flaky",
-            "alice",
-            Constraints {
-                max_retries: 3,
-                ..Default::default()
-            },
-            Payload::Custom(Box::new(move |_vp| {
-                if failures_left > 0 {
-                    failures_left -= 1;
-                    Err("transient socket hiccup".to_string())
-                } else {
-                    Ok(JobOutcome {
-                        summary: serde_json::json!({}),
-                        artifacts: vec![],
-                        finished_at: SimTime::ZERO,
-                    })
-                }
-            })),
-        );
-        s.drain(&mut nodes);
-        assert_eq!(s.build(id).unwrap().state, BuildState::Succeeded);
+        let id = s
+            .submit_job(
+                admin,
+                "flaky",
+                Constraints {
+                    max_retries: 3,
+                    ..Default::default()
+                },
+                Payload::Custom(Box::new(move |_vp| {
+                    if failures_left > 0 {
+                        failures_left -= 1;
+                        Err("transient socket hiccup".to_string())
+                    } else {
+                        Ok(JobOutcome {
+                            summary: serde_json::json!({}),
+                            artifacts: vec![],
+                            finished_at: SimTime::ZERO,
+                        })
+                    }
+                })),
+            )
+            .unwrap();
+        s.drain();
+        assert_eq!(state(&s, admin, id), BuildState::Succeeded);
         let report = registry.snapshot();
         assert_eq!(report.counter("scheduler.retries"), 2);
         assert_eq!(report.counter("scheduler.jobs_succeeded"), 1);
@@ -671,19 +649,21 @@ mod tests {
     #[test]
     fn retry_budget_exhausts_to_failure() {
         let registry = Registry::new();
-        let mut nodes = nodes();
-        let mut s = Scheduler::new().with_telemetry(&registry);
-        let id = s.submit(
-            "doomed",
-            "alice",
-            Constraints {
-                max_retries: 1,
-                ..Default::default()
-            },
-            Payload::Custom(Box::new(|_vp| Err("hard fault".to_string()))),
-        );
-        s.drain(&mut nodes);
-        assert!(matches!(s.build(id).unwrap().state, BuildState::Failed(_)));
+        let (mut s, admin) = server();
+        s.set_telemetry(&registry);
+        let id = s
+            .submit_job(
+                admin,
+                "doomed",
+                Constraints {
+                    max_retries: 1,
+                    ..Default::default()
+                },
+                Payload::Custom(Box::new(|_vp| Err("hard fault".to_string()))),
+            )
+            .unwrap();
+        s.drain();
+        assert!(matches!(state(&s, admin, id), BuildState::Failed(_)));
         let report = registry.snapshot();
         assert_eq!(report.counter("scheduler.retries"), 1);
         assert_eq!(report.counter("scheduler.jobs_failed"), 1);
@@ -691,38 +671,45 @@ mod tests {
 
     #[test]
     fn workspace_retention_prunes_artifacts() {
-        let mut nodes = nodes();
-        let mut s = Scheduler::new();
-        s.set_retention(SimDuration::from_secs(10));
-        let id = s.submit(
-            "j",
-            "alice",
-            Constraints::default(),
-            Payload::Experiment(job_spec()),
-        );
-        s.tick(&mut nodes);
-        assert!(!s.build(id).unwrap().artifacts.is_empty());
-        let finished = s.build(id).unwrap().finished_at.unwrap();
-        let pruned = s.prune_workspaces(finished + SimDuration::from_secs(11));
+        let (mut s, admin) = server();
+        s.scheduler_mut().set_retention(SimDuration::from_secs(10));
+        let id = s
+            .submit_job(
+                admin,
+                "j",
+                Constraints::default(),
+                Payload::Experiment(job_spec()),
+            )
+            .unwrap();
+        s.tick();
+        assert!(!s.build(admin, id).unwrap().artifacts.is_empty());
+        let finished = s.build(admin, id).unwrap().finished_at.unwrap();
+        let pruned = s
+            .scheduler_mut()
+            .prune_workspaces(finished + SimDuration::from_secs(11));
         assert_eq!(pruned, 1);
-        assert_eq!(s.build(id).unwrap().artifacts[0].name, "RETENTION");
+        assert_eq!(s.build(admin, id).unwrap().artifacts[0].name, "RETENTION");
         // Second prune is a no-op (already marked).
-        assert_eq!(s.prune_workspaces(finished + SimDuration::from_secs(12)), 1);
+        assert_eq!(
+            s.scheduler_mut()
+                .prune_workspaces(finished + SimDuration::from_secs(12)),
+            1
+        );
     }
 
     #[test]
     fn drain_runs_everything_placeable() {
-        let mut nodes = nodes();
-        let mut s = Scheduler::new();
+        let (mut s, admin) = server();
         for i in 0..3 {
-            s.submit(
+            s.submit_job(
+                admin,
                 &format!("job-{i}"),
-                "alice",
                 Constraints::default(),
                 Payload::Experiment(job_spec()),
-            );
+            )
+            .unwrap();
         }
-        let ran = s.drain(&mut nodes);
+        let ran = s.drain();
         assert_eq!(ran.len(), 3);
         assert_eq!(s.queue_len(), 0);
     }

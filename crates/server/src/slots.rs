@@ -57,7 +57,7 @@ impl std::fmt::Display for SlotError {
 impl std::error::Error for SlotError {}
 
 /// Reservation calendars for every (node, device) pair.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct SlotCalendar {
     // Sorted by start per device; scan is fine at testbed scale.
     slots: BTreeMap<(String, String), Vec<Slot>>,

@@ -265,21 +265,18 @@ impl Supervisor {
     }
 
     /// Probe `node`'s health at `now`: false while a `NodeReboot` fault
-    /// window covers `now` at site `<node>.node`. Unhealthy probes count
-    /// as breaker failures; healthy ones close the breaker.
-    pub fn heartbeat_probe(&mut self, node: &str, now: SimTime) -> bool {
-        let rebooting =
-            self.faults
-                .window_active(&scoped_site(node, site::NODE), FaultKind::NodeReboot, now);
-        self.apply_probe(node, !rebooting, now);
-        !rebooting
+    /// window covers `now` at site `<node>.node`. Decide-only: the access
+    /// server logs the outcome and applies it with [`Self::apply_probe`].
+    pub fn heartbeat_probe(&self, node: &str, now: SimTime) -> bool {
+        !self
+            .faults
+            .window_active(&scoped_site(node, site::NODE), FaultKind::NodeReboot, now)
     }
 
-    /// Apply an already-decided heartbeat outcome: identical breaker and
-    /// telemetry bookkeeping to [`Self::heartbeat_probe`], minus the
-    /// fault-injector consult. WAL replay uses this — the outcome was
-    /// decided before the crash and must be reapplied verbatim, without
-    /// consuming fault-plan state a second time.
+    /// Apply a decided heartbeat outcome: unhealthy probes count as
+    /// breaker failures; healthy ones close the breaker. Live probes and
+    /// WAL replay both land here, so replay never consults the fault
+    /// plan a second time.
     pub fn apply_probe(&mut self, node: &str, healthy: bool, now: SimTime) {
         let scoped = self.registry.scoped(node);
         scoped.counter("supervisor.heartbeats").inc();
@@ -398,11 +395,17 @@ mod tests {
             SimTime::from_secs(20),
         );
         s.attach_faults(&FaultInjector::new(&plan, 8));
-        assert!(s.heartbeat_probe("node1", SimTime::from_secs(5)));
-        assert!(!s.heartbeat_probe("node1", SimTime::from_secs(12)));
-        assert!(!s.heartbeat_probe("node1", SimTime::from_secs(15)));
+        let mut probe = |secs| {
+            let now = SimTime::from_secs(secs);
+            let healthy = s.heartbeat_probe("node1", now);
+            s.apply_probe("node1", healthy, now);
+            healthy
+        };
+        assert!(probe(5));
+        assert!(!probe(12));
+        assert!(!probe(15));
         // Back up after the window; breaker closes on the healthy probe.
-        assert!(s.heartbeat_probe("node1", SimTime::from_secs(25)));
+        assert!(probe(25));
         assert_eq!(s.breaker_state("node1"), BreakerState::Closed);
         let report = registry.snapshot();
         assert_eq!(report.counter("node1.supervisor.heartbeats"), 4);

@@ -1,9 +1,9 @@
 //! # batterylab-sim
 //!
-//! Deterministic discrete-event simulation kernel underpinning the whole
-//! BatteryLab reproduction: virtual time ([`SimTime`], [`SimDuration`]), an
-//! event engine ([`Engine`]), labelled deterministic random streams
-//! ([`SimRng`]) and time-series recording ([`TimeSeries`], [`StepSignal`]).
+//! Deterministic simulation kernel underpinning the whole BatteryLab
+//! reproduction: virtual time ([`SimTime`], [`SimDuration`]), labelled
+//! deterministic random streams ([`SimRng`]) and time-series recording
+//! ([`TimeSeries`], [`StepSignal`]).
 //!
 //! Nothing in the workspace reads the wall clock or an unseeded RNG; two
 //! runs of an experiment with the same seed produce bit-identical sample
@@ -11,12 +11,10 @@
 
 #![warn(missing_docs)]
 
-mod engine;
 mod rng;
 mod series;
 mod time;
 
-pub use engine::{every, Engine, Event};
 pub use rng::SimRng;
 pub use series::{StepCursor, StepSignal, TimeSeries, UniformSeries};
 pub use time::{SimDuration, SimTime};
@@ -59,22 +57,6 @@ mod proptests {
             }
             let expected = trace.iter().rev().find(|&&(pt, _)| pt <= query).map(|&(_, v)| v).unwrap_or(1.5);
             prop_assert_eq!(sig.at(SimTime::from_micros(query)), expected);
-        }
-
-        #[test]
-        fn engine_executes_all_events_in_order(times in proptest::collection::vec(0u64..1_000_000, 1..100)) {
-            let mut eng: Engine<Vec<u64>> = Engine::new();
-            let mut out: Vec<u64> = Vec::new();
-            for &t in &times {
-                eng.schedule_at(SimTime::from_micros(t), move |e, w: &mut Vec<u64>| {
-                    w.push(e.now().as_micros());
-                });
-            }
-            eng.run_to_completion(&mut out);
-            prop_assert_eq!(out.len(), times.len());
-            let mut sorted = times.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(out, sorted);
         }
 
         #[test]

@@ -1,5 +1,6 @@
 //! The platform's §1 vision made concrete: heterogeneous devices at
-//! multiple vantage points, measured concurrently by the fleet executor.
+//! multiple vantage points, enrolled on one access server and measured
+//! through its build queue.
 //!
 //! Three nodes — a flagship, the paper's mid-ranger, a budget phone —
 //! each run the same Brave workload; the per-device energy differences
@@ -9,14 +10,13 @@
 //! cargo run --release --example heterogeneous_fleet
 //! ```
 
-use std::collections::BTreeMap;
-
 use batterylab::automation::Script;
 use batterylab::controller::{VantageConfig, VantagePoint};
 use batterylab::device::{AndroidDevice, DeviceSpec, PowerModel};
 use batterylab::net::LinkProfile;
-use batterylab::server::{ExperimentSpec, FleetExecutor, FleetJob, JobId};
-use batterylab::sim::SimRng;
+use batterylab::platform::NODE_PORTS;
+use batterylab::server::{AccessServer, Constraints, ExperimentSpec, Payload};
+use batterylab::sim::{SimRng, SimTime};
 
 fn main() {
     let rng = SimRng::new(77);
@@ -56,8 +56,12 @@ fn main() {
         ),
     ];
 
-    let mut nodes = BTreeMap::new();
-    for (node_name, serial, model, spec) in fleet_spec.iter().cloned() {
+    let mut server = AccessServer::new("52.1.2.3", "admin", "admin-pw");
+    let admin = server
+        .login("admin", "admin-pw", true)
+        .expect("admin")
+        .token;
+    for (i, (node_name, serial, model, spec)) in fleet_spec.iter().cloned().enumerate() {
         let mut vp = VantagePoint::new(
             VantageConfig {
                 name: node_name.to_string(),
@@ -76,11 +80,19 @@ fn main() {
         );
         device.install_package("com.brave.browser");
         vp.add_device(device);
-        nodes.insert(node_name.to_string(), vp);
+        server
+            .enroll_node(
+                admin,
+                vp,
+                &format!("10.0.0.{}", i + 1),
+                &format!("hk:{node_name}"),
+                &NODE_PORTS,
+                SimTime::ZERO,
+            )
+            .expect("ports open, name free");
     }
 
-    // One worker thread per node: the three workloads run concurrently.
-    let mut executor = FleetExecutor::start(nodes);
+    // One node-constrained job per vantage point, run by the dispatcher.
     let script = Script::browser_workload(
         "com.brave.browser",
         &[
@@ -90,36 +102,37 @@ fn main() {
         ],
         4,
     );
-    for (i, (node_name, serial, _, _)) in fleet_spec.iter().enumerate() {
-        executor
-            .dispatch(
-                node_name,
-                FleetJob {
-                    id: JobId(i as u64 + 1),
-                    name: format!("brave-on-{serial}"),
-                    spec: ExperimentSpec::measured(serial, script.clone()),
-                },
-            )
-            .expect("node exists");
-    }
+    let jobs: Vec<_> = fleet_spec
+        .iter()
+        .map(|(node_name, serial, _, _)| {
+            let constraints = Constraints {
+                node: Some(node_name.to_string()),
+                ..Constraints::default()
+            };
+            let spec = ExperimentSpec::measured(serial, script.clone());
+            server
+                .submit_job(
+                    admin,
+                    &format!("brave-on-{serial}"),
+                    constraints,
+                    Payload::Experiment(spec),
+                )
+                .expect("admin may submit")
+        })
+        .collect();
+    let ran = server.drain();
+    println!("ran {} measured workloads across the fleet...\n", ran.len());
 
-    println!("dispatched 3 concurrent measured workloads across the fleet...\n");
     println!("{:<14} {:>14} {:>12}", "node", "discharge mAh", "mean mA");
-    for _ in 0..3 {
-        let result = executor.next_result().expect("job completes");
-        let outcome = result.result.expect("job succeeds");
+    for id in jobs {
+        let build = server.build(admin, id).expect("build exists");
+        let summary = build.summary.as_ref().expect("job succeeds");
         println!(
             "{:<14} {:>14.3} {:>12.1}",
-            result.node,
-            outcome.summary["discharge_mah"].as_f64().unwrap_or(0.0),
-            outcome.summary["mean_ma"].as_f64().unwrap_or(0.0),
+            build.node.as_deref().unwrap_or("-"),
+            summary["discharge_mah"].as_f64().unwrap_or(0.0),
+            summary["mean_ma"].as_f64().unwrap_or(0.0),
         );
     }
-    let (nodes, leftovers) = executor.shutdown();
-    assert!(leftovers.is_empty());
-    println!(
-        "\nfleet shut down cleanly; {} vantage points returned to the scheduler.",
-        nodes.len()
-    );
-    println!("same workload, three devices — the heterogeneity §1 argues only a shared platform can offer.");
+    println!("\nsame workload, three devices — the heterogeneity §1 argues only a shared platform can offer.");
 }

@@ -20,6 +20,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
 
+# Every example runs end to end (debug build, about a second together),
+# so an example that stops working fails the gate instead of rotting.
+for example in examples/*.rs; do
+    cargo run -q -p batterylab --example "$(basename "$example" .rs)" > /dev/null
+done
+
 # Golden determinism: the parallel harness must emit byte-identical
 # artifacts for any worker count (fig2 + fig3 at jobs=1 vs jobs=4,
 # including the merged platform_metrics.json).

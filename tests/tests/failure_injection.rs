@@ -13,10 +13,10 @@ use batterylab::sim::{SimDuration, SimRng, SimTime};
 #[test]
 fn flaky_power_socket_is_retried() {
     // The controller retries the Meross `togglex` on LAN hiccups.
-    use batterylab::faults::{FaultInjector, FaultPlan};
+    use batterylab::faults::{FaultInjector, FaultKind, FaultPlan};
     use batterylab::power::PowerSocket;
     let mut socket = PowerSocket::new();
-    let plan = FaultPlan::new().socket_unreachable_next(socket.fault_site(), 2);
+    let plan = FaultPlan::new().next_n(socket.fault_site(), FaultKind::SocketUnreachable, 2);
     let injector = FaultInjector::new(&plan, 500);
     let site = socket.fault_site().to_string();
     socket.set_faults(&injector, &site);
@@ -188,10 +188,13 @@ fn stale_certificates_are_detected_and_healed() {
 
 #[test]
 fn socket_retries_show_up_in_telemetry() {
-    use batterylab::faults::{scoped_site, site, FaultInjector, FaultPlan};
+    use batterylab::faults::{scoped_site, site, FaultInjector, FaultKind, FaultPlan};
     let mut platform = Platform::paper_testbed(508);
-    let plan =
-        FaultPlan::new().socket_unreachable_next(&scoped_site("node1", site::POWER_SOCKET), 2);
+    let plan = FaultPlan::new().next_n(
+        &scoped_site("node1", site::POWER_SOCKET),
+        FaultKind::SocketUnreachable,
+        2,
+    );
     let injector = FaultInjector::new(&plan, 508);
     let vp = platform.node1();
     vp.attach_faults(&injector);
