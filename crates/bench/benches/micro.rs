@@ -1,6 +1,7 @@
 //! Microbenches of the platform's hot paths: ADB wire framing, Monsoon
-//! sampling, relay switching and device-trace building. These are the
-//! costs a vantage point actually pays per measurement second.
+//! sampling, relay switching, device-trace building and the access
+//! server's WAL codec. These are the costs a vantage point actually pays
+//! per measurement second, and the server per job.
 //!
 //! The `*_instrumented` variants run the same work with telemetry bound
 //! to a shared registry. Budget: instrumentation must stay within 5 % of
@@ -11,9 +12,12 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use batterylab::adb::{AdbKey, AdbLink, MockServices, Packet, TransportKind};
+use batterylab::automation::Script;
 use batterylab::device::boot_j7_duo;
+use batterylab::platform::Platform;
 use batterylab::power::{ConstantLoad, Monsoon, TraceLoad};
 use batterylab::relay::CircuitSwitch;
+use batterylab::server::{Constraints, ExperimentSpec, Payload, Role, WalRecord};
 use batterylab::sim::{SimDuration, SimRng, SimTime, StepSignal};
 use batterylab::telemetry::Registry;
 use bytes::BytesMut;
@@ -51,6 +55,57 @@ fn bench_adb_framing(c: &mut Criterion) {
         link.connect().unwrap();
         b.iter(|| black_box(link.shell("echo bench").unwrap()))
     });
+    group.finish();
+}
+
+/// The two WAL records one measured browser job commits: its `Submitted`
+/// (spec and script) and its `Completed` (summary, power summary and
+/// logcat artifacts, charge), taken from a real run on a durable server.
+fn one_jobs_wal_records() -> Vec<(&'static str, WalRecord)> {
+    let (mut platform, wal) = Platform::durable_testbed(1);
+    platform.server.enable_billing();
+    platform
+        .server
+        .add_user(platform.admin_token, "bench", "pw", Role::Experimenter)
+        .unwrap();
+    let token = platform.server.login("bench", "pw", true).unwrap().token;
+    let spec = ExperimentSpec::measured(
+        platform.j7_serial(),
+        Script::browser_workload("com.brave.browser", &["https://news.example"], 2),
+    );
+    platform
+        .server
+        .submit_job(
+            token,
+            "bench",
+            Constraints::default(),
+            Payload::Experiment(spec),
+        )
+        .unwrap();
+    platform.server.tick().expect("the job runs");
+    wal.replay()
+        .0
+        .iter()
+        .filter_map(|payload| match WalRecord::decode(payload).unwrap() {
+            r @ WalRecord::Submitted { .. } => Some(("submitted", r)),
+            r @ WalRecord::Completed { .. } => Some(("completed", r)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn bench_wal_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wal_codec");
+    for (name, record) in one_jobs_wal_records() {
+        let encoded = record.encode();
+        group.throughput(Throughput::Bytes(encoded.len() as u64));
+        group.bench_function(&format!("encode_{name}"), |b| {
+            b.iter(|| black_box(record.encode()))
+        });
+        group.bench_function(&format!("decode_{name}"), |b| {
+            b.iter(|| black_box(WalRecord::decode(&encoded).unwrap()))
+        });
+    }
     group.finish();
 }
 
@@ -163,6 +218,7 @@ fn bench_device(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_adb_framing,
+    bench_wal_codec,
     bench_monsoon,
     bench_sampling,
     bench_relay,

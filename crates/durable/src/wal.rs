@@ -154,44 +154,66 @@ impl Wal {
     /// record payloads and the number of torn bytes discarded.
     pub fn replay(&self) -> (Vec<Vec<u8>>, usize) {
         let mut inner = self.lock();
-        let bytes = inner.disk.durable_bytes().to_vec();
-        let mut records = Vec::new();
-        let mut offset = 0usize;
-        while bytes.len() - offset >= FRAME_HEADER {
-            let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-            let start = offset + FRAME_HEADER;
-            if bytes.len() - start < len {
-                break; // torn frame: payload missing bytes
-            }
-            let payload = &bytes[start..start + len];
-            if crc32(payload) != crc {
-                break; // torn frame: payload corrupted mid-write
-            }
-            records.push(payload.to_vec());
-            offset = start + len;
-        }
-        let torn = bytes.len() - offset;
-        if torn > 0 {
-            inner.disk.truncate_durable(offset);
+        let bytes = inner.disk.durable_bytes();
+        let total = bytes.len();
+        let mut frames = Frames { bytes, end: 0 };
+        let records: Vec<Vec<u8>> = frames.by_ref().map(<[u8]>::to_vec).collect();
+        let end = frames.end;
+        if end < total {
+            inner.disk.truncate_durable(end);
         }
         // Reopening adopts the surviving record count so appends after
         // recovery continue the same sequence.
         inner.records = records.len() as u64;
-        (records, torn)
+        (records, total - end)
     }
 
     /// A new, independent log whose durable bytes are the first `k`
     /// whole records of this one. This is how the crash-point sweep
     /// tests recovery from *every* record boundary, including boundaries
-    /// that fall inside a multi-record server call.
+    /// that fall inside a multi-record server call. Read-only: this log
+    /// keeps its torn tail and its record count.
     pub fn prefix(&self, k: u64) -> Wal {
-        let (records, _) = self.replay();
+        let inner = self.lock();
+        let mut frames = Frames {
+            bytes: inner.disk.durable_bytes(),
+            end: 0,
+        };
+        let records = frames.by_ref().take(k as usize).count();
         let out = Wal::new();
-        for payload in records.into_iter().take(k as usize) {
-            out.append(&payload);
+        {
+            let mut copy = out.lock();
+            copy.disk.write(&frames.bytes[..frames.end]);
+            copy.disk.fsync();
+            copy.records = records as u64;
         }
         out
+    }
+}
+
+/// Iterator over the whole, CRC-valid frames at the front of a durable
+/// region, yielding each payload. It stops at the first short frame or
+/// CRC mismatch; `end` is then the offset just past the last whole frame.
+struct Frames<'a> {
+    bytes: &'a [u8],
+    end: usize,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = &self.bytes[self.end..];
+        let header = rest.get(..FRAME_HEADER)?;
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        // A short payload or a CRC mismatch is a torn frame.
+        let payload = rest[FRAME_HEADER..].get(..len)?;
+        if crc32(payload) != crc {
+            return None;
+        }
+        self.end += FRAME_HEADER + len;
+        Some(payload)
     }
 }
 
@@ -276,6 +298,22 @@ mod tests {
         let (records, _) = p.replay();
         assert_eq!(records, vec![vec![0], vec![1], vec![2]]);
         assert_eq!(wal.record_count(), 5);
+    }
+
+    #[test]
+    fn prefix_leaves_the_source_log_untouched() {
+        let wal = Wal::new();
+        wal.append(b"first");
+        wal.append_unsynced(b"torn-record-payload");
+        wal.crash_disk(10);
+        let before = wal.durable_len();
+        let p = wal.prefix(1);
+        assert_eq!(wal.durable_len(), before, "prefix truncated its source");
+        assert_eq!(wal.record_count(), 1);
+        assert_eq!(p.record_count(), 1);
+        assert_eq!(p.replay(), (vec![b"first".to_vec()], 0));
+        // The torn tail is still there for the source's own replay.
+        assert_eq!(wal.replay().1, 10);
     }
 
     #[test]

@@ -17,18 +17,45 @@
 //!   backoff deadline verbatim and `Heartbeats` carries probe outcomes,
 //!   so replay never consults the fault injector or draws jitter again.
 //!
-//! Records are JSON payloads inside the CRC-framed log; the encoding is
-//! deterministic for a given record, which the crash-point sweep relies
-//! on when comparing a recovered run against an uninterrupted one.
+//! # Encoding
+//!
+//! Each record is one payload inside the CRC-framed log
+//! (`batterylab_durable::Wal`), written by a hand-rolled binary codec: a
+//! tag byte naming the variant, then its fields in declaration order.
+//!
+//! | Field | Bytes |
+//! |---|---|
+//! | record tag, `Role`, `ScrollDir`, `BuildState` | one byte (`Failed` adds its string) |
+//! | `Action` | one tag byte, then its payload |
+//! | `VpnLocation` | one byte: its index in `VpnLocation::ALL` |
+//! | ids, counts, ports, `attempts`, `max_retries`, key codes | LEB128 varint |
+//! | `SimTime`, `SimDuration` | LEB128 varint of microseconds |
+//! | password hash | 8 bytes, little-endian |
+//! | `f64` | 8 bytes, little-endian `to_bits`: round-trips bit-exactly |
+//! | `bool` | one byte, 0 or 1 |
+//! | `Option<T>` | 0, or 1 followed by `T` |
+//! | `String` | varint byte length, then raw UTF-8 (artifact contents too) |
+//! | `Vec<T>`, tuples | varint count, then each element's fields |
+//! | summary `Value` | kind byte (Null, Bool, U64, I64, F64, Str, Array, Object), then its payload: `I64` as a zigzag varint, objects in key order |
+//!
+//! The encoding is deterministic for a given record, which the
+//! crash-point sweep relies on when comparing a recovered run against an
+//! uninterrupted one. Decoding never panics: short input, an unknown tag,
+//! invalid UTF-8, an overlong varint or trailing bytes are an `Err`
+//! naming the payload length, and a payload that opens with `{` is
+//! reported as a log that predates the binary format.
 
 use batterylab_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+
+use batterylab_automation::{Action, Script, ScrollDir};
+use batterylab_net::VpnLocation;
+use serde_json::Value;
 
 use crate::auth::Role;
-use crate::jobs::{BuildRecord, Constraints, ExperimentSpec};
+use crate::jobs::{Artifact, BuildRecord, BuildState, Constraints, ExperimentSpec, JobId};
 
 /// A billing charge bundled with the terminal build record it pays for.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChargeRecord {
     /// Account charged.
     pub user: String,
@@ -39,7 +66,7 @@ pub struct ChargeRecord {
 }
 
 /// One durable state transition of the access server.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum WalRecord {
     /// Log created: the server's identity. Always record 0.
     Booted {
@@ -148,43 +175,715 @@ pub enum WalRecord {
 impl WalRecord {
     /// Serialise for the framed log.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_string(self)
-            .expect("WAL record serialises")
-            .into_bytes()
+        let mut out = Vec::with_capacity(256);
+        self.put(&mut out);
+        out
     }
 
     /// Parse a framed-log payload.
     pub fn decode(payload: &[u8]) -> Result<WalRecord, String> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| format!("non-UTF-8 WAL record ({} bytes): {e}", payload.len()))?;
-        serde_json::from_str(text)
+        if payload.first() == Some(&b'{') {
+            return Err(format!(
+                "log predates the binary WAL format: {}-byte JSON record",
+                payload.len()
+            ));
+        }
+        let mut input = Reader {
+            bytes: payload,
+            pos: 0,
+        };
+        WalRecord::get(&mut input)
+            .and_then(|record| match payload.len() - input.pos {
+                0 => Ok(record),
+                extra => Err(format!("{extra} trailing bytes")),
+            })
             .map_err(|e| format!("undecodable WAL record ({} bytes): {e}", payload.len()))
+    }
+}
+
+/// A type with a binary WAL encoding (layout in the module docs).
+trait Codec: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(input: &mut Reader<'_>) -> Result<Self, String>;
+}
+
+/// A decoding cursor over one payload.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        let rest = &self.bytes[self.pos..];
+        if rest.len() < n {
+            return Err(format!(
+                "short input: {n} bytes wanted at offset {}, {} left",
+                self.pos,
+                rest.len()
+            ));
+        }
+        self.pos += n;
+        Ok(&rest[..n])
+    }
+
+    fn byte(&mut self) -> Result<u8, String> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    fn varint(&mut self) -> Result<u64, String> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.byte()?;
+            let bits = u64::from(byte & 0x7F);
+            if shift == 63 && bits > 1 {
+                return Err("varint overflows u64".to_string());
+            }
+            value |= bits << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err("overlong varint".to_string());
+                }
+                return Ok(value);
+            }
+        }
+        Err("varint longer than 10 bytes".to_string())
+    }
+
+    /// A varint count or length, which must fit what is left of the
+    /// payload at one byte per element, so a corrupt count cannot make
+    /// decoding reserve memory the payload could never fill.
+    fn len(&mut self) -> Result<usize, String> {
+        let len = self.varint()?;
+        let left = self.bytes.len() - self.pos;
+        usize::try_from(len)
+            .ok()
+            .filter(|&len| len <= left)
+            .ok_or_else(|| format!("length {len} exceeds the {left} bytes left"))
+    }
+
+    /// A varint count, then that many `item`s.
+    fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let len = self.len()?;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+fn put_len(out: &mut Vec<u8>, len: usize) {
+    put_varint(out, len as u64);
+}
+
+/// A tag byte followed by one payload field.
+fn tagged(out: &mut Vec<u8>, tag: u8, field: &impl Codec) {
+    out.push(tag);
+    field.put(out);
+}
+
+fn unknown<T>(what: &str, tag: u8) -> Result<T, String> {
+    Err(format!("unknown {what} tag {tag}"))
+}
+
+impl Codec for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self);
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        input.varint()
+    }
+}
+
+impl Codec for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, u64::from(*self));
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        let v = input.varint()?;
+        u32::try_from(v).map_err(|_| format!("{v} overflows u32"))
+    }
+}
+
+impl Codec for u16 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, u64::from(*self));
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        let v = input.varint()?;
+        u16::try_from(v).map_err(|_| format!("{v} overflows u16"))
+    }
+}
+
+impl Codec for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(f64::from_bits(u64::from_le_bytes(input.array()?)))
+    }
+}
+
+impl Codec for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        match input.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => unknown("bool", tag),
+        }
+    }
+}
+
+impl Codec for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(out, self.len());
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        let len = input.len()?;
+        let at = input.pos;
+        std::str::from_utf8(input.take(len)?)
+            .map(str::to_owned)
+            .map_err(|e| format!("invalid UTF-8 in string at offset {at}: {e}"))
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
+        }
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        match input.byte()? {
+            0 => Ok(None),
+            1 => T::get(input).map(Some),
+            tag => unknown("option", tag),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(out, self.len());
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        input.seq(T::get)
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        Ok((A::get(input)?, B::get(input)?))
+    }
+}
+
+impl Codec for SimTime {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.as_micros());
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        input.varint().map(SimTime::from_micros)
+    }
+}
+
+impl Codec for SimDuration {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.as_micros());
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        input.varint().map(SimDuration::from_micros)
+    }
+}
+
+impl Codec for JobId {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        u64::get(input).map(JobId)
+    }
+}
+
+impl Codec for Role {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            Role::Admin => 0,
+            Role::Experimenter => 1,
+            Role::Tester => 2,
+        });
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        match input.byte()? {
+            0 => Ok(Role::Admin),
+            1 => Ok(Role::Experimenter),
+            2 => Ok(Role::Tester),
+            tag => unknown("role", tag),
+        }
+    }
+}
+
+impl Codec for ScrollDir {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            ScrollDir::Down => 0,
+            ScrollDir::Up => 1,
+        });
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        match input.byte()? {
+            0 => Ok(ScrollDir::Down),
+            1 => Ok(ScrollDir::Up),
+            tag => unknown("scroll direction", tag),
+        }
+    }
+}
+
+impl Codec for VpnLocation {
+    fn put(&self, out: &mut Vec<u8>) {
+        let index = VpnLocation::ALL.iter().position(|l| l == self);
+        out.push(index.expect("VpnLocation::ALL lists every location") as u8);
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        let tag = input.byte()?;
+        match VpnLocation::ALL.get(usize::from(tag)) {
+            Some(location) => Ok(*location),
+            None => unknown("VPN location", tag),
+        }
+    }
+}
+
+impl Codec for Action {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Action::LaunchApp(s) => tagged(out, 0, s),
+            Action::ForceStop(s) => tagged(out, 1, s),
+            Action::ClearAppData(s) => tagged(out, 2, s),
+            Action::EnterUrl(s) => tagged(out, 3, s),
+            Action::Scroll(dir) => tagged(out, 4, dir),
+            Action::KeyEvent(code) => tagged(out, 5, code),
+            Action::Wait(d) => tagged(out, 6, d),
+            Action::Note(s) => tagged(out, 7, s),
+        }
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(match input.byte()? {
+            0 => Action::LaunchApp(String::get(input)?),
+            1 => Action::ForceStop(String::get(input)?),
+            2 => Action::ClearAppData(String::get(input)?),
+            3 => Action::EnterUrl(String::get(input)?),
+            4 => Action::Scroll(ScrollDir::get(input)?),
+            5 => Action::KeyEvent(u32::get(input)?),
+            6 => Action::Wait(SimDuration::get(input)?),
+            7 => Action::Note(String::get(input)?),
+            tag => return unknown("action", tag),
+        })
+    }
+}
+
+/// `Codec` for a struct: its fields in declaration order, written and
+/// read from one list so the two orders cannot drift apart.
+macro_rules! struct_codec {
+    ($ty:ident { $($field:ident),* }) => {
+        impl Codec for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+                Ok($ty {
+                    $($field: Codec::get(input)?,)*
+                })
+            }
+        }
+    };
+}
+
+struct_codec!(Script { name, actions });
+
+struct_codec!(ExperimentSpec {
+    device,
+    script,
+    measure,
+    mirroring,
+    vpn,
+    sample_rate_hz,
+    collect_logcat
+});
+
+struct_codec!(Constraints {
+    node,
+    device,
+    location,
+    require_low_cpu,
+    max_retries
+});
+
+impl Codec for BuildState {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            BuildState::Queued => out.push(0),
+            BuildState::Succeeded => out.push(1),
+            BuildState::Failed(error) => tagged(out, 2, error),
+        }
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        match input.byte()? {
+            0 => Ok(BuildState::Queued),
+            1 => Ok(BuildState::Succeeded),
+            2 => String::get(input).map(BuildState::Failed),
+            tag => unknown("build state", tag),
+        }
+    }
+}
+
+struct_codec!(Artifact { name, content });
+
+struct_codec!(BuildRecord {
+    id,
+    name,
+    owner,
+    node,
+    state,
+    summary,
+    artifacts,
+    finished_at
+});
+
+struct_codec!(ChargeRecord {
+    user,
+    job,
+    device_time
+});
+
+/// Deepest summary nesting decoding accepts, so a corrupt payload cannot
+/// recurse the stack away. Job summaries nest two levels.
+const MAX_VALUE_DEPTH: usize = 64;
+
+impl Codec for Value {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Value::Null => out.push(0),
+            Value::Bool(b) => tagged(out, 1, b),
+            Value::U64(v) => tagged(out, 2, v),
+            Value::I64(v) => {
+                out.push(3);
+                put_varint(out, ((*v << 1) ^ (*v >> 63)) as u64);
+            }
+            Value::F64(v) => tagged(out, 4, v),
+            Value::Str(s) => tagged(out, 5, s),
+            Value::Array(items) => tagged(out, 6, items),
+            Value::Object(fields) => tagged(out, 7, fields),
+        }
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        get_value(input, 0)
+    }
+}
+
+fn get_value(input: &mut Reader<'_>, depth: usize) -> Result<Value, String> {
+    if depth > MAX_VALUE_DEPTH {
+        return Err(format!("summary nested deeper than {MAX_VALUE_DEPTH}"));
+    }
+    Ok(match input.byte()? {
+        0 => Value::Null,
+        1 => Value::Bool(bool::get(input)?),
+        2 => Value::U64(u64::get(input)?),
+        3 => {
+            let zigzag = input.varint()?;
+            Value::I64(((zigzag >> 1) as i64) ^ -((zigzag & 1) as i64))
+        }
+        4 => Value::F64(f64::get(input)?),
+        5 => Value::Str(String::get(input)?),
+        6 => Value::Array(input.seq(|input| get_value(input, depth + 1))?),
+        7 => Value::Object(
+            input.seq(|input| Ok((String::get(input)?, get_value(input, depth + 1)?)))?,
+        ),
+        tag => return unknown("summary value", tag),
+    })
+}
+
+impl Codec for WalRecord {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            WalRecord::Booted { public_ip } => tagged(out, 0, public_ip),
+            WalRecord::UserAdded {
+                name,
+                password_hash,
+                role,
+            } => {
+                out.push(1);
+                name.put(out);
+                out.extend_from_slice(&password_hash.to_le_bytes());
+                role.put(out);
+            }
+            WalRecord::BillingEnabled => out.push(2),
+            WalRecord::NodeEnrolled {
+                name,
+                ip,
+                host_key,
+                open_ports,
+                at,
+            } => {
+                out.push(3);
+                name.put(out);
+                ip.put(out);
+                host_key.put(out);
+                open_ports.put(out);
+                at.put(out);
+            }
+            WalRecord::NodeOwner { node, owner } => {
+                out.push(4);
+                node.put(out);
+                owner.put(out);
+            }
+            WalRecord::Submitted {
+                id,
+                name,
+                owner,
+                constraints,
+                spec,
+            } => {
+                out.push(5);
+                id.put(out);
+                name.put(out);
+                owner.put(out);
+                constraints.put(out);
+                spec.put(out);
+            }
+            WalRecord::Retried {
+                id,
+                node,
+                attempts,
+                not_before,
+                failed_at,
+                error,
+            } => {
+                out.push(6);
+                id.put(out);
+                node.put(out);
+                attempts.put(out);
+                not_before.put(out);
+                failed_at.put(out);
+                error.put(out);
+            }
+            WalRecord::Completed { record, charge } => {
+                out.push(7);
+                record.put(out);
+                charge.put(out);
+            }
+            WalRecord::Heartbeats { at, outcomes } => {
+                out.push(8);
+                at.put(out);
+                outcomes.put(out);
+            }
+            WalRecord::MaintenanceRan { at } => tagged(out, 9, at),
+            WalRecord::SlotReserved {
+                node,
+                device,
+                user,
+                from,
+                to,
+            } => {
+                out.push(10);
+                node.put(out);
+                device.put(out);
+                user.put(out);
+                from.put(out);
+                to.put(out);
+            }
+        }
+    }
+
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(match input.byte()? {
+            0 => WalRecord::Booted {
+                public_ip: String::get(input)?,
+            },
+            1 => WalRecord::UserAdded {
+                name: String::get(input)?,
+                password_hash: u64::from_le_bytes(input.array()?),
+                role: Role::get(input)?,
+            },
+            2 => WalRecord::BillingEnabled,
+            3 => WalRecord::NodeEnrolled {
+                name: String::get(input)?,
+                ip: String::get(input)?,
+                host_key: String::get(input)?,
+                open_ports: Vec::get(input)?,
+                at: SimTime::get(input)?,
+            },
+            4 => WalRecord::NodeOwner {
+                node: String::get(input)?,
+                owner: String::get(input)?,
+            },
+            5 => WalRecord::Submitted {
+                id: u64::get(input)?,
+                name: String::get(input)?,
+                owner: String::get(input)?,
+                constraints: Constraints::get(input)?,
+                spec: Option::get(input)?,
+            },
+            6 => WalRecord::Retried {
+                id: u64::get(input)?,
+                node: String::get(input)?,
+                attempts: u32::get(input)?,
+                not_before: Option::get(input)?,
+                failed_at: SimTime::get(input)?,
+                error: String::get(input)?,
+            },
+            7 => WalRecord::Completed {
+                record: BuildRecord::get(input)?,
+                charge: Option::get(input)?,
+            },
+            8 => WalRecord::Heartbeats {
+                at: SimTime::get(input)?,
+                outcomes: Vec::get(input)?,
+            },
+            9 => WalRecord::MaintenanceRan {
+                at: SimTime::get(input)?,
+            },
+            10 => WalRecord::SlotReserved {
+                node: String::get(input)?,
+                device: String::get(input)?,
+                user: String::get(input)?,
+                from: SimTime::get(input)?,
+                to: SimTime::get(input)?,
+            },
+            tag => return unknown("record", tag),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jobs::{BuildState, JobId};
+    use crate::AccessServer;
+    use batterylab_durable::Wal;
 
-    #[test]
-    fn records_round_trip() {
-        let records = vec![
+    fn summary() -> Value {
+        Value::Object(vec![
+            ("null".into(), Value::Null),
+            ("ok".into(), Value::Bool(true)),
+            ("count".into(), Value::U64(u64::MAX)),
+            ("delta".into(), Value::I64(-42)),
+            ("floor".into(), Value::I64(i64::MIN)),
+            // Not representable in few decimal digits: must survive bit for bit.
+            ("mah".into(), Value::F64(0.1 + 0.2)),
+            ("neg_zero".into(), Value::F64(-0.0)),
+            ("label".into(), Value::Str("Zürich ✓".into())),
+            (
+                "nested".into(),
+                Value::Array(vec![
+                    Value::U64(1),
+                    Value::F64(1.0),
+                    Value::Array(vec![]),
+                    Value::Object(vec![
+                        ("z".into(), Value::Null),
+                        ("a".into(), Value::I64(-1)),
+                    ]),
+                ]),
+            ),
+        ])
+    }
+
+    fn every_record() -> Vec<WalRecord> {
+        let script = Script::new("all-actions")
+            .then(Action::LaunchApp("com.brave.browser".into()))
+            .then(Action::ForceStop("com.brave.browser".into()))
+            .then(Action::ClearAppData("com.brave.browser".into()))
+            .then(Action::EnterUrl("https://news.example/ü".into()))
+            .then(Action::Scroll(ScrollDir::Down))
+            .then(Action::Scroll(ScrollDir::Up))
+            .then(Action::KeyEvent(66))
+            .then(Action::Wait(SimDuration::from_millis(6_000)))
+            .then(Action::Note("note".into()));
+        let mut spec = ExperimentSpec::measured("j7duo-0001", script);
+        spec.mirroring = true;
+        spec.vpn = Some(VpnLocation::Brazil);
+        spec.sample_rate_hz = 4999.5;
+        spec.collect_logcat = false;
+        vec![
             WalRecord::Booted {
                 public_ip: "52.1.2.3".into(),
             },
             WalRecord::UserAdded {
                 name: "alice".into(),
-                password_hash: 0xABCD,
+                password_hash: 0xFEDC_BA98_7654_3210,
                 role: Role::Experimenter,
             },
+            WalRecord::UserAdded {
+                name: "root".into(),
+                password_hash: 0,
+                role: Role::Admin,
+            },
+            WalRecord::UserAdded {
+                name: "tess".into(),
+                password_hash: 1,
+                role: Role::Tester,
+            },
             WalRecord::BillingEnabled,
+            WalRecord::NodeEnrolled {
+                name: "node1".into(),
+                ip: "10.0.0.7".into(),
+                host_key: "fp:node1".into(),
+                open_ports: vec![22, 2222, 5900, u16::MAX],
+                at: SimTime::from_secs(3),
+            },
+            WalRecord::NodeOwner {
+                node: "node1".into(),
+                owner: "alice".into(),
+            },
             WalRecord::Submitted {
                 id: 7,
                 name: "job".into(),
                 owner: "alice".into(),
                 constraints: Constraints::default(),
                 spec: None,
+            },
+            WalRecord::Submitted {
+                id: 300,
+                name: "measured".into(),
+                owner: "alice".into(),
+                constraints: Constraints {
+                    node: Some("node1".into()),
+                    device: Some("j7duo-0001".into()),
+                    location: Some(VpnLocation::California),
+                    require_low_cpu: true,
+                    max_retries: u32::MAX,
+                },
+                spec: Some(spec),
             },
             WalRecord::Retried {
                 id: 7,
@@ -193,6 +892,14 @@ mod tests {
                 not_before: Some(SimTime::from_secs(12)),
                 failed_at: SimTime::from_secs(10),
                 error: "socket hiccup".into(),
+            },
+            WalRecord::Retried {
+                id: 8,
+                node: "node2".into(),
+                attempts: 1,
+                not_before: None,
+                failed_at: SimTime::from_micros(u64::MAX),
+                error: String::new(),
             },
             WalRecord::Completed {
                 record: BuildRecord {
@@ -211,19 +918,161 @@ mod tests {
                     device_time: SimDuration::from_secs(20),
                 }),
             },
+            WalRecord::Completed {
+                record: BuildRecord {
+                    id: JobId(9),
+                    name: "broken".into(),
+                    owner: "bob".into(),
+                    node: None,
+                    state: BuildState::Failed("adb: device offline — réessayer".into()),
+                    summary: Some(summary()),
+                    artifacts: vec![
+                        Artifact {
+                            name: "logcat.txt".into(),
+                            content: "I/ActivityManager: Displayed 日本語\n\"quoted\"\t\\".into(),
+                        },
+                        Artifact {
+                            name: "power_summary.json".into(),
+                            content: "{\"mah\": 0.5}".into(),
+                        },
+                    ],
+                    finished_at: None,
+                },
+                charge: None,
+            },
+            WalRecord::Completed {
+                record: BuildRecord {
+                    id: JobId(10),
+                    name: "queued".into(),
+                    owner: "bob".into(),
+                    node: None,
+                    state: BuildState::Queued,
+                    summary: Some(Value::Null),
+                    artifacts: vec![],
+                    finished_at: None,
+                },
+                charge: None,
+            },
             WalRecord::Heartbeats {
                 at: SimTime::from_secs(30),
-                outcomes: vec![("node1".into(), true)],
+                outcomes: vec![("node1".into(), true), ("node2".into(), false)],
             },
             WalRecord::MaintenanceRan {
                 at: SimTime::from_secs(40),
             },
-        ];
-        for record in records {
+            WalRecord::SlotReserved {
+                node: "node1".into(),
+                device: "j7duo-0001".into(),
+                user: "alice".into(),
+                from: SimTime::from_secs(100),
+                to: SimTime::from_secs(200),
+            },
+        ]
+    }
+
+    #[test]
+    fn records_round_trip() {
+        for record in every_record() {
             let bytes = record.encode();
             let back = WalRecord::decode(&bytes).unwrap();
             assert_eq!(bytes, back.encode(), "stable re-encoding: {record:?}");
+            // `Debug` tells the numeric kinds of summary values apart,
+            // which `Value`'s `PartialEq` deliberately does not.
+            assert_eq!(format!("{back:?}"), format!("{record:?}"));
         }
+    }
+
+    #[test]
+    fn summary_floats_and_kinds_survive_bit_for_bit() {
+        let record = &every_record()[12];
+        let WalRecord::Completed { record: build, .. } =
+            WalRecord::decode(&record.encode()).unwrap()
+        else {
+            panic!("not a Completed record");
+        };
+        let summary = build.summary.unwrap();
+        assert_eq!(
+            summary["mah"].as_f64().map(f64::to_bits),
+            Some((0.1f64 + 0.2).to_bits())
+        );
+        assert!(matches!(summary["neg_zero"], Value::F64(z) if z.to_bits() == (-0.0f64).to_bits()));
+        assert!(matches!(summary["delta"], Value::I64(-42)));
+        assert!(matches!(summary["floor"], Value::I64(i64::MIN)));
+        assert!(matches!(summary["count"], Value::U64(u64::MAX)));
+        assert!(matches!(summary["nested"][1], Value::F64(_)));
+        let keys: Vec<&str> = summary["nested"][3]
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["z", "a"]);
+    }
+
+    #[test]
+    fn every_strict_prefix_and_any_extra_byte_fail() {
+        for record in every_record() {
+            let bytes = record.encode();
+            for cut in 0..bytes.len() {
+                let err = WalRecord::decode(&bytes[..cut])
+                    .expect_err(&format!("{cut}-byte prefix of {record:?} decoded"));
+                assert!(err.contains(&format!("({cut} bytes)")), "{err}");
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            let err = WalRecord::decode(&longer).unwrap_err();
+            assert!(err.contains("1 trailing bytes"), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_tags_and_invalid_utf8_fail() {
+        assert!(WalRecord::decode(&[11])
+            .unwrap_err()
+            .contains("unknown record tag 11"));
+        // UserAdded with role tag 3.
+        let mut bytes = vec![1, 1, b'a'];
+        bytes.extend_from_slice(&[0; 8]);
+        bytes.push(3);
+        assert!(WalRecord::decode(&bytes)
+            .unwrap_err()
+            .contains("unknown role tag 3"));
+        let err = WalRecord::decode(&[0, 2, 0xC3, 0x28]).unwrap_err();
+        assert!(err.contains("invalid UTF-8"), "{err}");
+        // A length larger than the payload is refused before reading.
+        let err = WalRecord::decode(&[0, 0xFF, 0xFF, 0x03]).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+        // Overlong and overflowing varints.
+        assert!(WalRecord::decode(&[9, 0x80, 0x00]).is_err());
+        assert!(WalRecord::decode(&[
+            9, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02
+        ])
+        .is_err());
+    }
+
+    #[test]
+    fn deeply_nested_summary_fails_instead_of_overflowing() {
+        let mut bytes = vec![7, 1, 1, b'j', 1, b'o', 0, 1, 1];
+        bytes.extend(std::iter::repeat_n([6u8, 1], 100_000).flatten());
+        let err = WalRecord::decode(&bytes).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
+    }
+
+    #[test]
+    fn json_era_payload_is_reported_as_such() {
+        let json = br#"{"Booted":{"public_ip":"52.1.2.3"}}"#;
+        let err = WalRecord::decode(json).unwrap_err();
+        assert!(err.contains("log predates the binary WAL format"), "{err}");
+        assert!(err.contains(&format!("{}-byte", json.len())), "{err}");
+        let wal = Wal::new();
+        wal.append(json);
+        let err = AccessServer::recover(&wal, &batterylab_telemetry::Registry::new())
+            .err()
+            .expect("a JSON-era log does not recover");
+        assert!(
+            err.to_string().contains("predates the binary WAL format"),
+            "{err}"
+        );
     }
 
     #[test]

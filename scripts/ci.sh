@@ -64,5 +64,6 @@ cargo test -q -p batterylab-tests --test job_path_bounded
 cargo test -q -p batterylab-tests --test artifacts_golden
 
 # Wall-clock split: evaluation at jobs=1 vs every available core.
-# Prints the per-figure table and refreshes BENCH_eval.json.
-cargo run --release -q -p batterylab-bench --bin bench_eval
+# Prints the per-figure table; the JSON goes under target/ so the gate
+# leaves the committed BENCH_eval.json (and `git status`) untouched.
+cargo run --release -q -p batterylab-bench --bin bench_eval -- --out target/

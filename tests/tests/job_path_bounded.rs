@@ -14,9 +14,10 @@ use batterylab::workloads::BrowserProfile;
 /// the same account as job 0.
 const JOBS: usize = 201;
 
-/// Slack on the `Completed` payload size: the job id, the device-clock
-/// timestamps in the log lines and the summary's floats gain digits as
-/// the node ages. An unbounded log grows it by kilobytes.
+/// Slack on the `Completed` payload size: the job id and finish time
+/// (varints) and the device-clock timestamps in the log lines gain bytes
+/// as the node ages; the summary's floats are fixed-width. An unbounded
+/// log grows it by kilobytes.
 const SIZE_SLACK: usize = 24;
 
 #[test]
