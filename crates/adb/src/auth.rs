@@ -8,13 +8,13 @@
 //! and failure modes are what BatteryLab depends on, not the asymmetric
 //! math.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Length of the device's challenge token, bytes (as in real adb).
 pub const TOKEN_LEN: usize = 20;
 
 /// A host identity key (`~/.android/adbkey` equivalent).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct AdbKey {
     /// Public fingerprint, shown in the device's "allow USB debugging?"
     /// dialog and stored in its trust store.
@@ -46,7 +46,7 @@ impl AdbKey {
 }
 
 /// Device-side verification material parsed from a public blob.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct PublicKey {
     /// The key's fingerprint.
     pub fingerprint: String,

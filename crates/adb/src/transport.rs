@@ -20,10 +20,10 @@ use std::sync::Arc;
 
 use batterylab_net::LinkProfile;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The medium a transport runs over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum TransportKind {
     /// USB cable to the controller hub (powers the device!).
     Usb,

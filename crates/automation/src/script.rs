@@ -7,11 +7,11 @@
 //! runs over ADB, UI tests or the Bluetooth keyboard (§3.3).
 
 use batterylab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Scroll direction, as in the paper's "scroll up"/"scroll down"
 /// interactions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum ScrollDir {
     /// Content moves up (finger swipes up).
     Down,
@@ -20,7 +20,7 @@ pub enum ScrollDir {
 }
 
 /// One automation step.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub enum Action {
     /// Start an app by package name.
     LaunchApp(String),
@@ -41,7 +41,7 @@ pub enum Action {
 }
 
 /// A named, ordered list of actions.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct Script {
     /// Human-readable name (job display).
     pub name: String,
@@ -122,13 +122,5 @@ mod tests {
         // Scrolls alternate.
         assert_eq!(s.actions[5], Action::Scroll(ScrollDir::Down));
         assert_eq!(s.actions[6], Action::Scroll(ScrollDir::Up));
-    }
-
-    #[test]
-    fn scripts_serialise_for_job_shipping() {
-        let s = Script::browser_workload("org.mozilla.firefox", &["https://x.org"], 2);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Script = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -8,10 +8,10 @@
 //! Mechanical Turk should interact with the app, not the power meter.
 
 use crate::vantage::{ControllerError, VantagePoint};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Toolbar buttons (the API subset of Table 1 the GUI exposes).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub enum ToolbarAction {
     /// List test devices.
     ListDevices,

@@ -4,12 +4,12 @@
 //! device simulator evolves it over virtual time as workloads run.
 
 use batterylab_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Activity state of a network radio, with the tail-energy behaviour that
 /// dominates mobile radio power: after a transfer the radio lingers in a
 /// high-power state before dropping back to idle.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum RadioState {
     /// Low-power idle / paging.
     Idle,
@@ -37,7 +37,7 @@ impl RadioState {
 }
 
 /// Which interface carries the device's data traffic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum DataPath {
     /// The vantage point's WiFi AP.
     WiFi,
@@ -46,7 +46,7 @@ pub enum DataPath {
 }
 
 /// What powers the device right now.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum PowerSource {
     /// Its own battery (relay in the Battery position).
     Battery,
@@ -55,7 +55,7 @@ pub enum PowerSource {
 }
 
 /// Full component state at an instant.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct ComponentState {
     /// Screen powered?
     pub screen_on: bool,
@@ -98,7 +98,7 @@ impl Default for ComponentState {
 }
 
 /// Static description of a device model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct DeviceSpec {
     /// Marketing model, e.g. "Samsung J7 Duo".
     pub model: String,

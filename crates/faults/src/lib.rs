@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 
 use batterylab_sim::{SimRng, SimTime};
 use batterylab_telemetry::Registry;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Well-known injection-site suffixes. A vantage point scopes them with
 /// its node name via [`scoped_site`] (`node1.power.socket`), so merged
@@ -67,7 +67,7 @@ pub fn scoped_site(node: &str, suffix: &str) -> String {
 }
 
 /// The taxonomy of faults the platform can inject.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum FaultKind {
     /// The WiFi socket does not answer its LAN API.
     SocketUnreachable,
@@ -118,7 +118,7 @@ impl std::fmt::Display for FaultKind {
 }
 
 /// When a spec fires.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum Trigger {
     /// Fire on the next `n` matching operations, then disarm. This is
     /// the compat shape of the old `inject_unreachable(n)` knob.
@@ -137,7 +137,7 @@ pub enum Trigger {
 }
 
 /// One fault: what, where, when.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FaultSpec {
     /// Dotted site label the spec applies to (e.g. `node1.power.socket`).
     pub site: String,
@@ -148,7 +148,7 @@ pub struct FaultSpec {
 }
 
 /// A declarative, serialisable schedule of faults.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct FaultPlan {
     specs: Vec<FaultSpec>,
 }
@@ -473,7 +473,6 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batterylab_sim::SimDuration;
 
     #[test]
     fn disabled_injector_never_fires() {
@@ -601,21 +600,5 @@ mod tests {
     fn chaos_zero_intensity_is_empty() {
         let mut rng = SimRng::new(1).derive("chaos");
         assert!(FaultPlan::chaos("node1", &mut rng, 0.0).is_empty());
-    }
-
-    #[test]
-    fn plan_round_trips_through_serde() {
-        let plan = FaultPlan::new()
-            .next_n("a", FaultKind::OverCurrent, 2)
-            .window(
-                "b",
-                FaultKind::VoltageSag,
-                SimTime::from_secs(1),
-                SimTime::from_secs(1) + SimDuration::from_secs(5),
-            )
-            .probability("c", FaultKind::TransportReset, 0.1);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(plan, back);
     }
 }

@@ -16,10 +16,10 @@
 
 use batterylab_device::IosDevice;
 use batterylab_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// AirPlay sender configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct AirPlayConfig {
     /// Video bitrate, bits/s (AirPlay mirrors at several Mbps by default;
     /// receivers can negotiate down).

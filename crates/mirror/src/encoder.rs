@@ -13,10 +13,10 @@
 
 use batterylab_device::AndroidDevice;
 use batterylab_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Encoder configuration (scrcpy command-line equivalents).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct EncoderConfig {
     /// Rate-control cap, bits per second. The paper uses 1 Mbps.
     pub bitrate_bps: f64,

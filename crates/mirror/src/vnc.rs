@@ -9,7 +9,7 @@
 //! the paper measured.
 
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The RFB protocol version BatteryLab's tigervnc speaks.
 pub const RFB_VERSION: &[u8; 12] = b"RFB 003.008\n";
@@ -18,7 +18,7 @@ pub const RFB_VERSION: &[u8; 12] = b"RFB 003.008\n";
 pub const NOVNC_COMPRESSION: f64 = 0.82;
 
 /// Security types offered in the RFB handshake.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum RfbSecurity {
     /// No authentication (never offered by BatteryLab).
     None,
@@ -64,7 +64,7 @@ pub struct VncServer {
 }
 
 /// Opaque viewer identifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct ViewerId(u32);
 
 impl VncServer {

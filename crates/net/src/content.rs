@@ -12,12 +12,12 @@
 //! This module is the catalog that tells a browser workload what the
 //! network at a given region serves.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::vpn::VpnLocation;
 
 /// Where the vantage point's traffic egresses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Region {
     /// No tunnel: the vantage point's own location (Imperial College, UK).
     Local,
@@ -36,7 +36,7 @@ impl Region {
 }
 
 /// What the ad ecosystem serves at a region.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct RegionalContent {
     /// Multiplier on ad payload bytes relative to the UK baseline.
     pub ad_size_factor: f64,

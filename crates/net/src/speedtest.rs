@@ -6,14 +6,14 @@
 //! a timed download and a timed upload — with realistic measurement noise.
 
 use batterylab_sim::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::link::LinkProfile;
 use crate::transfer::{Direction, TransferModel};
 use crate::vpn::VpnLocation;
 
 /// One SpeedTest result row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SpeedtestResult {
     /// Server city the test ran against.
     pub server: String,

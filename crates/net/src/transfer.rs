@@ -9,12 +9,12 @@
 //! nominal bandwidth.
 
 use batterylab_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::link::LinkProfile;
 
 /// Direction of a transfer relative to the device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Direction {
     /// Server → device (page loads, video segments).
     Down,
@@ -28,7 +28,7 @@ const MSS: f64 = 1460.0;
 const INIT_CWND: f64 = 10.0;
 
 /// Outcome of a modelled transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct TransferOutcome {
     /// Total wall time from request to last byte.
     pub duration: SimDuration,

@@ -9,12 +9,12 @@
 
 use batterylab_faults::{site, FaultInjector, FaultKind};
 use batterylab_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::link::LinkProfile;
 
 /// The five ProtonVPN exit locations of Table 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum VpnLocation {
     /// Johannesburg exit.
     SouthAfrica,

@@ -6,10 +6,10 @@
 //! of that switch: open-circuit voltage as a function of state of charge,
 //! internal resistance, and discharge bookkeeping.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A lithium-ion battery pack.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Battery {
     /// Rated capacity, mAh.
     capacity_mah: f64,

@@ -16,7 +16,7 @@ use batterylab_faults::{FaultInjector, FaultKind};
 use batterylab_sim::{SimDuration, SimRng, SimTime, UniformSeries};
 use batterylab_stats::EnergyAccumulator;
 use batterylab_telemetry::{Counter, Histogram, Registry};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::source::{CurrentSource, Segment};
 
@@ -84,7 +84,7 @@ pub struct SampleRun {
 }
 
 /// Calibration and noise characteristics of an individual instrument.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Calibration {
     /// Multiplicative gain error (1.0 = perfect).
     pub gain: f64,

@@ -13,7 +13,7 @@
 
 use batterylab_faults::{FaultInjector, FaultKind};
 use batterylab_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Errors from the socket's LAN API.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,7 +33,7 @@ impl std::fmt::Display for SocketError {
 impl std::error::Error for SocketError {}
 
 /// Current state reported by the socket.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum SocketState {
     /// Relay closed, mains delivered.
     On,

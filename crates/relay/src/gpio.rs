@@ -6,13 +6,13 @@
 //! reads/writes against a mis-configured pin are errors, not silent no-ops
 //! — exactly the failure a controller deployment script must surface.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of usable GPIO lines on the Pi 3B+ header.
 pub const GPIO_LINES: usize = 28;
 
 /// Pin direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum PinMode {
     /// High-impedance input.
     Input,
@@ -21,7 +21,7 @@ pub enum PinMode {
 }
 
 /// Logic level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Level {
     /// 0 V.
     Low,

@@ -17,12 +17,12 @@ use std::sync::Arc;
 use batterylab_sim::SimTime;
 use batterylab_telemetry::{Counter, Gauge, Registry};
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use batterylab_power::{CurrentSource, Segment};
 
 /// Relay contact position for one channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum ChannelRoute {
     /// Device runs from its own battery; the meter sees nothing.
     Battery,

@@ -7,10 +7,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Platform roles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum Role {
     /// Full control, approves pipeline changes, manages nodes.
     Admin,
@@ -21,7 +21,7 @@ pub enum Role {
 }
 
 /// Actions the matrix gates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Permission {
     /// Create a new job.
     CreateJob,
@@ -88,14 +88,14 @@ impl std::fmt::Display for AuthError {
 
 impl std::error::Error for AuthError {}
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 struct Account {
     role: Role,
     password_hash: u64,
 }
 
 /// An issued console session.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Session {
     /// Opaque token.
     pub token: u64,

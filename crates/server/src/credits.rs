@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use batterylab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Credits earned per node-hour of availability.
 pub const EARN_PER_NODE_HOUR: f64 = 10.0;
@@ -54,7 +54,7 @@ impl std::fmt::Display for CreditError {
 impl std::error::Error for CreditError {}
 
 /// One ledger entry, for the audit trail.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct LedgerEntry {
     /// Account affected.
     pub user: String,

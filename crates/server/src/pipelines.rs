@@ -9,12 +9,12 @@
 //! latest approved revision, so an experimenter cannot sneak unreviewed
 //! steps onto a member's hardware.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::jobs::ExperimentSpec;
 
 /// A revision's review state.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub enum ReviewState {
     /// Waiting for an admin.
     Pending,
@@ -33,7 +33,7 @@ pub enum ReviewState {
 }
 
 /// One revision of a pipeline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Revision {
     /// Monotonic revision number within the pipeline.
     pub number: u32,
@@ -46,7 +46,7 @@ pub struct Revision {
 }
 
 /// A named pipeline with its revision history.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Pipeline {
     /// Unique name.
     pub name: String,

@@ -9,13 +9,13 @@
 //! hidden); on completion the experimenter's approval pays out.
 
 use batterylab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::auth::{AuthService, Role};
 use crate::credits::{CreditError, CreditLedger};
 
 /// Where the worker came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Marketplace {
     /// Amazon Mechanical Turk.
     MechanicalTurk,
@@ -26,7 +26,7 @@ pub enum Marketplace {
 }
 
 /// Lifecycle of a posted task.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub enum TaskState {
     /// Posted, waiting for a worker.
     Open,
@@ -55,7 +55,7 @@ pub enum TaskState {
 }
 
 /// A usability task (HIT).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct UsabilityTask {
     /// Task id.
     pub id: u64,

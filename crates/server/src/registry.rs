@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use batterylab_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Ports §3.4 requires a controller to expose.
 pub const REQUIRED_PORTS: [(u16, &str); 3] =
@@ -44,7 +44,7 @@ impl std::fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// The wildcard certificate (`*.batterylab.dev`).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Certificate {
     /// Monotonic serial.
     pub serial: u64,
@@ -60,7 +60,7 @@ impl Certificate {
 }
 
 /// One enrolled vantage point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct NodeRecord {
     /// Human-readable identifier, e.g. `node1`.
     pub name: String,

@@ -10,10 +10,10 @@
 use std::collections::BTreeMap;
 
 use batterylab_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One reservation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Slot {
     /// Who holds it.
     pub user: String,

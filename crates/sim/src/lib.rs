@@ -20,6 +20,28 @@ pub use series::{StepCursor, StepSignal, TimeSeries, UniformSeries};
 pub use time::{SimDuration, SimTime};
 
 #[cfg(test)]
+mod tests {
+    use super::SimRng;
+
+    #[test]
+    fn unit_floats_in_range() {
+        let mut rng = SimRng::new(1);
+        for _ in 0..10_000 {
+            let x = rng.unit();
+            assert!((0.0..1.0).contains(&x), "{x}");
+        }
+    }
+
+    #[test]
+    fn mean_of_unit_draws_is_half() {
+        let mut rng = SimRng::new(3);
+        let n = 100_000;
+        let sum: f64 = (0..n).map(|_| rng.unit()).sum();
+        assert!((sum / n as f64 - 0.5).abs() < 0.005);
+    }
+}
+
+#[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;

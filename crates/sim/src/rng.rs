@@ -4,28 +4,31 @@
 //! network loss, scheduling jitter) draws from a [`SimRng`] derived from the
 //! experiment seed. Independent subsystems derive independent *streams* by
 //! label, so adding a consumer in one subsystem does not perturb another.
+//!
+//! The core generator is xoshiro256++ (Blackman & Vigna) with its state
+//! seeded by splitmix64, not the ChaCha12 behind upstream `rand`'s
+//! `StdRng`, so streams differ from upstream's. They are deterministic per
+//! seed; the artifacts and fingerprints depend on them, and the
+//! `streams_are_pinned` test holds them in place.
 
 use std::sync::OnceLock;
 
-use rand::rngs::StdRng;
-use rand::{RngCore, RngExt, SeedableRng};
-
 /// A seedable random stream; children derive from it by label.
 ///
-/// Wraps [`StdRng`] and adds the handful of distributions the simulators
-/// need (Gaussian, log-normal, exponential) without pulling in `rand_distr`.
+/// An in-tree xoshiro256++ core plus the handful of distributions the
+/// simulators need (Gaussian, log-normal, exponential).
 pub struct SimRng {
-    rng: StdRng,
+    state: [u64; 4],
     seed: u64,
 }
 
 impl SimRng {
     /// Root stream for an experiment seed.
     pub fn new(seed: u64) -> Self {
-        SimRng {
-            rng: StdRng::seed_from_u64(seed),
-            seed,
-        }
+        // splitmix64 run as a generator from `seed`: its k-th output is
+        // `splitmix(seed + k·γ)`, since `splitmix` adds γ itself.
+        let state = [0u64, 1, 2, 3].map(|k| splitmix(seed.wrapping_add(k.wrapping_mul(GOLDEN))));
+        SimRng { state, seed }
     }
 
     /// Derive an independent child stream identified by `label`.
@@ -34,22 +37,14 @@ impl SimRng {
     /// so derivation order does not matter and streams never alias unless
     /// labels collide.
     pub fn derive(&self, label: &str) -> SimRng {
-        let child_seed = splitmix(self.seed ^ fnv1a(label.as_bytes()));
-        SimRng {
-            rng: StdRng::seed_from_u64(child_seed),
-            seed: child_seed,
-        }
+        SimRng::new(splitmix(self.seed ^ fnv1a(label.as_bytes())))
     }
 
     /// Stream `index` of the family keyed by `key`: a numeric derivation
     /// with no label hashing, for hot paths that open many independent
     /// streams (the Monsoon's per-block noise). Pure in `(key, index)`.
     pub fn keyed(key: u64, index: u64) -> SimRng {
-        let seed = splitmix(key ^ splitmix(index));
-        SimRng {
-            rng: StdRng::seed_from_u64(seed),
-            seed,
-        }
+        SimRng::new(splitmix(key ^ splitmix(index)))
     }
 
     /// The seed this stream was created from.
@@ -57,14 +52,24 @@ impl SimRng {
         self.seed
     }
 
-    /// 64 uniformly random bits.
+    /// 64 uniformly random bits: one xoshiro256++ step.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.rng.next_u64()
+        let s = &mut self.state;
+        let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        out
     }
 
-    /// Uniform in `[0, 1)`.
+    /// Uniform in `[0, 1)`: the top 53 bits of one word.
     pub fn unit(&mut self) -> f64 {
-        self.rng.random::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform in `[lo, hi)`. Returns `lo` when the range is empty.
@@ -78,7 +83,8 @@ impl SimRng {
     /// Uniform integer in `[0, n)`. Panics if `n == 0`.
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index() on empty range");
-        self.rng.random_range(0..n)
+        // Multiply-shift (Lemire) without rejection: the bias is below n / 2^64.
+        ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
@@ -101,7 +107,7 @@ impl SimRng {
     pub fn standard_normal(&mut self) -> f64 {
         let zig = ziggurat();
         loop {
-            let bits = self.rng.next_u64();
+            let bits = self.next_u64();
             let i = (bits & 0xff) as usize;
             // Signed abscissa in [-1, 1) from the top 52 bits: a double in
             // [2, 4) built by its bit pattern, shifted down by 3.
@@ -215,8 +221,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// splitmix64's increment γ, the golden ratio in 64-bit fixed point.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
 fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
+    x = x.wrapping_add(GOLDEN);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -332,6 +341,49 @@ mod tests {
         }
         // Both streams stand at the same position afterwards.
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn streams_are_pinned() {
+        // Literal stream values: every committed artifact and benchmark
+        // fingerprint rests on these staying put.
+        let mut root = SimRng::new(20191113);
+        let words: Vec<u64> = (0..4).map(|_| root.next_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0xc676_5cf8_36ec_1208,
+                0x151f_d65f_95a9_37df,
+                0x9a23_3847_3c67_20c2,
+                0xbe4b_c2d1_1a48_d4be,
+            ]
+        );
+        let mut monsoon = SimRng::new(20191113).derive("monsoon");
+        let units: Vec<u64> = (0..4).map(|_| monsoon.unit().to_bits()).collect();
+        assert_eq!(
+            units,
+            [
+                0x3fe4_7c77_cb6f_41d4,
+                0x3fe3_c145_ae80_a901,
+                0x3fe8_2db3_717b_0d9e,
+                0x3fe2_b88c_073c_bc4b,
+            ]
+        );
+        let mut keyed = SimRng::keyed(7, 3);
+        let picks: Vec<usize> = (0..12).map(|_| keyed.index(10)).collect();
+        assert_eq!(picks, [2, 7, 0, 9, 0, 6, 1, 3, 6, 5, 2, 8]);
+    }
+
+    #[test]
+    fn index_reaches_every_value_and_never_n() {
+        let mut rng = SimRng::new(2);
+        let mut seen = [false; 10];
+        for _ in 0..1000 {
+            let i = rng.index(10);
+            assert!(i < 10, "index(10) returned {i}");
+            seen[i] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "all values of 0..10 reachable");
     }
 
     #[test]

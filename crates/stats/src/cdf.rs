@@ -1,13 +1,13 @@
 //! Empirical cumulative distribution functions.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An empirical CDF over `f64` samples.
 ///
 /// Non-finite samples are rejected at construction; quantiles use linear
 /// interpolation between order statistics (type-7, the numpy default), so
 /// medians of even-length samples behave as users expect.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

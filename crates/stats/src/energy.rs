@@ -4,7 +4,7 @@
 //! The Monsoon reports instantaneous current at a fixed sampling rate; the
 //! battery discharge over a test is the time integral of that current.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Integrate uniformly spaced current samples (mA at `rate_hz`) into mAh.
 ///
@@ -26,7 +26,7 @@ pub fn mwh_from_samples(samples: &[(f64, f64)], rate_hz: f64) -> f64 {
 /// Streaming accumulator used by the Monsoon client on the controller: it
 /// never stores the full 5 kHz trace, only running aggregates, mirroring
 /// how long-running tests keep memory bounded on a Raspberry Pi.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct EnergyAccumulator {
     samples: u64,
     sum_ma: f64,

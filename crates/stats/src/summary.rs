@@ -2,10 +2,10 @@
 //! reports in Figures 3 and 6 ("average battery discharge, standard
 //! deviation as errorbars").
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Mean / standard deviation / extremes of a sample set.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct Summary {
     /// Number of samples aggregated.
     pub n: usize,

@@ -8,10 +8,10 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One journal entry.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Event {
     /// Virtual time of the event, microseconds.
     pub at_micros: u64,

@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::clock::Clock;
 
@@ -252,7 +252,7 @@ impl Histogram {
 }
 
 /// Frozen histogram state with derived statistics.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct HistogramSnapshot {
     /// Total samples.
     pub count: u64,

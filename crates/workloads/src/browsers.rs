@@ -7,10 +7,10 @@
 //! Fig. 3 is an emergent result of running the actual workload through the
 //! device model, not a lookup table.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a browser engine spends resources on a page.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct BrowserProfile {
     /// Display name.
     pub name: String,

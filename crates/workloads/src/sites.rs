@@ -2,10 +2,10 @@
 //! resource manifest splitting content from ads — the split that makes
 //! Brave's blocking and Japan's smaller ads (Fig. 6) observable.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One test page's resource manifest.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Website {
     /// Domain, used as the URL the automation types.
     pub domain: String,

@@ -11,10 +11,10 @@
 use batterylab_device::AndroidDevice;
 use batterylab_net::Direction;
 use batterylab_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Streaming session parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct StreamProfile {
     /// Media bitrate, bits per second (e.g. 2.5 Mbps for 720p H.264).
     pub bitrate_bps: f64,
@@ -35,7 +35,7 @@ impl Default for StreamProfile {
 }
 
 /// Outcome of a streaming session.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct StreamStats {
     /// Media seconds played.
     pub played_s: f64,

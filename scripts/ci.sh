@@ -60,8 +60,14 @@ cargo test -q -p batterylab-tests --test durable_recovery
 cargo test -q -p batterylab-tests --test job_path_bounded
 
 # Committed artifacts match the code: paper-scale `eval all` must
-# reproduce eval_output.txt byte for byte below its header line.
+# reproduce eval_output.txt byte for byte below its header line, and
+# every measured block of EXPERIMENTS.md must be quoted from it.
 cargo test -q -p batterylab-tests --test artifacts_golden
+
+# Manifest hygiene: every declared dependency is named in its crate's
+# sources, every workspace dependency has a member, and every vendored
+# shim is depended on.
+cargo test -q -p batterylab-tests --test manifests
 
 # Wall-clock split: evaluation at jobs=1 vs every available core.
 # Prints the per-figure table; the JSON goes under target/ so the gate

@@ -1,61 +1,26 @@
-//! Minimal `serde` shim.
+//! Minimal `serde` shim, serialisation only.
 //!
 //! The real serde serialises through a visitor pipeline; this shim keeps
-//! the same *trait names* and derive ergonomics but routes everything
+//! the same trait name and derive ergonomics but routes everything
 //! through a concrete JSON-shaped [`Value`] tree, which is all the
-//! workspace (and the `serde_json` shim) needs. Derives come from the
-//! sibling `serde_derive` proc-macro crate and follow serde_json's data
-//! conventions: structs → objects, newtype structs → their inner value,
-//! unit enum variants → strings, data-carrying variants → single-key
-//! objects.
+//! workspace (and the `serde_json` shim) needs. The workspace never
+//! deserialises into a type, so the shim has no deserialising half. The
+//! derive comes from the sibling `serde_derive` proc-macro crate and
+//! follows serde_json's data conventions: structs → objects, newtype
+//! structs → their inner value, unit enum variants → strings,
+//! data-carrying variants → single-key objects.
 
 mod value;
 
 pub use value::{Map, Number, Value};
 
-/// Derive macros re-exported under the familiar names.
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Deserialisation/serialisation failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    msg: String,
-}
-
-impl Error {
-    /// An error carrying `msg`.
-    pub fn custom(msg: impl Into<String>) -> Self {
-        Error { msg: msg.into() }
-    }
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.msg)
-    }
-}
-
-impl std::error::Error for Error {}
+/// The derive macro, re-exported under the familiar name.
+pub use serde_derive::Serialize;
 
 /// Types that can render themselves as a [`Value`].
 pub trait Serialize {
     /// This value as a JSON-shaped tree.
     fn to_value(&self) -> Value;
-}
-
-/// Types reconstructible from a [`Value`].
-pub trait Deserialize: Sized {
-    /// Rebuild from a JSON-shaped tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
-}
-
-/// Look up a field in an object body, treating a missing key as `Null`
-/// (lets `Option` fields tolerate absence, like `#[serde(default)]`).
-pub fn field<'v>(obj: &'v [(String, Value)], name: &str) -> &'v Value {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .unwrap_or(&Value::Null)
 }
 
 // ---------------------------------------------------------------------------
@@ -196,180 +161,5 @@ impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deserialize impls.
-// ---------------------------------------------------------------------------
-
-macro_rules! de_unsigned {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::U64(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::I64(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::F64(f) if f.fract() == 0.0 && *f >= 0.0 => Ok(*f as $t),
-                    other => Err(Error::custom(format!(
-                        "expected {} got {}", stringify!($t), other.kind()
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-de_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! de_signed {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::I64(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::U64(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::F64(f) if f.fract() == 0.0 => Ok(*f as $t),
-                    other => Err(Error::custom(format!(
-                        "expected {} got {}", stringify!($t), other.kind()
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-de_signed!(i8, i16, i32, i64, isize);
-
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::F64(f) => Ok(*f),
-            Value::U64(n) => Ok(*n as f64),
-            Value::I64(n) => Ok(*n as f64),
-            other => Err(Error::custom(format!("expected f64 got {}", other.kind()))),
-        }
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|f| f as f32)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!("expected bool got {}", other.kind()))),
-        }
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!(
-                "expected string got {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = String::from_value(v)?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::custom("expected single-char string")),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::custom(format!(
-                "expected array got {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
-impl Deserialize for () {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(()),
-            other => Err(Error::custom(format!("expected null got {}", other.kind()))),
-        }
-    }
-}
-
-macro_rules! de_tuple {
-    ($(($len:literal: $($n:tt $t:ident),+))*) => {$(
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Array(items) if items.len() == $len => {
-                        Ok(($($t::from_value(&items[$n])?,)+))
-                    }
-                    other => Err(Error::custom(format!(
-                        "expected {}-tuple got {}", $len, other.kind()
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-de_tuple! {
-    (1: 0 A)
-    (2: 0 A, 1 B)
-    (3: 0 A, 1 B, 2 C)
-    (4: 0 A, 1 B, 2 C, 3 D)
-    (5: 0 A, 1 B, 2 C, 3 D, 4 E)
-    (6: 0 A, 1 B, 2 C, 3 D, 4 E, 5 F)
-}
-
-impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(pairs) => pairs
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(Error::custom(format!(
-                "expected object got {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
     }
 }

@@ -1,8 +1,8 @@
 //! Minimal `serde_derive` shim.
 //!
-//! Expands `#[derive(Serialize)]` / `#[derive(Deserialize)]` into impls
-//! of the shim serde's `Serialize { to_value }` / `Deserialize
-//! { from_value }` traits, following serde_json's data conventions:
+//! Expands `#[derive(Serialize)]` into impls of the shim serde's
+//! `Serialize { to_value }` trait, following serde_json's data
+//! conventions:
 //!
 //! * named struct        → object
 //! * newtype struct      → the inner value
@@ -24,14 +24,6 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item)
-        .parse()
-        .expect("serde_derive: bad codegen")
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
         .parse()
         .expect("serde_derive: bad codegen")
 }
@@ -319,137 +311,4 @@ fn ser_variant_arm(enum_name: &str, v: &Variant) -> String {
             )
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Codegen: Deserialize.
-// ---------------------------------------------------------------------------
-
-fn gen_deserialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.shape {
-        Shape::Struct(Fields::Unit) => format!(
-            "match v {{\n\
-             ::serde::Value::Null => Ok({name}),\n\
-             other => Err(::serde::Error::custom(format!(\
-             \"expected null for {name}, got {{}}\", other.kind()))),\n\
-             }}"
-        ),
-        Shape::Struct(Fields::Tuple(1)) => {
-            format!("::serde::Deserialize::from_value(v).map({name})")
-        }
-        Shape::Struct(Fields::Tuple(n)) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                .collect();
-            format!(
-                "match v {{\n\
-                 ::serde::Value::Array(items) if items.len() == {n} => \
-                 Ok({name}({})),\n\
-                 other => Err(::serde::Error::custom(format!(\
-                 \"expected {n}-element array for {name}, got {{}}\", other.kind()))),\n\
-                 }}",
-                items.join(", ")
-            )
-        }
-        Shape::Struct(Fields::Named(fields)) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(::serde::field(pairs, \"{f}\"))?"
-                    )
-                })
-                .collect();
-            format!(
-                "match v {{\n\
-                 ::serde::Value::Object(pairs) => Ok({name} {{ {} }}),\n\
-                 other => Err(::serde::Error::custom(format!(\
-                 \"expected object for {name}, got {{}}\", other.kind()))),\n\
-                 }}",
-                inits.join(", ")
-            )
-        }
-        Shape::Enum(variants) => gen_deserialize_enum(name, variants),
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::Value) -> Result<Self, ::serde::Error> {{ {body} }}\n\
-         }}"
-    )
-}
-
-fn gen_deserialize_enum(name: &str, variants: &[Variant]) -> String {
-    let unit_arms: Vec<String> = variants
-        .iter()
-        .filter(|v| matches!(v.fields, Fields::Unit))
-        .map(|v| format!("\"{0}\" => Ok({name}::{0}),", v.name))
-        .collect();
-    let data_arms: Vec<String> = variants
-        .iter()
-        .filter_map(|v| match &v.fields {
-            Fields::Unit => None,
-            Fields::Tuple(1) => Some(format!(
-                "\"{0}\" => ::serde::Deserialize::from_value(inner).map({name}::{0}),",
-                v.name
-            )),
-            Fields::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                    .collect();
-                Some(format!(
-                    "\"{0}\" => match inner {{\n\
-                     ::serde::Value::Array(items) if items.len() == {n} => \
-                     Ok({name}::{0}({1})),\n\
-                     other => Err(::serde::Error::custom(format!(\
-                     \"expected {n}-element array for {name}::{0}, got {{}}\", other.kind()))),\n\
-                     }},",
-                    v.name,
-                    items.join(", ")
-                ))
-            }
-            Fields::Named(fields) => {
-                let inits: Vec<String> = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "{f}: ::serde::Deserialize::from_value(::serde::field(pairs, \"{f}\"))?"
-                        )
-                    })
-                    .collect();
-                Some(format!(
-                    "\"{0}\" => match inner {{\n\
-                     ::serde::Value::Object(pairs) => Ok({name}::{0} {{ {1} }}),\n\
-                     other => Err(::serde::Error::custom(format!(\
-                     \"expected object for {name}::{0}, got {{}}\", other.kind()))),\n\
-                     }},",
-                    v.name,
-                    inits.join(", ")
-                ))
-            }
-        })
-        .collect();
-
-    format!(
-        "match v {{\n\
-         ::serde::Value::Str(s) => match s.as_str() {{\n\
-         {units}\n\
-         other => Err(::serde::Error::custom(format!(\
-         \"unknown {name} variant `{{other}}`\"))),\n\
-         }},\n\
-         ::serde::Value::Object(pairs) if pairs.len() == 1 => {{\n\
-         let (variant, inner) = &pairs[0];\n\
-         let _ = inner;\n\
-         match variant.as_str() {{\n\
-         {datas}\n\
-         other => Err(::serde::Error::custom(format!(\
-         \"unknown {name} variant `{{other}}`\"))),\n\
-         }}\n\
-         }},\n\
-         other => Err(::serde::Error::custom(format!(\
-         \"expected string or single-key object for {name}, got {{}}\", other.kind()))),\n\
-         }}",
-        units = unit_arms.join("\n"),
-        datas = data_arms.join("\n"),
-    )
 }

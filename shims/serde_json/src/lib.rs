@@ -2,8 +2,9 @@
 //!
 //! Re-exports the shim serde's [`Value`] and provides the familiar
 //! entry points: [`json!`], [`to_string`], [`to_string_pretty`] and
-//! [`from_str`]. Parsing is a small recursive-descent JSON parser;
-//! rendering lives on `Value` itself so both crates agree byte-for-byte.
+//! [`from_str_value`], which parses JSON text into a [`Value`] with a
+//! small recursive-descent parser. Rendering lives on `Value` itself so
+//! both crates agree byte-for-byte.
 
 pub use serde::{Map, Number, Value};
 
@@ -11,7 +12,7 @@ mod parse;
 
 pub use parse::from_str_value;
 
-/// Serialisation/deserialisation failure.
+/// Serialisation or parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     msg: String,
@@ -31,12 +32,6 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Self {
-        Error::new(e.to_string())
-    }
-}
-
 /// Render any `Serialize` as compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
@@ -49,12 +44,6 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
     let mut out = String::new();
     value.to_value().render_pretty(&mut out, 0);
     Ok(out)
-}
-
-/// Parse JSON text into any `Deserialize` (including [`Value`] itself).
-pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse::from_str_value(s)?;
-    T::from_value(&value).map_err(Error::from)
 }
 
 /// Build a [`Value`] from JSON-ish syntax.
@@ -109,8 +98,7 @@ mod tests {
     fn round_trip_compact() {
         let v = json!({"a": 1u64, "b": json!([true, Value::Null]), "c": "x\"y"});
         let text = to_string(&v).unwrap();
-        let back: Value = from_str(&text).unwrap();
-        assert_eq!(v, back);
+        assert_eq!(from_str_value(&text).unwrap(), v);
     }
 
     #[test]
@@ -127,15 +115,14 @@ mod tests {
         let v = json!({"outer": json!({"inner": 1u64})});
         let text = to_string_pretty(&v).unwrap();
         assert!(text.contains("\"outer\": {\n"));
-        let back: Value = from_str(&text).unwrap();
-        assert_eq!(v, back);
+        assert_eq!(from_str_value(&text).unwrap(), v);
     }
 
     #[test]
     fn parses_numbers() {
-        assert_eq!(from_str::<Value>("42").unwrap().as_u64(), Some(42));
-        assert_eq!(from_str::<Value>("-7").unwrap().as_i64(), Some(-7));
-        assert_eq!(from_str::<Value>("2.5e2").unwrap().as_f64(), Some(250.0));
-        assert!(from_str::<Value>("trueX").is_err());
+        assert_eq!(from_str_value("42").unwrap().as_u64(), Some(42));
+        assert_eq!(from_str_value("-7").unwrap().as_i64(), Some(-7));
+        assert_eq!(from_str_value("2.5e2").unwrap().as_f64(), Some(250.0));
+        assert!(from_str_value("trueX").is_err());
     }
 }

@@ -51,7 +51,7 @@ fn experimenter_pipeline_end_to_end() {
         .iter()
         .find(|a| a.name == "power_summary.json")
         .expect("power artifact");
-    let parsed: serde_json::Value = serde_json::from_str(&power.content).expect("valid JSON");
+    let parsed = serde_json::from_str_value(&power.content).expect("valid JSON");
     assert!(parsed["samples"].as_u64().unwrap() > 1000);
     let logcat = build
         .artifacts
