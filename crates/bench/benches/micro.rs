@@ -141,20 +141,27 @@ fn bench_monsoon(c: &mut Criterion) {
     group.finish();
 }
 
+/// A step trace from 120 mA that climbs by 95 mA per step and falls
+/// back to 130 mA past 400 mA, stepping every `gap_us` for `steps` steps.
+fn sawtooth_steps(steps: u64, gap_us: u64) -> TraceLoad {
+    let mut trace = StepSignal::new(120.0);
+    let mut level = 120.0;
+    for step in 1..=steps {
+        level = if level > 400.0 { 130.0 } else { level + 95.0 };
+        trace.set(SimTime::from_micros(step * gap_us), level);
+    }
+    TraceLoad::new(trace, 4.0)
+}
+
 /// Segment-batched vs per-sample sampling over a sparse step trace —
 /// the tentpole comparison behind `BENCH_eval.json`'s sampler target,
 /// under Criterion's statistics. 10 virtual seconds at 5 kHz, a step
-/// every ~230 ms.
+/// every ~230 ms; then a run shaped like one fig3/fig6 browser run: 106 s
+/// at the decimated 500 Hz (53 000 samples), four steps a second.
 fn bench_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampling");
     group.sample_size(20);
-    let mut trace = StepSignal::new(120.0);
-    let mut level = 120.0;
-    for step in 1..44u64 {
-        level = if level > 400.0 { 130.0 } else { level + 95.0 };
-        trace.set(SimTime::from_micros(step * 230_000), level);
-    }
-    let load = TraceLoad::new(trace, 4.0);
+    let load = sawtooth_steps(43, 230_000);
     let fresh = || {
         let mut m = Monsoon::new(SimRng::new(1).derive("m"));
         m.set_powered(true);
@@ -177,6 +184,17 @@ fn bench_sampling(c: &mut Criterion) {
             let mut m = fresh();
             black_box(
                 m.sample_run_reference_at_rate(&load, SimTime::ZERO, 10.0, 5000.0)
+                    .unwrap(),
+            )
+        })
+    });
+    let page_load = sawtooth_steps(423, 250_000);
+    group.throughput(Throughput::Elements(53_000));
+    group.bench_function("segmented_106s_at_500hz", |b| {
+        b.iter(|| {
+            let mut m = fresh();
+            black_box(
+                m.sample_run_at_rate(&page_load, SimTime::ZERO, 106.0, 500.0)
                     .unwrap(),
             )
         })

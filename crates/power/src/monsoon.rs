@@ -112,9 +112,60 @@ impl Calibration {
     /// The reading of a sample whose calibrated current is `ma`: ADC
     /// quantisation, and no negative currents on the HV's unidirectional
     /// main channel.
+    #[inline(always)]
     fn quantise(&self, ma: f64) -> f64 {
-        ((ma / self.lsb_ma).round() * self.lsb_ma).max(0.0)
+        let q = round_half_away(ma / self.lsb_ma) * self.lsb_ma;
+        // Like `q.max(0.0)` it maps NaN to +0.0, and it maps -0.0 to +0.0
+        // too, whatever the codegen: one `maxsd`.
+        if q > 0.0 {
+            q
+        } else {
+            0.0
+        }
     }
+}
+
+/// 2^52: from here up every `f64` is an integer.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// The µA readings of `ma`, `(ma · 1000).round() as u64` each, into
+/// `out`. An integral `r < 2^52` converts exactly as the bits of
+/// `r + 2^52` less those of `2^52`, which vectorises where the
+/// saturating `as u64` does not; a stretch holding anything else is
+/// redone through `as u64`.
+fn readings_ua(ma: &[f64], out: &mut Vec<u64>) {
+    out.resize(ma.len(), 0);
+    let mut exact = true;
+    for (ua, &ma) in out.iter_mut().zip(ma) {
+        let r = round_half_away(ma * 1000.0);
+        exact &= (0.0..TWO_52).contains(&r);
+        *ua = (r + TWO_52).to_bits().wrapping_sub(TWO_52.to_bits());
+    }
+    if !exact {
+        for (ua, &ma) in out.iter_mut().zip(ma) {
+            *ua = round_half_away(ma * 1000.0) as u64;
+        }
+    }
+}
+
+/// `x.round()`, bit for bit, inline. Baseline x86-64 has no SSE4.1
+/// `roundsd`, so `f64::round` is a call into libm per use; this is a
+/// handful of SSE2 operations the stretch loops can vectorise.
+///
+/// Adding and subtracting 2^52 rounds a magnitude below 2^52 to the
+/// nearest integer, ties to even; a tie that went down is moved up, so
+/// ties go away from zero. Magnitudes from 2^52 up are already integers
+/// and pass through, while a NaN takes the sum's quieted NaN, as libm's
+/// `x + x` does. The sign is restored last, so `-0.3` gives `-0.0`.
+#[inline(always)]
+fn round_half_away(x: f64) -> f64 {
+    let y = x.abs();
+    let mut t = (y + TWO_52) - TWO_52;
+    if t - y == -0.5 {
+        t += 1.0;
+    }
+    let r = if y >= TWO_52 { y } else { t };
+    r.copysign(x)
 }
 
 /// Pre-resolved telemetry handles. Bound once at construction so the
@@ -577,14 +628,15 @@ impl Monsoon {
                     // Noise-free: every sample of the span reads the same.
                     values.resize(from + len, cal.quantise(base));
                 } else {
+                    values.resize(from + len, 0.0);
                     let z = noise.slice(done, len);
-                    values.extend(z.iter().map(|&z| cal.quantise(base + cal.noise_ma * z)));
+                    for (v, &z) in values[from..].iter_mut().zip(z) {
+                        *v = cal.quantise(base + cal.noise_ma * z);
+                    }
                 }
                 let fresh = &values[from..];
                 energy.push_slice(fresh, voltage_v);
-                self.readings_ua.clear();
-                self.readings_ua
-                    .extend(fresh.iter().map(|&ma| (ma * 1000.0).round() as u64));
+                readings_ua(fresh, &mut self.readings_ua);
                 self.telemetry.sample_ua.record_slice(&self.readings_ua);
                 done = stop;
                 if let (Some(stream), Some(i)) = (sink.as_deref_mut(), interval) {
@@ -1034,5 +1086,83 @@ mod tests {
         let run = m.sample_run(&OpenCircuit, SimTime::ZERO, 0.5).unwrap();
         let s = Summary::of(run.samples.values());
         assert!(s.mean < 0.5, "open circuit should read ~0, got {}", s.mean);
+    }
+
+    fn assert_rounds_like_std(x: f64) {
+        let (ours, std) = (round_half_away(x), x.round());
+        assert_eq!(
+            ours.to_bits(),
+            std.to_bits(),
+            "round({x:e} = {:#018x}): {ours:e} vs {std:e}",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn round_half_away_is_f64_round_bit_for_bit() {
+        let specials = [
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            TWO_52 - 0.5,
+            TWO_52 - 1.5,
+            TWO_52 + 0.5,
+            TWO_52,
+            TWO_52 + 1.0,
+            2.0 * TWO_52,
+            2.0 * TWO_52 + 2.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            // A signalling NaN: both quiet it.
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+        ];
+        for x in specials {
+            assert_rounds_like_std(x);
+            assert_rounds_like_std(-x);
+        }
+        // 10.5 M drawn inputs: raw bit patterns, a fine grid around
+        // ±2^41 (spacing 2^-12, so ties and near-ties recur), and
+        // half-integers at every magnitude below 2^53.
+        let mut rng = SimRng::new(52);
+        for _ in 0..3_500_000 {
+            assert_rounds_like_std(f64::from_bits(rng.next_u64()));
+        }
+        let two_41 = (1u64 << 41) as f64;
+        for _ in 0..3_500_000 {
+            let bits = rng.next_u64();
+            let offset = ((bits >> 1) % (1 << 24)) as f64 - (1 << 23) as f64;
+            let x = two_41 + offset / 4096.0;
+            assert_rounds_like_std(if bits & 1 == 0 { x } else { -x });
+        }
+        for _ in 0..3_500_000 {
+            let bits = rng.next_u64();
+            let x = (bits >> 12 >> (bits & 63)) as f64 + 0.5;
+            assert_rounds_like_std(if bits & 64 == 0 { x } else { -x });
+        }
+    }
+
+    #[test]
+    fn readings_convert_like_as_u64() {
+        let expect =
+            |ma: &[f64]| -> Vec<u64> { ma.iter().map(|&v| (v * 1000.0).round() as u64).collect() };
+        let mut out = Vec::new();
+        let mut rng = SimRng::new(3);
+        let typical: Vec<f64> = (0..1024)
+            .map(|_| (rng.unit() * 6000.0 / 0.02).round() * 0.02)
+            .collect();
+        readings_ua(&typical, &mut out);
+        assert_eq!(out, expect(&typical));
+        // Out-of-range readings take the saturating conversion.
+        for odd in [0.0005, 4.6e12, 1e300, f64::INFINITY, f64::NAN, -1.0] {
+            let stretch = [0.3, odd, 1.25];
+            readings_ua(&stretch, &mut out);
+            assert_eq!(out, expect(&stretch), "{odd:e}");
+        }
     }
 }

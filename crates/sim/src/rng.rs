@@ -105,7 +105,13 @@ impl SimRng {
     /// `ln`.
     #[inline]
     pub fn standard_normal(&mut self) -> f64 {
-        let zig = ziggurat();
+        self.standard_normal_with(ziggurat())
+    }
+
+    /// [`Self::standard_normal`] on tables the caller already holds, so
+    /// a fill reads the `OnceLock` once rather than once per draw.
+    #[inline(always)]
+    fn standard_normal_with(&mut self, zig: &Ziggurat) -> f64 {
         loop {
             let bits = self.next_u64();
             let i = (bits & 0xff) as usize;
@@ -153,8 +159,9 @@ impl SimRng {
     /// Fill `out` with standard normals, consuming the stream exactly as
     /// the same number of [`Self::standard_normal`] calls would.
     pub fn fill_standard_normal(&mut self, out: &mut [f64]) {
+        let zig = ziggurat();
         for z in out {
-            *z = self.standard_normal();
+            *z = self.standard_normal_with(zig);
         }
     }
 

@@ -157,31 +157,41 @@ impl Histogram {
         core.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Record a block of samples with one shared-state merge.
+    /// Record a block of samples with one shared-state merge: one atomic
+    /// RMW per *touched bucket* plus four for the scalars — instead of
+    /// five per sample. Equivalent to calling [`Self::record`] per value;
+    /// hot sampling loops (the Monsoon's segment-batched path) call this
+    /// once per chunk.
     ///
-    /// Buckets, sum and min/max accumulate in locals first, then land in
-    /// the shared core with one atomic RMW per *touched bucket* plus four
-    /// for the scalars — instead of five per sample. Equivalent to
-    /// calling [`Self::record`] per value; hot sampling loops (the
-    /// Monsoon's segment-batched path) call this once per chunk.
+    /// Sum and min/max fold in locals first. [`bucket_index`] is
+    /// monotone, so a block whose min and max share a bucket (a Monsoon
+    /// stretch's readings, nearly always) is counted with one add rather
+    /// than one dependent increment of a local bucket per value.
     pub fn record_slice(&self, values: &[u64]) {
         if values.is_empty() {
             return;
         }
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         let mut sum = 0u64;
         let mut min = u64::MAX;
         let mut max = 0u64;
         for &v in values {
-            buckets[bucket_index(v)] += 1;
             sum = sum.wrapping_add(v);
             min = min.min(v);
             max = max.max(v);
         }
         let core = &self.core;
-        for (shared, &local) in core.buckets.iter().zip(buckets.iter()) {
-            if local > 0 {
-                shared.fetch_add(local, Ordering::Relaxed);
+        let bucket = bucket_index(min);
+        if bucket == bucket_index(max) {
+            core.buckets[bucket].fetch_add(values.len() as u64, Ordering::Relaxed);
+        } else {
+            let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+            for &v in values {
+                buckets[bucket_index(v)] += 1;
+            }
+            for (shared, &local) in core.buckets.iter().zip(buckets.iter()) {
+                if local > 0 {
+                    shared.fetch_add(local, Ordering::Relaxed);
+                }
             }
         }
         core.count.fetch_add(values.len() as u64, Ordering::Relaxed);
@@ -376,6 +386,35 @@ mod tests {
         }
         sliced.record_slice(&[]);
         assert_eq!(per_sample.snapshot(), sliced.snapshot());
+    }
+
+    /// `record_slice` lands each shape of block exactly as per-value
+    /// `record` calls do: across a bucket edge, inside one bucket (the
+    /// one-add path), all zeros, and at `u64::MAX`, whose bucket is
+    /// clamped to the last.
+    #[test]
+    fn record_slice_one_bucket_path_matches_records() {
+        let blocks: [&[u64]; 5] = [
+            &[131_071, 131_072, 131_071, 131_072, 131_071],
+            &[131_072, 200_000, 262_143, 131_072],
+            &[0, 0, 0],
+            &[u64::MAX, u64::MAX],
+            &[1 << 62, u64::MAX, 1 << 63],
+        ];
+        for block in blocks {
+            let per_value = Histogram::default();
+            let sliced = Histogram::default();
+            per_value.record(7);
+            sliced.record(7);
+            for &v in block {
+                per_value.record(v);
+            }
+            sliced.record_slice(block);
+            assert_eq!(per_value.snapshot(), sliced.snapshot(), "{block:?}");
+        }
+        let h = Histogram::default();
+        h.record_slice(&[u64::MAX, u64::MAX]);
+        assert_eq!(h.snapshot().buckets[HISTOGRAM_BUCKETS - 1], 2);
     }
 
     #[test]

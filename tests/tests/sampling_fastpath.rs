@@ -9,11 +9,18 @@
 //! counters and trip errors — given the same RNG seed. Noise does not
 //! weaken this: every path takes sample k's noise from the block stream
 //! keyed by (run key, k / 1024), wherever segments and seals fall.
+//!
+//! The paths agreeing with one another does not show that the output
+//! stayed put; `meter_output_is_pinned` holds four runs' output bits to
+//! recorded literals.
 
 use batterylab::device::boot_j7_duo;
 use batterylab::durable::CheckpointStream;
-use batterylab::power::{Calibration, Monsoon, MonsoonError, SampleRun, TraceLoad};
+use batterylab::power::{
+    Calibration, ConstantLoad, Monsoon, MonsoonError, OpenCircuit, SampleRun, TraceLoad,
+};
 use batterylab::sim::{SimDuration, SimRng, SimTime, StepSignal};
+use batterylab::telemetry::Registry;
 use proptest::prelude::*;
 
 fn powered(seed: u64, cal: Calibration) -> Monsoon {
@@ -221,4 +228,187 @@ fn device_chain_is_bit_identical_across_paths() {
         .unwrap();
     assert_runs_bit_identical(&fast, &reference);
     assert_eq!(fast.samples.len(), 15_000);
+}
+
+/// A run reduced to exact bits: an FNV-1a digest of the samples'
+/// little-endian bit patterns, the aggregates' bit patterns and the
+/// `power.sample_ua` histogram as it stands after the run.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    digest: u64,
+    mah: u64,
+    mwh: u64,
+    min_ma: u64,
+    max_ma: u64,
+    /// `power.sample_ua`: count, sum, min, max and the non-empty buckets.
+    sample_ua: (u64, u64, u64, u64, Vec<(usize, u64)>),
+}
+
+fn pinned(run: &SampleRun, registry: &Registry) -> Pinned {
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in run.samples.values() {
+        for b in v.to_bits().to_le_bytes() {
+            digest ^= b as u64;
+            digest = digest.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    let h = registry
+        .snapshot()
+        .histogram("power.sample_ua")
+        .unwrap()
+        .clone();
+    let buckets = h
+        .buckets
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, n)| n > 0);
+    Pinned {
+        digest,
+        mah: run.energy.mah().to_bits(),
+        mwh: run.energy.mwh().to_bits(),
+        min_ma: run.energy.min_ma().to_bits(),
+        max_ma: run.energy.max_ma().to_bits(),
+        sample_ua: (h.count, h.sum, h.min, h.max, buckets.collect()),
+    }
+}
+
+/// The sparse step trace of the `sampling` microbench: 10 s, a step
+/// every 230 ms.
+fn sparse_step_trace() -> TraceLoad {
+    let mut trace = StepSignal::new(120.0);
+    let mut level = 120.0;
+    for step in 1..44u64 {
+        level = if level > 400.0 { 130.0 } else { level + 95.0 };
+        trace.set(SimTime::from_micros(step * 230_000), level);
+    }
+    TraceLoad::new(trace, 4.0)
+}
+
+/// The meter's output bits, recorded literally: any change to the
+/// sampling kernel (rounding, the zero clamp, noise, aggregation or the
+/// histogram merge) must leave every one of them where it is.
+#[test]
+fn meter_output_is_pinned() {
+    // One meter, open circuit then a constant load: the open-circuit run
+    // quantises readings at or below zero, and the clamp must make every
+    // one of them +0.0, never -0.0.
+    let registry = Registry::new();
+    let mut meter = Monsoon::new(SimRng::new(10).derive("monsoon")).with_telemetry(&registry);
+    meter.set_powered(true);
+    meter.set_voltage(4.0).unwrap();
+    meter.enable_vout().unwrap();
+    let open = meter
+        .sample_run_at_rate(&OpenCircuit, SimTime::ZERO, 2.0, 5000.0)
+        .unwrap();
+    let zeros = |bits: u64| {
+        open.samples
+            .values()
+            .iter()
+            .filter(|v| v.to_bits() == bits)
+            .count()
+    };
+    assert_eq!(zeros(0.0f64.to_bits()), 4633);
+    assert_eq!(zeros((-0.0f64).to_bits()), 0);
+    let open_pin = pinned(&open, &registry);
+    let constant = meter
+        .sample_run_at_rate(&ConstantLoad::new(160.0, 4.0), SimTime::ZERO, 2.0, 5000.0)
+        .unwrap();
+    let constant_pin = pinned(&constant, &registry);
+
+    let registry = Registry::new();
+    let sparse = powered(1, Calibration::default())
+        .with_telemetry(&registry)
+        .sample_run_at_rate(&sparse_step_trace(), SimTime::ZERO, 10.0, 500.0)
+        .unwrap();
+    let sparse_pin = pinned(&sparse, &registry);
+
+    // Seals every 700 samples, which fall inside the 1024-sample noise
+    // blocks.
+    let registry = Registry::new();
+    let mut stream = CheckpointStream::new(700);
+    let sealed = powered(3, Calibration::default())
+        .with_telemetry(&registry)
+        .sample_run_checkpointed(
+            &sparse_step_trace(),
+            SimTime::ZERO,
+            2.0,
+            5000.0,
+            &mut stream,
+        )
+        .unwrap();
+    assert_eq!(stream.segments.len(), 15);
+    let sealed_pin = pinned(&sealed, &registry);
+
+    let open_buckets = [
+        (0, 0x1219),
+        (5, 0x141),
+        (6, 0x2a5),
+        (7, 0x3bd),
+        (8, 0x5d3),
+        (9, 0x657),
+        (10, 0x12a),
+    ];
+    assert_eq!(
+        open_pin,
+        Pinned {
+            digest: 0xa16a31e560a46d74,
+            mah: 0x3f10f9e53d573b13,
+            mwh: 0x3f30f9e53d573b13,
+            min_ma: 0,
+            max_ma: 0x3ff0000000000000,
+            sample_ua: (0x2710, 0x11c95c, 0, 0x3e8, open_buckets.to_vec()),
+        }
+    );
+    assert_eq!(
+        constant_pin,
+        Pinned {
+            digest: 0x9a4c42ff1d519e30,
+            mah: 0x3fb6c540916aa118,
+            mwh: 0x3fd6c540916aa118,
+            min_ma: 0x4063e47ae147ae15,
+            max_ma: 0x406428f5c28f5c29,
+            sample_ua: (
+                0x4e20,
+                0x5f7fe680,
+                0,
+                0x27600,
+                [&open_buckets[..], &[(18, 0x2710)]].concat(),
+            ),
+        }
+    );
+    assert_eq!(
+        sparse_pin,
+        Pinned {
+            digest: 0xe37136122c7ab142,
+            mah: 0x3fe800c0cc551f63,
+            mwh: 0x400800c0cc551f63,
+            min_ma: 0x405de66666666667,
+            max_ma: 0x407a00f5c28f5c29,
+            sample_ua: (
+                0x1388,
+                0x5079e3e8,
+                0x1d330,
+                0x6593c,
+                vec![(17, 0x4f1), (18, 0x4f1), (19, 0x9a6)],
+            ),
+        }
+    );
+    assert_eq!(
+        sealed_pin,
+        Pinned {
+            digest: 0x107cffe6f79dc402,
+            mah: 0x3fc24051b34c3510,
+            mwh: 0x3fe24051b34c3510,
+            min_ma: 0x405dce147ae147ae,
+            max_ma: 0x407a0147ae147ae1,
+            sample_ua: (
+                0x2710,
+                0x98faed38,
+                0x1d1b4,
+                0x65950,
+                vec![(17, 0xc1b), (18, 0x8fd), (19, 0x11f8)],
+            ),
+        }
+    );
 }
