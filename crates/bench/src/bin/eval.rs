@@ -12,7 +12,7 @@
 //! `--quick` runs the reduced configuration (shorter videos, fewer sites
 //! and repetitions); the default is paper-scale.
 
-use batterylab::eval::{export, fig2, fig3, fig4, fig5, fig6, sysperf, table2, EvalConfig};
+use batterylab::eval::{run_target, EvalConfig, ALL_TARGETS};
 use std::path::PathBuf;
 
 fn usage() -> ! {
@@ -24,15 +24,6 @@ fn usage() -> ! {
          --out DIR writes plot-ready CSV/JSON series next to the printed tables"
     );
     std::process::exit(2);
-}
-
-fn write(out: &Option<PathBuf>, name: &str, content: &str) {
-    if let Some(dir) = out {
-        std::fs::create_dir_all(dir).expect("create output dir");
-        let path = dir.join(name);
-        std::fs::write(&path, content).expect("write output");
-        eprintln!("wrote {}", path.display());
-    }
 }
 
 fn main() {
@@ -65,14 +56,15 @@ fn main() {
         usage();
     }
     if targets.iter().any(|t| t == "all") {
-        targets = ["fig2", "fig3", "fig4", "fig5", "table2", "fig6", "sysperf"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        targets = ALL_TARGETS.iter().map(|s| s.to_string()).collect();
+    }
+    if let Some(other) = targets.iter().find(|t| !ALL_TARGETS.contains(&t.as_str())) {
+        eprintln!("unknown target {other:?}");
+        usage();
     }
 
     let mut config = if quick {
-        EvalConfig::quick(seed.unwrap_or(2019))
+        EvalConfig::quick(2019)
     } else {
         EvalConfig::default()
     };
@@ -88,73 +80,7 @@ fn main() {
     );
 
     for target in targets {
-        match target.as_str() {
-            "fig2" => {
-                let f = fig2::run(&config);
-                print(&f.render());
-                write(
-                    &out,
-                    "fig2_cdf.csv",
-                    &export::cdf_series_csv(&export::fig2_series(&f)),
-                );
-            }
-            "fig3" => {
-                let f = fig3::run(&config);
-                print(&f.render());
-                write(
-                    &out,
-                    "fig3_bars.csv",
-                    &export::bars_csv(&export::fig3_bars(&f)),
-                );
-                // Platform-wide telemetry for the sweep: deterministic for
-                // a fixed seed, so diffable across runs.
-                write(&out, "platform_metrics.json", &f.metrics.to_json());
-            }
-            "fig4" => {
-                let f = fig4::run(&config);
-                print(&f.render());
-                write(
-                    &out,
-                    "fig4_cdf.csv",
-                    &export::cdf_series_csv(&export::fig4_series(&f)),
-                );
-            }
-            "fig5" => {
-                let f = fig5::run(&config);
-                print(&f.render());
-                write(
-                    &out,
-                    "fig5_cdf.csv",
-                    &export::cdf_series_csv(&export::fig5_series(&f)),
-                );
-            }
-            "fig6" => {
-                let f = fig6::run(&config);
-                print(&f.render());
-                write(
-                    &out,
-                    "fig6_bars.csv",
-                    &export::bars_csv(&export::fig6_bars(&f)),
-                );
-            }
-            "table2" => {
-                let t = table2::run(&config);
-                print(&t.render());
-                write(
-                    &out,
-                    "table2.json",
-                    &serde_json::to_string_pretty(&export::table2_rows(&t)).expect("serialise"),
-                );
-            }
-            "sysperf" => print(&sysperf::run(&config).render()),
-            other => {
-                eprintln!("unknown target {other:?}");
-                usage();
-            }
-        }
+        let text = run_target(&target, &config, out.as_deref()).expect("write output");
+        println!("{text}");
     }
-}
-
-fn print(text: &str) {
-    println!("{text}");
 }

@@ -15,7 +15,7 @@
 //! ```
 
 use batterylab::eval::common::{measured_browser_run, EvalConfig};
-use batterylab::eval::{export, fig2, fig3, fig4, fig5, fig6, sysperf, table2};
+use batterylab::eval::{run_target, ALL_TARGETS};
 use batterylab::mirror::{colocated_path, LatencyProbe};
 use batterylab::net::{Region, VpnLocation};
 use batterylab::platform::Platform;
@@ -98,7 +98,7 @@ fn usage() -> ! {
                                            sealed segments, resume it, and verify the\n\
                                            aggregates match the uninterrupted run\n\
          \n\
-         global: --seed N (default 42)"
+         global: --seed N (default 42; eval: 20191113, or 2019 with --quick)"
     );
     std::process::exit(2);
 }
@@ -297,33 +297,33 @@ fn main() {
         }
 
         "eval" => {
+            // Without --seed, `eval`'s seeds (the paper seed; 2019 with
+            // --quick), so the output reproduces eval_output.txt.
+            let seed = args.get("seed").and_then(|v| v.parse().ok());
             let mut config = if args.flag("quick") {
-                EvalConfig::quick(seed)
+                EvalConfig::quick(2019)
             } else {
-                EvalConfig {
-                    seed,
-                    ..EvalConfig::default()
-                }
+                EvalConfig::default()
             };
+            if let Some(s) = seed {
+                config.seed = s;
+            }
             // 0 = every available core; the merge order is fixed by the
             // descriptor list, so any job count produces the same bytes.
             config.jobs = args.u64_or("jobs", 0) as usize;
             let out = args.get("out").map(std::path::PathBuf::from);
-            let targets: Vec<String> = args
-                .get("targets")
-                .unwrap_or("fig2,fig3,fig4,fig5,table2,fig6,sysperf")
-                .split(',')
-                .map(|t| t.trim().to_string())
-                .filter(|t| !t.is_empty())
-                .collect();
-            let write = |name: &str, content: &str| {
-                if let Some(dir) = &out {
-                    std::fs::create_dir_all(dir).expect("create output dir");
-                    let path = dir.join(name);
-                    std::fs::write(&path, content).expect("write output");
-                    eprintln!("wrote {}", path.display());
-                }
+            let targets: Vec<&str> = match args.get("targets") {
+                Some(list) => list
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|t| !t.is_empty())
+                    .collect(),
+                None => ALL_TARGETS.to_vec(),
             };
+            if let Some(other) = targets.iter().find(|t| !ALL_TARGETS.contains(t)) {
+                eprintln!("eval: unknown target {other:?}");
+                std::process::exit(2);
+            }
             eprintln!(
                 "eval: seed={} jobs={} ({})",
                 config.seed,
@@ -335,57 +335,8 @@ fn main() {
                 }
             );
             for target in targets {
-                match target.as_str() {
-                    "fig2" => {
-                        let f = fig2::run(&config);
-                        println!("{}", f.render());
-                        write(
-                            "fig2_cdf.csv",
-                            &export::cdf_series_csv(&export::fig2_series(&f)),
-                        );
-                    }
-                    "fig3" => {
-                        let f = fig3::run(&config);
-                        println!("{}", f.render());
-                        write("fig3_bars.csv", &export::bars_csv(&export::fig3_bars(&f)));
-                        write("platform_metrics.json", &f.metrics.to_json());
-                    }
-                    "fig4" => {
-                        let f = fig4::run(&config);
-                        println!("{}", f.render());
-                        write(
-                            "fig4_cdf.csv",
-                            &export::cdf_series_csv(&export::fig4_series(&f)),
-                        );
-                    }
-                    "fig5" => {
-                        let f = fig5::run(&config);
-                        println!("{}", f.render());
-                        write(
-                            "fig5_cdf.csv",
-                            &export::cdf_series_csv(&export::fig5_series(&f)),
-                        );
-                    }
-                    "fig6" => {
-                        let f = fig6::run(&config);
-                        println!("{}", f.render());
-                        write("fig6_bars.csv", &export::bars_csv(&export::fig6_bars(&f)));
-                    }
-                    "table2" => {
-                        let t = table2::run(&config);
-                        println!("{}", t.render());
-                        write(
-                            "table2.json",
-                            &serde_json::to_string_pretty(&export::table2_rows(&t))
-                                .expect("serialise"),
-                        );
-                    }
-                    "sysperf" => println!("{}", sysperf::run(&config).render()),
-                    other => {
-                        eprintln!("eval: unknown target {other:?}");
-                        std::process::exit(2);
-                    }
-                }
+                let text = run_target(target, &config, out.as_deref()).expect("write output");
+                println!("{text}");
             }
         }
 

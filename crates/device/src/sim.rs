@@ -323,7 +323,7 @@ impl DeviceSim {
     }
 
     /// Append a logcat line, evicting the oldest lines once the ring
-    /// holds more than [`LOG_CAPACITY`] bytes.
+    /// holds more than `LOG_CAPACITY` bytes.
     pub fn log(&mut self, tag: &str, msg: &str) {
         let line = format!("{:.3} I/{}: {}\n", self.now.as_secs_f64(), tag, msg);
         self.log_bytes += line.len();

@@ -13,11 +13,14 @@
 //! * finite runtime: the logger stops when its own battery dies;
 //! * no programmable supply — it *observes* the phone's battery rail
 //!   rather than replacing it, so no battery-bypass relay is involved.
+//!
+//! The readings come from the same sampling engine as the Monsoon's, set
+//! to BattOr's calibration and rail voltage; BattOr adds only the budgets.
 
-use batterylab_sim::{SimRng, SimTime, TimeSeries};
+use batterylab_sim::{SimDuration, SimRng, SimTime, UniformSeries};
 use batterylab_stats::EnergyAccumulator;
 
-use crate::monsoon::Calibration;
+use crate::monsoon::{Calibration, Monsoon, MonsoonError};
 use crate::source::CurrentSource;
 
 /// BattOr's sampling rate, Hz.
@@ -26,6 +29,8 @@ pub const BATTOR_RATE_HZ: f64 = 1000.0;
 pub const BATTOR_BUFFER_SAMPLES: u64 = 8_000_000;
 /// The logger's own battery life, seconds of continuous logging.
 pub const BATTOR_RUNTIME_S: f64 = 4.0 * 3600.0;
+/// The phone's battery rail, volts, at which BattOr observes the load.
+const RAIL_V: f64 = 3.85;
 
 /// BattOr faults.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,8 +65,8 @@ impl std::error::Error for BattOrError {}
 /// A logging run's result (downloaded over USB after the walk).
 #[derive(Clone, Debug)]
 pub struct BattOrLog {
-    /// The samples (mA).
-    pub samples: TimeSeries,
+    /// The samples (mA), one per sample period from the run's start.
+    pub samples: UniformSeries,
     /// Aggregates.
     pub energy: EnergyAccumulator,
     /// Whether the run ended early (battery/buffer) rather than by
@@ -71,8 +76,8 @@ pub struct BattOrLog {
 
 /// The portable monitor.
 pub struct BattOr {
-    calibration: Calibration,
-    rng: SimRng,
+    /// The sampling engine, at BattOr's calibration and rail voltage.
+    meter: Monsoon,
     /// Seconds of logging left in the logger's own battery.
     runtime_left_s: f64,
     /// Samples of flash left.
@@ -83,14 +88,19 @@ impl BattOr {
     /// A charged BattOr with empty flash. BattOr's front-end is noisier
     /// than the bench Monsoon.
     pub fn new(rng: SimRng) -> Self {
+        let mut meter = Monsoon::new(rng).with_calibration(Calibration {
+            gain: 1.002,
+            offset_ma: 0.2,
+            noise_ma: 1.1,
+            lsb_ma: 0.1,
+        });
+        meter.set_powered(true);
+        meter
+            .set_voltage(RAIL_V)
+            .expect("the rail is in the engine's range");
+        meter.enable_vout().expect("the engine is powered");
         BattOr {
-            calibration: Calibration {
-                gain: 1.002,
-                offset_ma: 0.2,
-                noise_ma: 1.1,
-                lsb_ma: 0.1,
-            },
-            rng,
+            meter,
             runtime_left_s: BATTOR_RUNTIME_S,
             buffer_left: BATTOR_BUFFER_SAMPLES,
         }
@@ -112,48 +122,52 @@ impl BattOr {
         self.buffer_left = BATTOR_BUFFER_SAMPLES;
     }
 
-    /// Log `load` from `start` for `duration_s`. Unlike the Monsoon this
-    /// never fails outright: a dead logger battery or full flash
-    /// truncates the log, as in the field.
+    /// Log `load` from `start` for `duration_s`. A dead logger battery or
+    /// full flash truncates the log, as in the field; when both cut it
+    /// short, the battery is the reason given. The one failure is the
+    /// engine's 6 A protection trip, which debits neither budget.
     pub fn log_run(
         &mut self,
         load: &dyn CurrentSource,
         start: SimTime,
         duration_s: f64,
-    ) -> BattOrLog {
+    ) -> Result<BattOrLog, MonsoonError> {
         assert!(duration_s > 0.0);
         let requested = (duration_s * BATTOR_RATE_HZ).round() as u64;
-        let period_us = (1e6 / BATTOR_RATE_HZ) as u64;
-        let mut samples = TimeSeries::new();
-        let mut energy = EnergyAccumulator::new(BATTOR_RATE_HZ);
-        let mut truncated = None;
-        for i in 0..requested {
-            if self.runtime_left_s <= 0.0 {
-                truncated = Some(BattOrError::LoggerBatteryDead {
-                    captured_s: i as f64 / BATTOR_RATE_HZ,
-                });
-                break;
-            }
-            if self.buffer_left == 0 {
-                truncated = Some(BattOrError::BufferFull { captured: i });
-                break;
-            }
-            let t = SimTime::from_micros(start.as_micros() + i * period_us);
-            // BattOr observes the battery rail at its own terminal voltage.
-            let true_ma = load.current_ma(t, 3.85);
-            let cal = self.calibration;
-            let noisy = true_ma * cal.gain + cal.offset_ma + self.rng.normal(0.0, cal.noise_ma);
-            let ma = ((noisy / cal.lsb_ma).round() * cal.lsb_ma).max(0.0);
-            samples.push(t, ma);
-            energy.push(ma, 3.85);
-            self.runtime_left_s -= 1.0 / BATTOR_RATE_HZ;
-            self.buffer_left -= 1;
-        }
-        BattOrLog {
+        // A spent battery saturates to no samples.
+        let by_battery = (self.runtime_left_s * BATTOR_RATE_HZ).ceil() as u64;
+        let captured = requested.min(self.buffer_left).min(by_battery);
+        let truncated = if captured == requested {
+            None
+        } else if captured == by_battery {
+            Some(BattOrError::LoggerBatteryDead {
+                captured_s: captured as f64 / BATTOR_RATE_HZ,
+            })
+        } else {
+            Some(BattOrError::BufferFull { captured })
+        };
+        let (samples, energy) = if captured == 0 {
+            let period = SimDuration::from_micros((1e6 / BATTOR_RATE_HZ) as u64);
+            (
+                UniformSeries::new(start, period, Vec::new()),
+                EnergyAccumulator::new(BATTOR_RATE_HZ),
+            )
+        } else {
+            let run = self.meter.sample_run_at_rate(
+                load,
+                start,
+                captured as f64 / BATTOR_RATE_HZ,
+                BATTOR_RATE_HZ,
+            )?;
+            (run.samples, run.energy)
+        };
+        self.runtime_left_s -= captured as f64 / BATTOR_RATE_HZ;
+        self.buffer_left -= captured;
+        Ok(BattOrLog {
             samples,
             energy,
             truncated,
-        }
+        })
     }
 }
 
@@ -169,7 +183,9 @@ mod tests {
     #[test]
     fn logs_at_1khz() {
         let mut b = battor(1);
-        let log = b.log_run(&ConstantLoad::new(200.0, 3.85), SimTime::ZERO, 2.0);
+        let log = b
+            .log_run(&ConstantLoad::new(200.0, 3.85), SimTime::ZERO, 2.0)
+            .unwrap();
         assert_eq!(log.samples.len(), 2000);
         assert!(log.truncated.is_none());
         assert!((log.energy.mean_ma() - 200.0).abs() < 2.0);
@@ -179,7 +195,9 @@ mod tests {
     fn noisier_than_the_monsoon() {
         use batterylab_stats::Summary;
         let mut b = battor(2);
-        let log = b.log_run(&ConstantLoad::new(150.0, 3.85), SimTime::ZERO, 5.0);
+        let log = b
+            .log_run(&ConstantLoad::new(150.0, 3.85), SimTime::ZERO, 5.0)
+            .unwrap();
         let s = Summary::of(log.samples.values());
         assert!(s.std_dev > 0.5, "field instrument noise: {}", s.std_dev);
         assert!(s.std_dev < 3.0);
@@ -189,7 +207,9 @@ mod tests {
     fn logger_battery_truncates() {
         let mut b = battor(3);
         b.runtime_left_s = 1.0; // nearly dead
-        let log = b.log_run(&ConstantLoad::new(100.0, 3.85), SimTime::ZERO, 10.0);
+        let log = b
+            .log_run(&ConstantLoad::new(100.0, 3.85), SimTime::ZERO, 10.0)
+            .unwrap();
         assert!(matches!(
             log.truncated,
             Some(BattOrError::LoggerBatteryDead { .. })
@@ -201,7 +221,9 @@ mod tests {
     fn flash_truncates() {
         let mut b = battor(4);
         b.buffer_left = 500;
-        let log = b.log_run(&ConstantLoad::new(100.0, 3.85), SimTime::ZERO, 10.0);
+        let log = b
+            .log_run(&ConstantLoad::new(100.0, 3.85), SimTime::ZERO, 10.0)
+            .unwrap();
         assert!(matches!(
             log.truncated,
             Some(BattOrError::BufferFull { captured: 500 })
@@ -212,7 +234,8 @@ mod tests {
     #[test]
     fn recharge_resets() {
         let mut b = battor(5);
-        b.log_run(&ConstantLoad::new(100.0, 3.85), SimTime::ZERO, 60.0);
+        b.log_run(&ConstantLoad::new(100.0, 3.85), SimTime::ZERO, 60.0)
+            .unwrap();
         assert!(b.runtime_left_s() < BATTOR_RUNTIME_S);
         assert!(b.buffer_left() < BATTOR_BUFFER_SAMPLES);
         b.recharge_and_wipe();
@@ -224,7 +247,6 @@ mod tests {
     fn mobile_cellular_session_works_untethered() {
         // The point of BattOr: measure a device on the move (cellular),
         // with no mains, no relay, no bypass.
-        use batterylab_sim::SimDuration;
         let rng = SimRng::new(6);
         // A device on cellular doing a transfer mid-walk.
         let device = crate::source::TraceLoad::new(
@@ -236,13 +258,90 @@ mod tests {
             },
             4.0,
         );
-        let _ = SimDuration::ZERO;
         let mut b = BattOr::new(rng.derive("battor"));
-        let log = b.log_run(&device, SimTime::ZERO, 60.0);
+        let log = b.log_run(&device, SimTime::ZERO, 60.0).unwrap();
         assert!(log.truncated.is_none());
         // The burst is visible in the log.
         let cdf = batterylab_stats::Cdf::from_samples(log.samples.values());
         assert!(cdf.quantile(0.95) > 380.0, "{}", cdf.quantile(0.95));
         assert!(cdf.median() < 250.0);
+    }
+
+    #[test]
+    fn readings_land_on_the_lsb_and_never_go_negative() {
+        // Near 0 mA, BattOr's noise floor would read below zero.
+        let mut b = battor(7);
+        let log = b
+            .log_run(&ConstantLoad::new(0.5, 3.85), SimTime::ZERO, 2.0)
+            .unwrap();
+        let values = log.samples.values();
+        assert!(values.contains(&0.0), "some readings clamp to 0 mA");
+        for &ma in values {
+            assert!(ma >= 0.0, "{ma}");
+            assert_eq!(ma, (ma / 0.1).round() * 0.1, "{ma} is off the 0.1 mA LSB");
+        }
+    }
+
+    #[test]
+    fn budgets_carry_across_runs() {
+        let load = ConstantLoad::new(100.0, 3.85);
+        let mut b = battor(8);
+        b.buffer_left = 2_500;
+        let first = b.log_run(&load, SimTime::ZERO, 2.0).unwrap();
+        assert!(first.truncated.is_none());
+        assert_eq!(b.buffer_left(), 500);
+        assert_eq!(b.runtime_left_s(), BATTOR_RUNTIME_S - 2.0);
+        let second = b.log_run(&load, SimTime::from_secs(2), 1.0).unwrap();
+        assert_eq!(
+            second.truncated,
+            Some(BattOrError::BufferFull { captured: 500 })
+        );
+        assert_eq!(second.samples.len(), 500);
+        assert_eq!(second.samples.start(), SimTime::from_secs(2));
+        assert_eq!(b.buffer_left(), 0);
+
+        let mut b = battor(9);
+        b.runtime_left_s = 3.0;
+        b.log_run(&load, SimTime::ZERO, 2.0).unwrap();
+        let second = b.log_run(&load, SimTime::from_secs(2), 5.0).unwrap();
+        assert_eq!(
+            second.truncated,
+            Some(BattOrError::LoggerBatteryDead { captured_s: 1.0 })
+        );
+        assert_eq!(second.samples.len(), 1_000);
+        assert_eq!(b.buffer_left(), BATTOR_BUFFER_SAMPLES - 3_000);
+        let third = b.log_run(&load, SimTime::from_secs(3), 1.0).unwrap();
+        assert_eq!(
+            third.truncated,
+            Some(BattOrError::LoggerBatteryDead { captured_s: 0.0 })
+        );
+        assert!(third.samples.is_empty());
+        assert_eq!(third.energy.samples(), 0);
+    }
+
+    #[test]
+    fn battery_is_the_reason_when_both_budgets_bind() {
+        let mut b = battor(10);
+        b.runtime_left_s = 1.0;
+        b.buffer_left = 1_000;
+        let log = b
+            .log_run(&ConstantLoad::new(100.0, 3.85), SimTime::ZERO, 2.0)
+            .unwrap();
+        assert_eq!(
+            log.truncated,
+            Some(BattOrError::LoggerBatteryDead { captured_s: 1.0 })
+        );
+        assert_eq!(log.samples.len(), 1_000);
+    }
+
+    #[test]
+    fn over_current_fails_and_debits_no_budget() {
+        let mut b = battor(11);
+        let err = b
+            .log_run(&ConstantLoad::new(7_000.0, 3.85), SimTime::ZERO, 1.0)
+            .unwrap_err();
+        assert!(matches!(err, MonsoonError::OverCurrent { .. }), "{err}");
+        assert_eq!(b.buffer_left(), BATTOR_BUFFER_SAMPLES);
+        assert_eq!(b.runtime_left_s(), BATTOR_RUNTIME_S);
     }
 }

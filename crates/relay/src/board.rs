@@ -67,7 +67,7 @@ pub struct RelayBoard {
 }
 
 impl RelayBoard {
-    /// Wire `switch` to `gpio` pins `pin_map` (channel i ← pin_map[i]) and
+    /// Wire `switch` to `gpio` pins `pin_map` (channel `i` ← `pin_map[i]`) and
     /// configure every mapped pin as an output driven low (battery route).
     pub fn new(switch: Arc<CircuitSwitch>, pin_map: Vec<usize>) -> Result<Self, BoardError> {
         assert_eq!(

@@ -2,8 +2,8 @@
 //!
 //! Deterministic simulation kernel underpinning the whole BatteryLab
 //! reproduction: virtual time ([`SimTime`], [`SimDuration`]), labelled
-//! deterministic random streams ([`SimRng`]) and time-series recording
-//! ([`TimeSeries`], [`StepSignal`]).
+//! deterministic random streams ([`SimRng`]) and signal recording
+//! ([`StepSignal`], [`UniformSeries`]).
 //!
 //! Nothing in the workspace reads the wall clock or an unseeded RNG; two
 //! runs of an experiment with the same seed produce bit-identical sample
@@ -16,7 +16,7 @@ mod series;
 mod time;
 
 pub use rng::SimRng;
-pub use series::{StepCursor, StepSignal, TimeSeries, UniformSeries};
+pub use series::{StepCursor, StepSignal, UniformSeries};
 pub use time::{SimDuration, SimTime};
 
 #[cfg(test)]
@@ -79,19 +79,6 @@ mod proptests {
             }
             let expected = trace.iter().rev().find(|&&(pt, _)| pt <= query).map(|&(_, v)| v).unwrap_or(1.5);
             prop_assert_eq!(sig.at(SimTime::from_micros(query)), expected);
-        }
-
-        #[test]
-        fn series_bucket_mean_preserves_global_mean(vals in proptest::collection::vec(0.0f64..10.0, 10..200)) {
-            // With uniform spacing and bucket width equal to the sample
-            // period, bucket means average back to the global mean.
-            let mut ts = TimeSeries::new();
-            for (i, v) in vals.iter().enumerate() {
-                ts.push(SimTime::from_millis(i as u64), *v);
-            }
-            let global = ts.mean().unwrap();
-            let b = ts.bucket_mean(SimDuration::from_millis(1));
-            prop_assert!((b.mean().unwrap() - global).abs() < 1e-9);
         }
     }
 }

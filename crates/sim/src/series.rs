@@ -1,9 +1,7 @@
 //! Time-series recording utilities.
 //!
-//! Three shapes cover everything the simulators log:
+//! Two shapes cover everything the simulators log:
 //!
-//! * [`TimeSeries`] — discrete samples `(t, value)` as produced by CPU
-//!   utilisation pollers and other irregular recorders.
 //! * [`UniformSeries`] — samples on a fixed grid `start + k·period`, as
 //!   the Monsoon produces them; the instants are implied, not stored.
 //! * [`StepSignal`] — a piecewise-constant signal (component power states,
@@ -11,168 +9,10 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// Discrete timestamped samples, append-only and time-ordered.
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    times: Vec<SimTime>,
-    values: Vec<f64>,
-}
-
-impl TimeSeries {
-    /// Empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empty series with room for `n` samples.
-    pub fn with_capacity(n: usize) -> Self {
-        TimeSeries {
-            times: Vec::with_capacity(n),
-            values: Vec::with_capacity(n),
-        }
-    }
-
-    /// Append a sample. Panics if `t` precedes the last sample — recorders
-    /// feed from a monotonic virtual clock, so that is a bug.
-    pub fn push(&mut self, t: SimTime, value: f64) {
-        if let Some(&last) = self.times.last() {
-            assert!(t >= last, "TimeSeries::push out of order: {t:?} < {last:?}");
-        }
-        self.times.push(t);
-        self.values.push(value);
-    }
-
-    /// Append a whole chunk of samples at once.
-    ///
-    /// The chunk must itself be time-ordered (checked in debug builds)
-    /// and must not precede the last recorded sample — sampling loops
-    /// generate monotone chunks, so only the seam is checked in release
-    /// builds. This amortises the per-sample ordering check and bounds
-    /// checks across the chunk, which matters at the Monsoon's 5 kHz.
-    pub fn extend_from_slices(&mut self, times: &[SimTime], values: &[f64]) {
-        assert_eq!(
-            times.len(),
-            values.len(),
-            "TimeSeries::extend_from_slices: length mismatch"
-        );
-        let Some(&first) = times.first() else { return };
-        if let Some(&last) = self.times.last() {
-            assert!(
-                first >= last,
-                "TimeSeries::extend_from_slices out of order: {first:?} < {last:?}"
-            );
-        }
-        debug_assert!(
-            times.windows(2).all(|w| w[1] >= w[0]),
-            "TimeSeries::extend_from_slices: chunk not time-ordered"
-        );
-        self.times.extend_from_slice(times);
-        self.values.extend_from_slice(values);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// True when no samples are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// Sample values, in time order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Sample instants, in time order.
-    pub fn times(&self) -> &[SimTime] {
-        &self.times
-    }
-
-    /// Iterate `(time, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.times.iter().copied().zip(self.values.iter().copied())
-    }
-
-    /// First sample instant, if any.
-    pub fn start(&self) -> Option<SimTime> {
-        self.times.first().copied()
-    }
-
-    /// Last sample instant, if any.
-    pub fn end(&self) -> Option<SimTime> {
-        self.times.last().copied()
-    }
-
-    /// Arithmetic mean of values; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-        }
-    }
-
-    /// Trapezoidal integral of the series over time, in `value·seconds`.
-    ///
-    /// For a current series in mA this yields mA·s; divide by 3600 for mAh.
-    pub fn integral(&self) -> f64 {
-        let mut acc = 0.0;
-        for w in 0..self.len().saturating_sub(1) {
-            let dt = (self.times[w + 1] - self.times[w]).as_secs_f64();
-            acc += 0.5 * (self.values[w] + self.values[w + 1]) * dt;
-        }
-        acc
-    }
-
-    /// Restrict to samples within `[from, to)`.
-    pub fn window(&self, from: SimTime, to: SimTime) -> TimeSeries {
-        let mut out = TimeSeries::new();
-        for (t, v) in self.iter() {
-            if t >= from && t < to {
-                out.push(t, v);
-            }
-        }
-        out
-    }
-
-    /// Downsample by averaging fixed-width buckets; the bucket timestamp is
-    /// its start. Useful for plotting 5 kHz traces.
-    pub fn bucket_mean(&self, width: SimDuration) -> TimeSeries {
-        assert!(!width.is_zero(), "bucket width must be positive");
-        let mut out = TimeSeries::new();
-        if self.is_empty() {
-            return out;
-        }
-        let t0 = self.times[0];
-        let mut bucket_idx = 0u64;
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for (t, v) in self.iter() {
-            let idx = (t - t0).as_micros() / width.as_micros();
-            if idx != bucket_idx && count > 0 {
-                out.push(t0 + width * bucket_idx, sum / count as f64);
-                sum = 0.0;
-                count = 0;
-                bucket_idx = idx;
-            } else if idx != bucket_idx {
-                bucket_idx = idx;
-            }
-            sum += v;
-            count += 1;
-        }
-        if count > 0 {
-            out.push(t0 + width * bucket_idx, sum / count as f64);
-        }
-        out
-    }
-}
-
 /// Samples on a uniform grid: value `k` was taken at `start + k·period`.
 ///
-/// A fixed-rate meter's trace needs no stored timestamps, which saves
-/// 8 bytes per sample against [`TimeSeries`] and the work of filling them.
+/// A fixed-rate meter's trace needs no stored timestamps, so only the
+/// values are kept.
 #[derive(Clone, Debug, Default)]
 pub struct UniformSeries {
     start: SimTime,
@@ -428,69 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn series_integral_trapezoid() {
-        let mut ts = TimeSeries::new();
-        ts.push(t(0), 0.0);
-        ts.push(t(2), 2.0);
-        // Triangle: area = 0.5 * base * height = 0.5 * 2 * 2 = 2.
-        assert!((ts.integral() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn series_extend_from_slices_matches_pushes() {
-        let mut pushed = TimeSeries::new();
-        let mut extended = TimeSeries::new();
-        let times: Vec<SimTime> = (0..10).map(t).collect();
-        let values: Vec<f64> = (0..10).map(|s| s as f64).collect();
-        for (&ti, &v) in times.iter().zip(&values) {
-            pushed.push(ti, v);
-        }
-        extended.extend_from_slices(&times[..5], &values[..5]);
-        extended.extend_from_slices(&times[5..], &values[5..]);
-        extended.extend_from_slices(&[], &[]);
-        assert_eq!(pushed.times(), extended.times());
-        assert_eq!(pushed.values(), extended.values());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn series_extend_rejects_out_of_order_seam() {
-        let mut ts = TimeSeries::new();
-        ts.push(t(5), 1.0);
-        ts.extend_from_slices(&[t(1)], &[2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn series_rejects_out_of_order() {
-        let mut ts = TimeSeries::new();
-        ts.push(t(2), 1.0);
-        ts.push(t(1), 1.0);
-    }
-
-    #[test]
-    fn series_window() {
-        let mut ts = TimeSeries::new();
-        for s in 0..10 {
-            ts.push(t(s), s as f64);
-        }
-        let w = ts.window(t(3), t(6));
-        assert_eq!(w.values(), &[3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn series_bucket_mean() {
-        let mut ts = TimeSeries::new();
-        for ms in 0..10 {
-            ts.push(SimTime::from_millis(ms * 100), ms as f64);
-        }
-        let b = ts.bucket_mean(SimDuration::from_millis(500));
-        assert_eq!(b.len(), 2);
-        assert!((b.values()[0] - 2.0).abs() < 1e-12); // mean of 0..=4
-        assert!((b.values()[1] - 7.0).abs() < 1e-12); // mean of 5..=9
-    }
-
-    #[test]
     fn step_signal_at_and_integral() {
         let mut s = StepSignal::new(1.0);
         s.set(t(10), 3.0);
@@ -581,13 +358,5 @@ mod tests {
         assert_eq!(cursor.at(t(10)), 3.0);
         assert_eq!(cursor.at(t(1)), 1.0);
         assert_eq!(cursor.segment(t(6)), (2.0, t(9)));
-    }
-
-    #[test]
-    fn empty_series_stats() {
-        let ts = TimeSeries::new();
-        assert!(ts.mean().is_none());
-        assert_eq!(ts.integral(), 0.0);
-        assert!(ts.is_empty());
     }
 }

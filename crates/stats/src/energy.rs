@@ -6,23 +6,6 @@
 
 use serde::Serialize;
 
-/// Integrate uniformly spaced current samples (mA at `rate_hz`) into mAh.
-///
-/// Uses a simple Riemann sum — at 5 kHz the difference from the trapezoid
-/// rule is far below the Monsoon's own accuracy.
-pub fn mah_from_ma_samples(samples_ma: &[f64], rate_hz: f64) -> f64 {
-    assert!(rate_hz > 0.0, "sampling rate must be positive");
-    let dt_hours = 1.0 / rate_hz / 3600.0;
-    samples_ma.iter().sum::<f64>() * dt_hours
-}
-
-/// Integrate `(current mA, voltage V)` pairs at `rate_hz` into mWh.
-pub fn mwh_from_samples(samples: &[(f64, f64)], rate_hz: f64) -> f64 {
-    assert!(rate_hz > 0.0, "sampling rate must be positive");
-    let dt_hours = 1.0 / rate_hz / 3600.0;
-    samples.iter().map(|&(ma, v)| ma * v).sum::<f64>() * dt_hours
-}
-
 /// Streaming accumulator used by the Monsoon client on the controller: it
 /// never stores the full 5 kHz trace, only running aggregates, mirroring
 /// how long-running tests keep memory bounded on a Raspberry Pi.
@@ -102,7 +85,9 @@ impl EnergyAccumulator {
         }
     }
 
-    /// Total charge drawn, mAh.
+    /// Total charge drawn, mAh: a Riemann sum over the samples, which
+    /// at meter rates differs from the trapezoid rule far below the
+    /// meter's own accuracy.
     pub fn mah(&self) -> f64 {
         self.sum_ma / self.rate_hz / 3600.0
     }
@@ -138,24 +123,25 @@ mod tests {
     #[test]
     fn constant_current_integrates_exactly() {
         // 100 mA for one hour at 10 Hz → 100 mAh.
-        let samples = vec![100.0; 36_000];
-        let mah = mah_from_ma_samples(&samples, 10.0);
-        assert!((mah - 100.0).abs() < 1e-9);
+        let mut acc = EnergyAccumulator::new(10.0);
+        acc.push_slice(&vec![100.0; 36_000], 4.0);
+        assert!((acc.mah() - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn five_minute_video_example() {
         // 160 mA for 5 minutes ≈ 13.33 mAh — the Fig. 2 operating point.
-        let samples = vec![160.0; 5 * 60 * 5000];
-        let mah = mah_from_ma_samples(&samples, 5000.0);
-        assert!((mah - 160.0 * 5.0 / 60.0).abs() < 1e-6);
+        let mut acc = EnergyAccumulator::new(5000.0);
+        acc.push_slice(&vec![160.0; 5 * 60 * 5000], 4.0);
+        assert!((acc.mah() - 160.0 * 5.0 / 60.0).abs() < 1e-6);
     }
 
     #[test]
     fn mwh_uses_voltage() {
-        let samples = vec![(100.0, 4.0); 3600];
+        let mut acc = EnergyAccumulator::new(1.0);
+        acc.push_slice(&vec![100.0; 3600], 4.0);
         // 100 mA * 4 V = 400 mW for 1 h at 1 Hz → 400 mWh.
-        assert!((mwh_from_samples(&samples, 1.0) - 400.0).abs() < 1e-9);
+        assert!((acc.mwh() - 400.0).abs() < 1e-9);
     }
 
     #[test]
@@ -167,7 +153,8 @@ mod tests {
             acc.push(ma, 3.8);
         }
         assert_eq!(acc.samples(), 1000);
-        assert!((acc.mah() - mah_from_ma_samples(&stream, rate)).abs() < 1e-12);
+        let mah = stream.iter().sum::<f64>() / rate / 3600.0;
+        assert!((acc.mah() - mah).abs() < 1e-12);
         let mean = stream.iter().sum::<f64>() / stream.len() as f64;
         assert!((acc.mean_ma() - mean).abs() < 1e-12);
         assert_eq!(acc.min_ma(), 100.0);

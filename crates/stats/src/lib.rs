@@ -13,5 +13,5 @@ mod energy;
 mod summary;
 
 pub use cdf::Cdf;
-pub use energy::{mah_from_ma_samples, mwh_from_samples, EnergyAccumulator};
+pub use energy::EnergyAccumulator;
 pub use summary::{ci95_half_width, Summary};

@@ -1,19 +1,13 @@
-//! Time sources for telemetry timestamps.
+//! The time source for telemetry timestamps.
 //!
 //! Everything in BatteryLab runs on simulated time, so telemetry must
 //! too: a wall-clock timestamp would differ between two same-seed runs
 //! and break report determinism. Components advance a [`VirtualClock`]
-//! from their sim time as they do work; span timers and journal entries
-//! read it through the [`Clock`] trait.
+//! from their sim time as they do work; journal entries and report
+//! snapshots read it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A monotonic microsecond time source.
-pub trait Clock: Send + Sync {
-    /// Current time in microseconds since the epoch of the run.
-    fn now_micros(&self) -> u64;
-}
 
 /// A shared, atomically-advanced virtual clock.
 ///
@@ -35,22 +29,10 @@ impl VirtualClock {
     pub fn advance_to(&self, micros: u64) {
         self.micros.fetch_max(micros, Ordering::Relaxed);
     }
-}
 
-impl Clock for VirtualClock {
-    fn now_micros(&self) -> u64 {
+    /// Current time in microseconds since the epoch of the run.
+    pub fn now_micros(&self) -> u64 {
         self.micros.load(Ordering::Relaxed)
-    }
-}
-
-/// A clock pinned to a fixed instant — handy in tests and for spans
-/// whose duration is supplied explicitly.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FrozenClock(pub u64);
-
-impl Clock for FrozenClock {
-    fn now_micros(&self) -> u64 {
-        self.0
     }
 }
 

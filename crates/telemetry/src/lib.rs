@@ -1,17 +1,17 @@
 //! # batterylab-telemetry
 //!
-//! Platform-wide metrics and tracing for BatteryLab: sharded atomic
+//! Platform-wide metrics and tracing for BatteryLab: atomic
 //! [`Counter`]s, [`Gauge`]s, log2-bucketed [`Histogram`]s with
-//! percentile extraction, RAII [`SpanGuard`] timers, a bounded
-//! [`Journal`] of annotated events, and a [`Registry`] that snapshots
-//! everything into a serialisable [`Report`].
+//! percentile extraction, a bounded [`Journal`] of annotated events,
+//! and a [`Registry`] that snapshots everything into a serialisable
+//! [`Report`].
 //!
 //! Two properties drive the design:
 //!
-//! * **Determinism.** Timestamps come from the sim kernel's virtual
-//!   clock through the [`Clock`] trait — never from the wall clock — so
-//!   an instrumented run under a fixed seed produces a byte-for-byte
-//!   identical report. Snapshots order metrics by name and events by
+//! * **Determinism.** Timestamps come from a [`VirtualClock`] advanced
+//!   from sim time — never from the wall clock — so an instrumented
+//!   run under a fixed seed produces a byte-for-byte identical report.
+//!   Snapshots order metrics by name and events by
 //!   `(time, label)`, which keeps reports stable even when samples are
 //!   recorded from worker threads.
 //! * **Hot-path cost.** Counter bumps and histogram records are single
@@ -27,7 +27,7 @@ mod journal;
 mod metrics;
 mod registry;
 
-pub use clock::{Clock, FrozenClock, VirtualClock};
+pub use clock::VirtualClock;
 pub use journal::{Event, Journal};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, SpanGuard, HISTOGRAM_BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{Registry, Report};

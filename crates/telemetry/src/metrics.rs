@@ -1,4 +1,4 @@
-//! Metric primitives: counters, gauges, histograms and span timers.
+//! Metric primitives: counters, gauges and histograms.
 //!
 //! All handles are cheap `Arc` clones of shared cores; the recording
 //! operations are single relaxed atomic RMWs so they are safe (and
@@ -9,44 +9,19 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use crate::clock::Clock;
-
-/// Number of counter shards. A small power of two: enough to keep the
-/// handful of worker threads a vantage point runs off each other's
-/// cache lines without bloating snapshots.
-const COUNTER_SHARDS: usize = 8;
-
 /// Number of log2 histogram buckets; bucket `i > 0` covers values in
 /// `[2^(i-1), 2^i)` and bucket 0 covers exactly zero. The last bucket
 /// absorbs everything ≥ 2^62.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-thread_local! {
-    static SHARD: usize = {
-        use std::sync::atomic::AtomicUsize;
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS
-    };
-}
-
 // ---------------------------------------------------------------------------
 // Counter
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-pub(crate) struct CounterCore {
-    shards: [PaddedU64; COUNTER_SHARDS],
-}
-
-/// A monotonically-increasing event counter, sharded across cache
-/// lines so concurrent writers do not contend.
+/// A monotonically-increasing event counter.
 #[derive(Clone, Default)]
 pub struct Counter {
-    core: Arc<CounterCore>,
+    value: Arc<AtomicU64>,
 }
 
 impl Counter {
@@ -59,17 +34,12 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        let shard = SHARD.with(|s| *s);
-        self.core.shards[shard].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current total across all shards.
+    /// Current total.
     pub fn get(&self) -> u64 {
-        self.core
-            .shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -163,7 +133,7 @@ impl Histogram {
     /// hot sampling loops (the Monsoon's segment-batched path) call this
     /// once per chunk.
     ///
-    /// Sum and min/max fold in locals first. [`bucket_index`] is
+    /// Sum and min/max fold in locals first. `bucket_index` is
     /// monotone, so a block whose min and max share a bucket (a Monsoon
     /// stretch's readings, nearly always) is counted with one add rather
     /// than one dependent increment of a local bucket per value.
@@ -203,16 +173,6 @@ impl Histogram {
     /// Number of samples recorded so far.
     pub fn count(&self) -> u64 {
         self.core.count.load(Ordering::Relaxed)
-    }
-
-    /// Start an RAII span: the elapsed virtual time between now and the
-    /// guard's drop is recorded as one sample, in microseconds.
-    pub fn time<'h>(&'h self, clock: &'h dyn Clock) -> SpanGuard<'h> {
-        SpanGuard {
-            histogram: self,
-            clock,
-            start: clock.now_micros(),
-        }
     }
 
     /// Fold another histogram's samples into this one: bucket counts,
@@ -306,29 +266,9 @@ impl HistogramSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Span timer
-// ---------------------------------------------------------------------------
-
-/// RAII timer: records elapsed virtual microseconds into its histogram
-/// when dropped.
-pub struct SpanGuard<'h> {
-    histogram: &'h Histogram,
-    clock: &'h dyn Clock,
-    start: u64,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let end = self.clock.now_micros();
-        self.histogram.record(end.saturating_sub(self.start));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
 
     #[test]
     fn counter_sums_across_handles() {
@@ -424,19 +364,5 @@ mod tests {
         assert_eq!(snap.min, 0);
         assert_eq!(snap.percentile(0.99), 0);
         assert_eq!(snap.mean(), 0.0);
-    }
-
-    #[test]
-    fn span_records_virtual_elapsed() {
-        let clock = VirtualClock::new();
-        let h = Histogram::default();
-        clock.advance_to(1_000);
-        {
-            let _span = h.time(&clock);
-            clock.advance_to(1_250);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 1);
-        assert_eq!(snap.sum, 250);
     }
 }

@@ -113,7 +113,6 @@ impl Registry {
 
     /// Record a journal event stamped with the current virtual time.
     pub fn event(&self, label: impl Into<String>, detail: impl Into<String>) {
-        use crate::clock::Clock;
         self.journal.push(self.clock.now_micros(), label, detail);
     }
 
@@ -167,13 +166,11 @@ impl Registry {
             self.histogram(&name).merge_from(&h);
         }
         self.journal.merge_from(&other.journal);
-        use crate::clock::Clock;
         self.clock.advance_to(other.clock.now_micros());
     }
 
     /// Freeze everything into a [`Report`].
     pub fn snapshot(&self) -> Report {
-        use crate::clock::Clock;
         let counters = self
             .inner
             .counters

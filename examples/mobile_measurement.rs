@@ -37,7 +37,9 @@ fn main() {
     let mut battor = BattOr::new(rng.derive("battor"));
     browse_for_two_minutes(&walker);
     let walk_end = walker.with_sim(|s| s.now());
-    let walk_log = battor.log_run(&walker, SimTime::ZERO, walk_end.as_secs_f64());
+    let walk_log = battor
+        .log_run(&walker, SimTime::ZERO, walk_end.as_secs_f64())
+        .expect("a phone draws far below 6 A");
 
     // --- The bench: WiFi + Monsoon --------------------------------------
     let bench_dev = boot_j7_duo(&rng, "bench-j7");

@@ -17,6 +17,10 @@ fi
 
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: every intra-doc link must resolve, so deleting or
+# privatising a type cannot leave a dangling link in the API docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 cargo build --release
 cargo test -q
 
