@@ -384,11 +384,6 @@ impl<S: DeviceServices> AdbLink<S> {
         &self.host
     }
 
-    /// Bytes moved in both directions (for radio-energy accounting).
-    pub fn bytes_on_wire(&self) -> u64 {
-        self.host.transport.bytes_sent() + self.host.transport.bytes_received_total()
-    }
-
     /// Sever the transport (USB port power-off, WiFi loss).
     pub fn disconnect_transport(&self) {
         self.host.transport.disconnect();

@@ -318,12 +318,6 @@ impl<T: KeyTarget> BluetoothKeyboardBackend<T> {
         }
     }
 
-    /// Unpair (drops the BT link power cost).
-    pub fn unpair(self) {
-        self.device
-            .with_device_sim(|s| s.set_bluetooth_active(false));
-    }
-
     /// The HID layer (diagnostics).
     pub fn keyboard(&self) -> &HidKeyboard<T> {
         &self.keyboard

@@ -1,33 +1,38 @@
-//! Wall-clock comparison of the evaluation harness at `--jobs 1` vs the
-//! machine's full parallelism, per figure. Prints a table and writes
-//! `BENCH_eval.json` so CI history can track the serial/parallel split.
+//! Wall-clock comparison of the paper-scale evaluation at `--jobs 1` vs
+//! the machine's full parallelism, per target. Each target runs as
+//! [`TRIALS`] interleaved (serial, parallel) pairs; the table and the
+//! JSON report each cell's median and interquartile range, with the host
+//! core count. The JSON (`BENCH_eval.json`) is written only with `--out`.
 //!
 //! ```sh
 //! cargo run --release -p batterylab-bench --bin bench_eval
-//! cargo run --release -p batterylab-bench --bin bench_eval -- --out results/
+//! cargo run --release -p batterylab-bench --bin bench_eval -- --out .
 //! ```
 //!
 //! Output is byte-identical between the two job counts by construction
-//! (see `batterylab::eval::par`), so this binary also cross-checks one
-//! cheap invariant per figure while it times them.
+//! (see `batterylab::eval::par`), so this binary also checks that each
+//! pair renders the same text while it times them.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use batterylab::eval::{fig2, fig3, fig4, fig5, fig6, par, sysperf, table2, EvalConfig};
+use batterylab::eval::{par, run_target, EvalConfig, ALL_TARGETS};
 use batterylab::power::{Calibration, Monsoon, TraceLoad, MONSOON_RATE_HZ};
 use batterylab::sim::{SimRng, SimTime, StepSignal};
+use batterylab::stats::Cdf;
+
+/// Interleaved (serial, parallel) pairs per target.
+const TRIALS: usize = 5;
 
 fn usage() -> ! {
     eprintln!("usage: bench_eval [--seed N] [--out DIR]");
     std::process::exit(2);
 }
 
-/// One figure's serial/parallel timing.
-struct Row {
-    target: &'static str,
-    serial_ms: f64,
-    parallel_ms: f64,
+/// Median and interquartile range of one cell's trials, milliseconds.
+fn spread(trials: &[f64]) -> (f64, f64) {
+    let cdf = Cdf::from_samples(trials);
+    (cdf.median(), cdf.quantile(0.75) - cdf.quantile(0.25))
 }
 
 fn timed(mut run: impl FnMut()) -> f64 {
@@ -120,15 +125,35 @@ fn sampler_throughput(seed: u64) -> serde_json::Value {
     serde_json::Value::Object(out)
 }
 
+/// Print one table row and return its JSON cell.
+fn row(name: &str, serial_ms: &[f64], parallel_ms: &[f64]) -> serde_json::Value {
+    let (serial, parallel) = (spread(serial_ms), spread(parallel_ms));
+    let speedup = serial.0 / parallel.0;
+    let cell = |(median, iqr): (f64, f64)| format!("{median:.1} ± {iqr:.1}ms");
+    println!(
+        "{:<10} {:>18} {:>18} {:>7.2}x",
+        name,
+        cell(serial),
+        cell(parallel),
+        speedup
+    );
+    serde_json::json!({
+        "target": name,
+        "serial_ms": serde_json::json!({ "median": serial.0, "iqr": serial.1 }),
+        "parallel_ms": serde_json::json!({ "median": parallel.0, "iqr": parallel.1 }),
+        "speedup": speedup,
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 2019u64;
+    let mut serial = EvalConfig::default();
     let mut out: Option<PathBuf> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--seed" => {
-                seed = it
+                serial.seed = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
@@ -138,84 +163,59 @@ fn main() {
         }
     }
 
-    let serial = EvalConfig::quick(seed);
+    let seed = serial.seed;
     let parallel = serial.clone().with_jobs(0);
     let jobs = parallel.effective_jobs();
-    println!("# eval wall-clock: jobs=1 vs jobs={jobs} (quick configuration, seed={seed})\n");
+    let cores = par::available_jobs();
     println!(
-        "{:<24} {:>10} {:>10} {:>8}",
+        "# eval wall-clock: jobs=1 vs jobs={jobs} (paper configuration, seed={seed}, \
+         {cores} cores; median ± IQR of {TRIALS} interleaved pairs)\n"
+    );
+    println!(
+        "{:<10} {:>18} {:>18} {:>8}",
         "target",
         "1 job",
         format!("{jobs} jobs"),
         "speedup"
     );
 
-    let mut rows = Vec::new();
-    macro_rules! time_target {
-        ($name:literal, $run:path) => {{
-            let serial_ms = timed(|| {
-                std::hint::black_box($run(&serial));
-            });
-            let parallel_ms = timed(|| {
-                std::hint::black_box($run(&parallel));
-            });
-            println!(
-                "{:<24} {:>8.0}ms {:>8.0}ms {:>7.2}x",
-                $name,
-                serial_ms,
-                parallel_ms,
-                serial_ms / parallel_ms.max(1e-9),
+    let mut targets = Vec::new();
+    let mut total_serial = [0.0; TRIALS];
+    let mut total_parallel = [0.0; TRIALS];
+    for target in ALL_TARGETS {
+        let mut serial_ms = [0.0; TRIALS];
+        let mut parallel_ms = [0.0; TRIALS];
+        for trial in 0..TRIALS {
+            let mut rendered = [String::new(), String::new()];
+            serial_ms[trial] = timed(|| rendered[0] = run_target(target, &serial, None).unwrap());
+            parallel_ms[trial] =
+                timed(|| rendered[1] = run_target(target, &parallel, None).unwrap());
+            assert_eq!(
+                rendered[0], rendered[1],
+                "{target}: output depends on --jobs"
             );
-            rows.push(Row {
-                target: $name,
-                serial_ms,
-                parallel_ms,
-            });
-        }};
+            total_serial[trial] += serial_ms[trial];
+            total_parallel[trial] += parallel_ms[trial];
+        }
+        targets.push(row(target, &serial_ms, &parallel_ms));
     }
-
-    time_target!("fig2", fig2::run);
-    time_target!("fig3", fig3::run);
-    time_target!("fig4", fig4::run);
-    time_target!("fig5", fig5::run);
-    time_target!("table2", table2::run);
-    time_target!("fig6", fig6::run);
-    time_target!("sysperf", sysperf::run);
-
-    let total_serial: f64 = rows.iter().map(|r| r.serial_ms).sum();
-    let total_parallel: f64 = rows.iter().map(|r| r.parallel_ms).sum();
-    println!(
-        "{:<24} {:>8.0}ms {:>8.0}ms {:>7.2}x",
-        "total",
-        total_serial,
-        total_parallel,
-        total_serial / total_parallel.max(1e-9),
-    );
+    let total = row("total", &total_serial, &total_parallel);
 
     let sampler = sampler_throughput(seed);
 
+    let Some(dir) = out else { return };
     let json = serde_json::json!({
-        "config": "quick",
+        "config": "paper",
         "seed": seed,
+        "trials": TRIALS,
         "parallel_jobs": jobs,
-        "available_parallelism": par::available_jobs(),
+        "available_parallelism": cores,
         "sampler": sampler,
-        "targets": rows.iter().map(|r| serde_json::json!({
-            "target": r.target,
-            "serial_ms": r.serial_ms,
-            "parallel_ms": r.parallel_ms,
-            "speedup": r.serial_ms / r.parallel_ms.max(1e-9),
-        })).collect::<Vec<_>>(),
-        "total_serial_ms": total_serial,
-        "total_parallel_ms": total_parallel,
-        "total_speedup": total_serial / total_parallel.max(1e-9),
+        "targets": targets,
+        "total": total,
     });
-    let path = out
-        .unwrap_or_else(|| PathBuf::from("."))
-        .join("BENCH_eval.json");
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
+    std::fs::create_dir_all(&dir).expect("create output dir");
+    let path = dir.join("BENCH_eval.json");
     std::fs::write(
         &path,
         serde_json::to_string_pretty(&json).expect("serialise"),

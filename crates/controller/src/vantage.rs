@@ -258,11 +258,6 @@ impl VantagePoint {
         }
     }
 
-    /// The fault injector this node consults (disabled unless armed).
-    pub fn fault_injector(&self) -> &FaultInjector {
-        &self.faults
-    }
-
     /// Rebind this node — monsoon, relay switch, every ADB link and mirror
     /// session included — to a shared registry (fleet aggregation).
     pub fn with_telemetry(mut self, registry: &Registry) -> Self {

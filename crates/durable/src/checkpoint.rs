@@ -188,11 +188,6 @@ impl CheckpointStream {
             .unwrap_or(0)
     }
 
-    /// Ordinal of the next segment to sample.
-    pub fn next_segment(&self) -> u64 {
-        self.segments.len() as u64
-    }
-
     /// Whether the sealed prefix already covers the whole plan.
     pub fn is_complete(&self) -> bool {
         self.total > 0 && self.sealed_samples() == self.total

@@ -79,11 +79,6 @@ impl AirPlayMirror {
         }
     }
 
-    /// Whether the stream is live.
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
     /// Total bytes streamed.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes

@@ -221,9 +221,10 @@ impl MirrorSession {
         self.telemetry.pump_bytes.record(produced);
         if produced > 0 && self.vnc.viewer_count() > 0 {
             let before = self.vnc.bytes_sent();
-            // One frame batch per pump; VNC framing + noVNC compression.
-            let chunk = vec![0u8; (produced as usize).min(16 * 1024 * 1024)];
-            self.vnc.send_frame(&chunk)?;
+            // One frame batch per pump, capped at 16 MiB; VNC framing +
+            // noVNC compression, sized without building the bytes.
+            self.vnc
+                .send_frame((produced as usize).min(16 * 1024 * 1024))?;
             let wire = self.vnc.bytes_sent() - before;
             self.uploaded += wire;
             self.telemetry.upload_bytes.add(wire);
@@ -384,6 +385,42 @@ mod tests {
                 .count(),
             2
         );
+    }
+
+    /// Two pumps, one small and one past the 16 MiB frame cap, with 0, 1
+    /// and 2 viewers: the upload is the capped frame's wire size times the
+    /// viewers. Recorded from the frame-building implementation.
+    #[test]
+    fn pump_accounting_is_pinned() {
+        let config = EncoderConfig {
+            bitrate_bps: 8_000_000.0,
+            fps: 60.0,
+        };
+        for (viewers, uploaded) in [(0, 0), (1, 14_575_213), (2, 29_150_426)] {
+            let registry = Registry::new();
+            let d = boot_j7_duo(&SimRng::new(5), "mirror-pin");
+            let mut s = MirrorSession::new(d.clone(), config, "blab").with_telemetry(&registry);
+            s.start().unwrap();
+            for _ in 0..viewers {
+                s.attach_viewer("blab").unwrap();
+            }
+            d.with_sim(|sim| {
+                sim.set_screen(true);
+                sim.play_video(SimDuration::from_secs(1));
+            });
+            assert_eq!(s.pump().unwrap(), 997_369);
+            d.with_sim(|sim| sim.play_video(SimDuration::from_secs(30)));
+            assert_eq!(s.pump().unwrap(), 28_554_814, "past the 16 MiB cap");
+            assert_eq!(s.uploaded_bytes(), uploaded, "{viewers} viewers");
+            let report = registry.snapshot();
+            assert_eq!(report.counter("mirror.upload_bytes"), uploaded);
+            assert_eq!(report.counter("mirror.encoded_bytes"), 29_552_183);
+            let pumps = report.histogram("mirror.pump_bytes").unwrap();
+            assert_eq!(
+                (pumps.count, pumps.sum, pumps.min, pumps.max),
+                (2, 29_552_183, 997_369, 28_554_814)
+            );
+        }
     }
 
     #[test]

@@ -113,18 +113,20 @@ impl VncServer {
         self.viewers.len()
     }
 
-    /// Frame the encoded screen bytes as one RFB FramebufferUpdate and
-    /// account it to every connected viewer. Returns the on-the-wire size
-    /// per viewer (after noVNC websocket wrapping + compression).
-    pub fn send_frame(&mut self, encoded: &[u8]) -> Result<usize, VncError> {
+    /// Account `payload_len` encoded screen bytes, sent as one RFB
+    /// FramebufferUpdate, to every connected viewer. Returns the
+    /// on-the-wire size per viewer (after noVNC websocket wrapping +
+    /// compression): the length of `websocket_wrap(&framebuffer_update(..))`,
+    /// worked out from the header rules without building the frame.
+    pub fn send_frame(&mut self, payload_len: usize) -> Result<usize, VncError> {
         if self.viewers.is_empty() {
             return Err(VncError::NotConnected);
         }
-        let framed = framebuffer_update(1920, 1080, encoded);
-        let wire = websocket_wrap(&framed);
+        let body_len = novnc_compressed_len(RFB_UPDATE_HEADER_LEN + payload_len);
+        let wire = websocket_header_len(body_len) + body_len;
         self.frames_sent += 1;
-        self.bytes_sent += wire.len() as u64 * self.viewers.len() as u64;
-        Ok(wire.len())
+        self.bytes_sent += wire as u64 * self.viewers.len() as u64;
+        Ok(wire)
     }
 
     /// Total frames pushed.
@@ -138,9 +140,30 @@ impl VncServer {
     }
 }
 
+/// Bytes an RFB FramebufferUpdate carries ahead of its one rect's
+/// payload: message header (4), rect header (12), payload length (4).
+const RFB_UPDATE_HEADER_LEN: usize = 20;
+
+/// noVNC's compressed size of a `message_len`-byte message.
+fn novnc_compressed_len(message_len: usize) -> usize {
+    (message_len as f64 * NOVNC_COMPRESSION).ceil() as usize
+}
+
+/// WebSocket frame header size for a `body_len`-byte body: the 7-bit
+/// length fits below 126; above that a 16-bit or a 64-bit length follows.
+fn websocket_header_len(body_len: usize) -> usize {
+    if body_len < 126 {
+        2
+    } else if body_len < 65_536 {
+        4
+    } else {
+        10
+    }
+}
+
 /// Build an RFB FramebufferUpdate message carrying one encoded rect.
 pub fn framebuffer_update(width: u16, height: u16, payload: &[u8]) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(16 + payload.len());
+    let mut buf = BytesMut::with_capacity(RFB_UPDATE_HEADER_LEN + payload.len());
     buf.put_u8(0); // message-type: FramebufferUpdate
     buf.put_u8(0); // padding
     buf.put_u16(1); // number-of-rectangles
@@ -150,6 +173,7 @@ pub fn framebuffer_update(width: u16, height: u16, payload: &[u8]) -> BytesMut {
     buf.put_u16(height);
     buf.put_i32(7); // encoding: Tight(ish) carrying our H.264 payload
     buf.put_u32(payload.len() as u32);
+    debug_assert_eq!(buf.len(), RFB_UPDATE_HEADER_LEN);
     buf.put_slice(payload);
     buf
 }
@@ -157,19 +181,22 @@ pub fn framebuffer_update(width: u16, height: u16, payload: &[u8]) -> BytesMut {
 /// Wrap a message in a (binary) WebSocket frame as noVNC does, modelling
 /// its permessage-deflate with [`NOVNC_COMPRESSION`].
 pub fn websocket_wrap(message: &[u8]) -> Vec<u8> {
-    let compressed_len = (message.len() as f64 * NOVNC_COMPRESSION).ceil() as usize;
-    let mut frame = Vec::with_capacity(compressed_len + 10);
+    let compressed_len = novnc_compressed_len(message.len());
+    let header_len = websocket_header_len(compressed_len);
+    let mut frame = Vec::with_capacity(header_len + compressed_len);
     frame.push(0x82); // FIN + binary opcode
-    if compressed_len < 126 {
-        frame.push(compressed_len as u8);
-    } else if compressed_len < 65_536 {
-        frame.push(126);
-        frame.extend_from_slice(&(compressed_len as u16).to_be_bytes());
-    } else {
-        frame.push(127);
-        frame.extend_from_slice(&(compressed_len as u64).to_be_bytes());
+    match header_len {
+        2 => frame.push(compressed_len as u8),
+        4 => {
+            frame.push(126);
+            frame.extend_from_slice(&(compressed_len as u16).to_be_bytes());
+        }
+        _ => {
+            frame.push(127);
+            frame.extend_from_slice(&(compressed_len as u64).to_be_bytes());
+        }
     }
-    frame.resize(frame.len() + compressed_len, 0xCD); // compressed body stand-in
+    frame.resize(header_len + compressed_len, 0xCD); // compressed body stand-in
     frame
 }
 
@@ -219,9 +246,9 @@ mod tests {
     #[test]
     fn frame_requires_viewer() {
         let mut s = VncServer::new("p", true);
-        assert_eq!(s.send_frame(b"data"), Err(VncError::NotConnected));
+        assert_eq!(s.send_frame(4), Err(VncError::NotConnected));
         s.handshake(RFB_VERSION, "p").unwrap();
-        assert!(s.send_frame(b"data").is_ok());
+        assert!(s.send_frame(4).is_ok());
         assert_eq!(s.frames_sent(), 1);
     }
 
@@ -230,9 +257,52 @@ mod tests {
         let payload = vec![0u8; 100_000];
         let mut s = VncServer::new("p", true);
         s.handshake(RFB_VERSION, "p").unwrap();
-        let wire = s.send_frame(&payload).unwrap();
+        let wire = s.send_frame(payload.len()).unwrap();
         assert!(wire < payload.len(), "noVNC should shrink the stream");
         assert!(wire > payload.len() / 2, "but not implausibly");
+    }
+
+    /// Payload lengths whose compressed message sits either side of the
+    /// WebSocket 7-bit/16-bit (125/126) and 16-bit/64-bit (65 535/65 536)
+    /// length boundaries, plus a 16 MiB pump, each with its wire size per
+    /// viewer. Recorded from the frame-building implementation.
+    const PINNED_WIRE: [(usize, usize); 6] = [
+        (0, 19),
+        (132, 127),
+        (133, 130),
+        (79_900, 65_539),
+        (79_901, 65_546),
+        (16 * 1024 * 1024, 13_757_344),
+    ];
+
+    #[test]
+    fn send_frame_matches_the_built_frame() {
+        for (n, _) in PINNED_WIRE {
+            let mut s = VncServer::new("p", true);
+            s.handshake(RFB_VERSION, "p").unwrap();
+            let built = websocket_wrap(&framebuffer_update(1920, 1080, &vec![0; n])).len();
+            assert_eq!(s.send_frame(n), Ok(built), "payload {n}");
+        }
+    }
+
+    #[test]
+    fn send_frame_accounting_is_pinned() {
+        for (viewers, frames, bytes) in [(0, 0, 0), (1, 6, 13_888_705), (2, 6, 27_777_410)] {
+            let mut s = VncServer::new("p", true);
+            for _ in 0..viewers {
+                s.handshake(RFB_VERSION, "p").unwrap();
+            }
+            for (n, wire) in PINNED_WIRE {
+                let sent = s.send_frame(n);
+                if viewers == 0 {
+                    assert_eq!(sent, Err(VncError::NotConnected));
+                } else {
+                    assert_eq!(sent, Ok(wire), "payload {n}");
+                }
+            }
+            assert_eq!(s.frames_sent(), frames, "{viewers} viewers");
+            assert_eq!(s.bytes_sent(), bytes, "{viewers} viewers");
+        }
     }
 
     #[test]

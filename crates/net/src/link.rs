@@ -74,11 +74,6 @@ impl LinkProfile {
             ..*self
         }
     }
-
-    /// One-way latency estimate, milliseconds.
-    pub fn one_way_ms(&self) -> f64 {
-        self.rtt_ms / 2.0
-    }
 }
 
 #[cfg(test)]

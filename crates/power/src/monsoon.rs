@@ -394,11 +394,6 @@ impl Monsoon {
         Ok(())
     }
 
-    /// Disable the main output channel.
-    pub fn disable_vout(&mut self) {
-        self.vout_enabled = false;
-    }
-
     /// Whether Vout is live.
     pub fn vout_enabled(&self) -> bool {
         self.vout_enabled

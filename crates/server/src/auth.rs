@@ -223,11 +223,6 @@ impl AuthService {
     pub fn logout(&mut self, token: u64) {
         self.sessions.remove(&token);
     }
-
-    /// Number of registered accounts.
-    pub fn user_count(&self) -> usize {
-        self.accounts.len()
-    }
 }
 
 #[cfg(test)]

@@ -28,11 +28,6 @@ impl ControllerShell {
     pub fn into_inner(self) -> VantagePoint {
         self.vp
     }
-
-    /// Direct access for local (non-SSH) management.
-    pub fn vantage_mut(&mut self) -> &mut VantagePoint {
-        &mut self.vp
-    }
 }
 
 impl CommandHandler for ControllerShell {

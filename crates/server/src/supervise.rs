@@ -170,11 +170,6 @@ impl Supervisor {
         }
     }
 
-    /// Override the retry policy.
-    pub fn set_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
     /// The retry policy in force.
     pub fn policy(&self) -> &RetryPolicy {
         &self.policy

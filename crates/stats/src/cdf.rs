@@ -23,7 +23,20 @@ impl Cdf {
             "Cdf requires finite samples"
         );
         let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        sorted.sort_unstable_by(f64::total_cmp);
+        // `total_cmp` puts -0.0 before +0.0, where a stable sort by value
+        // keeps zeros in input order. Every other tie has identical bits,
+        // so writing the input's zeros back in input order makes the
+        // result bit-identical to the stable sort.
+        let zeros = sorted.partition_point(|&x| x < 0.0)..sorted.partition_point(|&x| x <= 0.0);
+        let run = &mut sorted[zeros];
+        if run.first().is_some_and(|z| z.is_sign_negative())
+            && run.last().is_some_and(|z| z.is_sign_positive())
+        {
+            for (slot, &z) in run.iter_mut().zip(samples.iter().filter(|&&x| x == 0.0)) {
+                *slot = z;
+            }
+        }
         Cdf { sorted }
     }
 
@@ -160,6 +173,40 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn nan_rejected() {
         let _ = Cdf::from_samples(&[1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn sort_matches_the_stable_reference_bit_for_bit() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut shuffled = Vec::new();
+        for _ in 0..2_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            shuffled.push(match state % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                k => (state >> 40) as f64 / 64.0 - (k as f64) * 1000.0,
+            });
+        }
+        let cases: [&[f64]; 9] = [
+            &[3.5],
+            &[-0.0],
+            &[2.0, -1.5, 2.0, 7.25, -1.5, 0.5, 2.0, -1.5],
+            &[0.0, -0.0, 0.0, 1.0, -2.0, 3.0],
+            &[1.0, 0.0, -3.0, -0.0, -4.0, 0.0, 2.0, -0.0],
+            &[5.0, -1.0, 2.0, -0.0, 0.0, -0.0],
+            &[-0.0, 0.0, -0.0, 0.0],
+            &[4.0, -0.0, -0.0, 1.0],
+            &shuffled,
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for case in cases {
+            let mut reference = case.to_vec();
+            reference.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let cdf = Cdf::from_samples(case);
+            assert_eq!(bits(cdf.sorted_samples()), bits(&reference), "{case:?}");
+        }
     }
 
     #[test]
