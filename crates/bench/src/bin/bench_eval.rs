@@ -43,8 +43,9 @@ fn timed(mut run: impl FnMut()) -> f64 {
 
 /// Serial sampler throughput: a sparse step trace (a step every ~230 ms,
 /// the shape real device traces have) sampled for 10 s at the native
-/// 5 kHz, segment-batched vs the per-sample reference path, in two
-/// instrument configurations:
+/// 5 kHz, segment-batched vs the per-sample reference path, as [`TRIALS`]
+/// interleaved (reference, segmented) pairs reported as median and IQR,
+/// in two instrument configurations:
 ///
 /// * `noise_free` — noise floor disabled, the pure pipeline-overhead
 ///   comparison (physics, calibration, quantisation, aggregation);
@@ -70,9 +71,12 @@ fn sampler_throughput(seed: u64) -> serde_json::Value {
         m.enable_vout().unwrap();
         m
     };
-    println!("\n# sampler throughput (serial, {samples} samples, sparse step trace)");
     println!(
-        "{:<12} {:<22} {:>10} {:>14} {:>8}",
+        "\n# sampler throughput (serial, {samples} samples, sparse step trace; \
+         median ± IQR of {TRIALS} interleaved pairs)"
+    );
+    println!(
+        "{:<12} {:<22} {:>16} {:>14} {:>8}",
         "config", "path", "wall", "samples/s", "speedup"
     );
     let mut out = serde_json::Map::new();
@@ -84,38 +88,56 @@ fn sampler_throughput(seed: u64) -> serde_json::Value {
     for (name, cal) in [("noise_free", noise_free), ("noisy", noisy)] {
         let mut segmented = meter(cal);
         let mut reference = meter(cal);
-        let reference_ms = timed(|| {
-            std::hint::black_box(
-                reference
-                    .sample_run_reference_at_rate(&load, SimTime::ZERO, duration_s, MONSOON_RATE_HZ)
-                    .unwrap(),
-            );
-        });
-        let segmented_ms = timed(|| {
-            std::hint::black_box(
-                segmented
-                    .sample_run_at_rate(&load, SimTime::ZERO, duration_s, MONSOON_RATE_HZ)
-                    .unwrap(),
-            );
-        });
-        let segmented_sps = samples as f64 / (segmented_ms / 1e3);
-        let reference_sps = samples as f64 / (reference_ms / 1e3);
-        let speedup = reference_ms / segmented_ms.max(1e-9);
+        let mut reference_ms = [0.0; TRIALS];
+        let mut segmented_ms = [0.0; TRIALS];
+        for trial in 0..TRIALS {
+            reference_ms[trial] = timed(|| {
+                std::hint::black_box(
+                    reference
+                        .sample_run_reference_at_rate(
+                            &load,
+                            SimTime::ZERO,
+                            duration_s,
+                            MONSOON_RATE_HZ,
+                        )
+                        .unwrap(),
+                );
+            });
+            segmented_ms[trial] = timed(|| {
+                std::hint::black_box(
+                    segmented
+                        .sample_run_at_rate(&load, SimTime::ZERO, duration_s, MONSOON_RATE_HZ)
+                        .unwrap(),
+                );
+            });
+        }
+        let (reference, segmented) = (spread(&reference_ms), spread(&segmented_ms));
+        let segmented_sps = samples as f64 / (segmented.0 / 1e3);
+        let reference_sps = samples as f64 / (reference.0 / 1e3);
+        let speedup = reference.0 / segmented.0.max(1e-9);
         println!(
-            "{:<12} {:<22} {:>8.1}ms {:>12.0}/s {:>8}",
-            name, "per-sample reference", reference_ms, reference_sps, ""
+            "{:<12} {:<22} {:>16} {:>12.0}/s {:>8}",
+            name,
+            "per-sample reference",
+            format!("{:.2} ± {:.2}ms", reference.0, reference.1),
+            reference_sps,
+            ""
         );
         println!(
-            "{:<12} {:<22} {:>8.1}ms {:>12.0}/s {:>7.2}x",
-            name, "segment-batched", segmented_ms, segmented_sps, speedup
+            "{:<12} {:<22} {:>16} {:>12.0}/s {:>7.2}x",
+            name,
+            "segment-batched",
+            format!("{:.2} ± {:.2}ms", segmented.0, segmented.1),
+            segmented_sps,
+            speedup
         );
         out.push((
             name.to_string(),
             serde_json::json!({
                 "samples": samples,
                 "rate_hz": MONSOON_RATE_HZ,
-                "reference_ms": reference_ms,
-                "segmented_ms": segmented_ms,
+                "reference_ms": serde_json::json!({ "median": reference.0, "iqr": reference.1 }),
+                "segmented_ms": serde_json::json!({ "median": segmented.0, "iqr": segmented.1 }),
                 "reference_samples_per_sec": reference_sps,
                 "segmented_samples_per_sec": segmented_sps,
                 "speedup": speedup,

@@ -15,7 +15,7 @@ use batterylab_durable::{CheckpointStream, GapReport};
 use batterylab_faults::{FaultInjector, FaultKind};
 use batterylab_sim::{SimDuration, SimRng, SimTime, UniformSeries};
 use batterylab_stats::EnergyAccumulator;
-use batterylab_telemetry::{Counter, Histogram, Registry};
+use batterylab_telemetry::{bucket_index, Counter, Histogram, HistogramBlock, Registry};
 use serde::Serialize;
 
 use crate::source::{CurrentSource, Segment};
@@ -148,6 +148,45 @@ fn readings_ua(ma: &[f64], out: &mut Vec<u64>) {
     }
 }
 
+/// Fold the µA readings of a stretch, `(ma · 1000).round() as u64` each,
+/// into `block`'s bucket counts, count and sum; the run's extremes are
+/// set once at its end. One loop rounds every sample, sums the integer
+/// bits of the readings and flags any reading outside the log2 bucket of
+/// the first, `[lo, hi)` with `hi` capped at 2^52, where the bits stop
+/// being the integer (a NaN is outside too). The flag folds with
+/// non-short-circuit `&` and `|`, so the loop vectorises. A stretch
+/// inside one bucket, nearly every stretch, adds its length to that
+/// bucket; one that straddles an edge is counted value by value through
+/// [`readings_ua`].
+fn fold_readings(ma: &[f64], block: &mut HistogramBlock, scratch: &mut Vec<u64>) {
+    let Some(&first) = ma.first() else { return };
+    let bucket = bucket_index(reading_ua(first));
+    let lo = (1u64 << bucket >> 1) as f64;
+    let hi = ((1u64 << bucket) as f64).min(TWO_52);
+    let mut sum = 0u64;
+    let mut outside = false;
+    for &ma in ma {
+        let r = round_half_away(ma * 1000.0);
+        outside |= !((r >= lo) & (r < hi));
+        sum = sum.wrapping_add((r + TWO_52).to_bits().wrapping_sub(TWO_52.to_bits()));
+    }
+    if outside {
+        readings_ua(ma, scratch);
+        for &ua in scratch.iter() {
+            block.record(ua);
+        }
+    } else {
+        block.buckets[bucket] += ma.len() as u64;
+        block.count += ma.len() as u64;
+        block.sum = block.sum.wrapping_add(sum);
+    }
+}
+
+/// The µA reading of one sample, as [`readings_ua`] converts it.
+fn reading_ua(ma: f64) -> u64 {
+    round_half_away(ma * 1000.0) as u64
+}
+
 /// `x.round()`, bit for bit, inline. Baseline x86-64 has no SSE4.1
 /// `roundsd`, so `f64::round` is a call into libm per use; this is a
 /// handful of SSE2 operations the stretch loops can vectorise.
@@ -177,6 +216,11 @@ struct MonsoonTelemetry {
     overcurrent_trips: Counter,
     sample_ua: Histogram,
     run_us: Histogram,
+    /// `durable.checkpoints_sealed` and `durable.samples_salvaged`,
+    /// resolved at a run's first seal or resume and kept from then on: a
+    /// registry that never sees a checkpointed run does not list them.
+    checkpoints_sealed: Option<Counter>,
+    samples_salvaged: Option<Counter>,
 }
 
 impl MonsoonTelemetry {
@@ -187,8 +231,24 @@ impl MonsoonTelemetry {
             overcurrent_trips: registry.counter("power.overcurrent_trips"),
             sample_ua: registry.histogram("power.sample_ua"),
             run_us: registry.histogram("power.run_us"),
+            checkpoints_sealed: None,
+            samples_salvaged: None,
             registry: registry.clone(),
         }
+    }
+
+    /// Count one sealed checkpoint interval.
+    fn sealed(&mut self) {
+        self.checkpoints_sealed
+            .get_or_insert_with(|| self.registry.counter("durable.checkpoints_sealed"))
+            .inc();
+    }
+
+    /// Count `n` samples a resume took from sealed checkpoints.
+    fn salvaged(&mut self, n: u64) {
+        self.samples_salvaged
+            .get_or_insert_with(|| self.registry.counter("durable.samples_salvaged"))
+            .add(n);
     }
 
     /// Count a protection trip and journal it.
@@ -306,7 +366,7 @@ pub struct Monsoon {
     fault_site: String,
     // Scratch reused across runs, so steady-state sampling allocates
     // nothing beyond the output trace: one noise block, and the µA
-    // readings of one stretch for the histogram.
+    // readings of a stretch that straddles a histogram bucket edge.
     noise: Vec<f64>,
     readings_ua: Vec<u64>,
 }
@@ -595,6 +655,9 @@ impl Monsoon {
         };
         let cal = self.calibration;
         let mut noise = NoiseBlocks::new(key, &mut self.noise);
+        // The run's µA readings, recorded into `power.sample_ua` once at
+        // its end (or at a trip).
+        let mut readings = HistogramBlock::default();
         let mut done = first;
         let outcome = loop {
             if done >= n {
@@ -631,16 +694,12 @@ impl Monsoon {
                 }
                 let fresh = &values[from..];
                 energy.push_slice(fresh, voltage_v);
-                readings_ua(fresh, &mut self.readings_ua);
-                self.telemetry.sample_ua.record_slice(&self.readings_ua);
+                fold_readings(fresh, &mut readings, &mut self.readings_ua);
                 done = stop;
                 if let (Some(stream), Some(i)) = (sink.as_deref_mut(), interval) {
                     if done == seal_at.min(n) {
                         stream.seal(&values[((done - 1) / i * i) as usize..], &energy);
-                        self.telemetry
-                            .registry
-                            .counter("durable.checkpoints_sealed")
-                            .inc();
+                        self.telemetry.sealed();
                     }
                 }
             }
@@ -649,12 +708,27 @@ impl Monsoon {
         // in flight is lost with the run.
         self.total_samples += done - first;
         self.telemetry.samples.add(done - first);
+        if done > first {
+            // A reading is monotone in its sample, so the run's extreme
+            // readings are those of its extreme samples: the energy
+            // accumulator's when it started fresh, a scan of the drawn
+            // samples after a resume.
+            let (min_ma, max_ma) = if first == 0 {
+                (energy.min_ma(), energy.max_ma())
+            } else {
+                values[first as usize..]
+                    .iter()
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &ma| {
+                        (lo.min(ma), hi.max(ma))
+                    })
+            };
+            readings.min = reading_ua(min_ma);
+            readings.max = reading_ua(max_ma);
+            self.telemetry.sample_ua.record_block(&readings);
+        }
         outcome?;
         if first > 0 {
-            self.telemetry
-                .registry
-                .counter("durable.samples_salvaged")
-                .add(first);
+            self.telemetry.salvaged(first);
             self.telemetry.registry.event(
                 "durable.resume",
                 format!("salvaged {first} of {n} samples from sealed checkpoints"),

@@ -55,16 +55,7 @@ impl SimRng {
     /// 64 uniformly random bits: one xoshiro256++ step.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let s = &mut self.state;
-        let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        out
+        xoshiro_step(&mut self.state)
     }
 
     /// Uniform in `[0, 1)`: the top 53 bits of one word.
@@ -105,15 +96,22 @@ impl SimRng {
     /// `ln`.
     #[inline]
     pub fn standard_normal(&mut self) -> f64 {
-        self.standard_normal_with(ziggurat())
+        let mut state = self.state;
+        let z = self.standard_normal_from(&mut state, ziggurat());
+        self.state = state;
+        z
     }
 
-    /// [`Self::standard_normal`] on tables the caller already holds, so
-    /// a fill reads the `OnceLock` once rather than once per draw.
+    /// [`Self::standard_normal`] drawing from `state`, the caller's copy
+    /// of the stream held in locals, on tables the caller already holds:
+    /// a fill keeps the state in registers and reads the `OnceLock`
+    /// once. `self.state` is stale on entry and exit; the rare branches
+    /// outside the core draw through `self`, so the copy is written
+    /// back before them and reloaded after.
     #[inline(always)]
-    fn standard_normal_with(&mut self, zig: &Ziggurat) -> f64 {
+    fn standard_normal_from(&mut self, state: &mut [u64; 4], zig: &Ziggurat) -> f64 {
         loop {
-            let bits = self.next_u64();
+            let bits = xoshiro_step(state);
             let i = (bits & 0xff) as usize;
             // Signed abscissa in [-1, 1) from the top 52 bits: a double in
             // [2, 4) built by its bit pattern, shifted down by 3.
@@ -122,7 +120,10 @@ impl SimRng {
             if x.abs() < zig.x[i + 1] {
                 return x;
             }
-            if let Some(z) = self.normal_outside_core(zig, i, u, x) {
+            self.state = *state;
+            let outside = self.normal_outside_core(zig, i, u, x);
+            *state = self.state;
+            if let Some(z) = outside {
                 return z;
             }
         }
@@ -160,9 +161,11 @@ impl SimRng {
     /// the same number of [`Self::standard_normal`] calls would.
     pub fn fill_standard_normal(&mut self, out: &mut [f64]) {
         let zig = ziggurat();
+        let mut state = self.state;
         for z in out {
-            *z = self.standard_normal_with(zig);
+            *z = self.standard_normal_from(&mut state, zig);
         }
+        self.state = state;
     }
 
     /// Normal with the given mean and standard deviation.
@@ -217,6 +220,20 @@ fn ziggurat() -> &'static Ziggurat {
         }
         Ziggurat { x, f: x.map(pdf) }
     })
+}
+
+/// One xoshiro256++ step on `s`, returning its output word.
+#[inline(always)]
+fn xoshiro_step(s: &mut [u64; 4]) -> u64 {
+    let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+    out
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -379,6 +396,27 @@ mod tests {
         let mut keyed = SimRng::keyed(7, 3);
         let picks: Vec<usize> = (0..12).map(|_| keyed.index(10)).collect();
         assert_eq!(picks, [2, 7, 0, 9, 0, 6, 1, 3, 6, 5, 2, 8]);
+    }
+
+    #[test]
+    fn normals_are_pinned() {
+        // Literal normal-stream values: a 10 000-draw fill (which takes
+        // the wedge and, twice, the tail beyond R, both of which draw
+        // through the stream outside the fill's locals), one more draw
+        // and the stream position after them.
+        let mut rng = SimRng::new(20191113).derive("noise");
+        let mut z = vec![0.0f64; 10_000];
+        rng.fill_standard_normal(&mut z);
+        assert_eq!(z.iter().filter(|v| v.abs() > ZIG_R).count(), 2);
+        let digest = z.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        });
+        assert_eq!(digest, 0x02a6_0a36_0ece_3150);
+        assert_eq!(rng.standard_normal().to_bits(), 0x4003_9376_ff1a_d619);
+        assert_eq!(rng.next_u64(), 0x3cef_e184_2449_e014);
     }
 
     #[test]

@@ -38,32 +38,60 @@ impl EnergyAccumulator {
         self.samples += 1;
         self.sum_ma += current_ma;
         self.sum_mw += current_ma * voltage_v;
-        self.min_ma = self.min_ma.min(current_ma);
-        self.max_ma = self.max_ma.max(current_ma);
+        self.min_ma = lower(self.min_ma, current_ma);
+        self.max_ma = higher(self.max_ma, current_ma);
     }
 
     /// Feed a block of samples at one voltage.
     ///
-    /// Bit-identical to calling [`Self::push`] once per sample in order
-    /// (the accumulation runs in the same sequence, just through
-    /// registers instead of one memory round-trip per sample) — the
-    /// Monsoon's segment-batched path relies on that equivalence.
+    /// Bit-identical to calling [`Self::push`] once per sample in order —
+    /// the Monsoon's segment-batched path relies on that equivalence. The
+    /// two sums are one sequential chain each, as in `push`. The extremes
+    /// run in two independent lanes, even and odd samples, combined at
+    /// the end: a minimum or maximum is one value whatever order it is
+    /// found in, except for a tie between `-0.0` and `+0.0`, where `push`
+    /// keeps the zero it saw first. When the lanes end on zeros of
+    /// opposite sign, that extreme is redone in order.
     pub fn push_slice(&mut self, currents_ma: &[f64], voltage_v: f64) {
         let mut sum_ma = self.sum_ma;
         let mut sum_mw = self.sum_mw;
-        let mut min_ma = self.min_ma;
-        let mut max_ma = self.max_ma;
-        for &ma in currents_ma {
-            sum_ma += ma;
-            sum_mw += ma * voltage_v;
-            min_ma = min_ma.min(ma);
-            max_ma = max_ma.max(ma);
+        let (mut min_even, mut min_odd) = (self.min_ma, f64::INFINITY);
+        let (mut max_even, mut max_odd) = (self.max_ma, f64::NEG_INFINITY);
+        let mut pairs = currents_ma.chunks_exact(2);
+        for pair in &mut pairs {
+            let (even, odd) = (pair[0], pair[1]);
+            sum_ma += even;
+            sum_mw += even * voltage_v;
+            sum_ma += odd;
+            sum_mw += odd * voltage_v;
+            min_even = lower(min_even, even);
+            min_odd = lower(min_odd, odd);
+            max_even = higher(max_even, even);
+            max_odd = higher(max_odd, odd);
         }
+        if let [last] = *pairs.remainder() {
+            sum_ma += last;
+            sum_mw += last * voltage_v;
+            min_even = lower(min_even, last);
+            max_even = higher(max_even, last);
+        }
+        let signed_zeros = |a: f64, b: f64| a == 0.0 && b == 0.0 && a.to_bits() != b.to_bits();
+        let in_order = |pick: fn(f64, f64) -> f64, from: f64| {
+            currents_ma.iter().fold(from, |acc, &ma| pick(acc, ma))
+        };
+        self.min_ma = if signed_zeros(min_even, min_odd) {
+            in_order(lower, self.min_ma)
+        } else {
+            lower(min_even, min_odd)
+        };
+        self.max_ma = if signed_zeros(max_even, max_odd) {
+            in_order(higher, self.max_ma)
+        } else {
+            higher(max_even, max_odd)
+        };
         self.samples += currents_ma.len() as u64;
         self.sum_ma = sum_ma;
         self.sum_mw = sum_mw;
-        self.min_ma = min_ma;
-        self.max_ma = max_ma;
     }
 
     /// Number of samples consumed.
@@ -113,6 +141,27 @@ impl EnergyAccumulator {
         } else {
             self.max_ma
         }
+    }
+}
+
+/// The running minimum after seeing `x`: one compare-select, which keeps
+/// `acc` when `x` is NaN (as `f64::min` does) and on a tie.
+#[inline(always)]
+fn lower(acc: f64, x: f64) -> f64 {
+    if x < acc {
+        x
+    } else {
+        acc
+    }
+}
+
+/// The running maximum after seeing `x`; see [`lower`].
+#[inline(always)]
+fn higher(acc: f64, x: f64) -> f64 {
+    if x > acc {
+        x
+    } else {
+        acc
     }
 }
 
@@ -181,6 +230,88 @@ mod tests {
         assert_eq!(one_by_one.mwh().to_bits(), sliced.mwh().to_bits());
         assert_eq!(one_by_one.min_ma().to_bits(), sliced.min_ma().to_bits());
         assert_eq!(one_by_one.max_ma().to_bits(), sliced.max_ma().to_bits());
+    }
+
+    /// `push_slice` of `block` after `prefill` pushes, against one `push`
+    /// per sample: every field, bit for bit. A NaN sum is compared as
+    /// NaN only: Rust leaves the sign and payload of a NaN that
+    /// arithmetic produces unspecified (const-folded `-inf + inf` and the
+    /// hardware's differ in sign), and the extremes never take a NaN.
+    fn assert_slice_equals_pushes(prefill: &[f64], block: &[f64]) {
+        let mut pushed = EnergyAccumulator::new(500.0);
+        for &ma in prefill {
+            pushed.push(ma, 3.7);
+        }
+        let mut sliced = pushed.clone();
+        for &ma in block {
+            pushed.push(ma, 3.7);
+        }
+        sliced.push_slice(block, 3.7);
+        let canonical = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+        let bits = |a: &EnergyAccumulator| {
+            [
+                a.samples,
+                canonical(a.sum_ma),
+                canonical(a.sum_mw),
+                a.min_ma.to_bits(),
+                a.max_ma.to_bits(),
+            ]
+        };
+        assert_eq!(
+            bits(&pushed),
+            bits(&sliced),
+            "prefill {prefill:?}, block {block:?}"
+        );
+    }
+
+    /// Every block of length 0–5 over a palette holding NaN, both
+    /// infinities and both zeros (so mixed-sign zeros tie as the minimum
+    /// and as the maximum, in every order and lane), on a fresh
+    /// accumulator and on pre-filled ones; then 1023-sample blocks.
+    #[test]
+    fn push_slice_equals_pushes_on_special_values() {
+        const PALETTE: [f64; 8] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.5,
+            -2.25,
+            7.0,
+        ];
+        let prefills: [&[f64]; 5] = [&[], &[0.0], &[-0.0], &[3.0, f64::NAN], &[-0.0, 0.0]];
+        for len in 0..=5u32 {
+            for code in 0..PALETTE.len().pow(len) {
+                let block: Vec<f64> = (0..len)
+                    .map(|k| PALETTE[code / PALETTE.len().pow(k) % PALETTE.len()])
+                    .collect();
+                for prefill in prefills {
+                    assert_slice_equals_pushes(prefill, &block);
+                }
+            }
+        }
+        // Long blocks: drawn from the palette, and zeros of both signs as
+        // the extremes of otherwise positive or negative readings.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize % n
+        };
+        for _ in 0..64 {
+            let mixed: Vec<f64> = (0..1023).map(|_| PALETTE[draw(PALETTE.len())]).collect();
+            let nonneg: Vec<f64> = (0..1023)
+                .map(|_| [0.0, -0.0, 0.02, 160.0][draw(4)])
+                .collect();
+            let nonpos: Vec<f64> = nonneg.iter().map(|v| -v).collect();
+            for block in [&mixed, &nonneg, &nonpos] {
+                for prefill in prefills {
+                    assert_slice_equals_pushes(prefill, block);
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,5 +29,7 @@ mod registry;
 
 pub use clock::VirtualClock;
 pub use journal::{Event, Journal};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
+pub use metrics::{
+    bucket_index, Counter, Gauge, Histogram, HistogramBlock, HistogramSnapshot, HISTOGRAM_BUCKETS,
+};
 pub use registry::{Registry, Report};

@@ -111,8 +111,53 @@ impl Default for Histogram {
     }
 }
 
-fn bucket_index(value: u64) -> usize {
+/// The bucket `value` lands in: 0 for zero, `i` for `[2^(i-1), 2^i)`,
+/// and the last bucket for everything from 2^62 up.
+#[inline]
+pub fn bucket_index(value: u64) -> usize {
     ((64 - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
+}
+
+/// Samples folded in a local, for one [`Histogram::record_block`] merge,
+/// so a hot loop touches no shared atomic per value. Fill it through
+/// [`Self::record`], or directly: a run of values known to share a
+/// bucket adds its length to that bucket and to `count` at once.
+#[derive(Debug, PartialEq)]
+pub struct HistogramBlock {
+    /// Per-bucket counts, bucketed by [`bucket_index`].
+    pub buckets: [u64; HISTOGRAM_BUCKETS],
+    /// Number of samples.
+    pub count: u64,
+    /// Sum of the samples, wrapping as the shared histogram's does.
+    pub sum: u64,
+    /// Smallest sample (`u64::MAX` when empty).
+    pub min: u64,
+    /// Largest sample (0 when empty).
+    pub max: u64,
+}
+
+impl Default for HistogramBlock {
+    fn default() -> Self {
+        HistogramBlock {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+}
+
+impl HistogramBlock {
+    /// Fold one sample, as [`Histogram::record`] would.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
 }
 
 impl Histogram {
@@ -127,47 +172,26 @@ impl Histogram {
         core.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Record a block of samples with one shared-state merge: one atomic
-    /// RMW per *touched bucket* plus four for the scalars — instead of
-    /// five per sample. Equivalent to calling [`Self::record`] per value;
-    /// hot sampling loops (the Monsoon's segment-batched path) call this
-    /// once per chunk.
-    ///
-    /// Sum and min/max fold in locals first. `bucket_index` is
-    /// monotone, so a block whose min and max share a bucket (a Monsoon
-    /// stretch's readings, nearly always) is counted with one add rather
-    /// than one dependent increment of a local bucket per value.
-    pub fn record_slice(&self, values: &[u64]) {
-        if values.is_empty() {
+    /// Record a locally folded block with one shared-state merge: one
+    /// atomic add per non-empty bucket plus four for the scalars, instead
+    /// of five per sample. Equivalent to calling [`Self::record`] once per
+    /// sample the block holds; an empty block changes nothing. The
+    /// Monsoon folds a whole sampling run into one block and records it
+    /// here once.
+    pub fn record_block(&self, block: &HistogramBlock) {
+        if block.count == 0 {
             return;
         }
-        let mut sum = 0u64;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for &v in values {
-            sum = sum.wrapping_add(v);
-            min = min.min(v);
-            max = max.max(v);
-        }
         let core = &self.core;
-        let bucket = bucket_index(min);
-        if bucket == bucket_index(max) {
-            core.buckets[bucket].fetch_add(values.len() as u64, Ordering::Relaxed);
-        } else {
-            let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-            for &v in values {
-                buckets[bucket_index(v)] += 1;
-            }
-            for (shared, &local) in core.buckets.iter().zip(buckets.iter()) {
-                if local > 0 {
-                    shared.fetch_add(local, Ordering::Relaxed);
-                }
+        for (shared, &local) in core.buckets.iter().zip(block.buckets.iter()) {
+            if local > 0 {
+                shared.fetch_add(local, Ordering::Relaxed);
             }
         }
-        core.count.fetch_add(values.len() as u64, Ordering::Relaxed);
-        core.sum.fetch_add(sum, Ordering::Relaxed);
-        core.min.fetch_min(min, Ordering::Relaxed);
-        core.max.fetch_max(max, Ordering::Relaxed);
+        core.count.fetch_add(block.count, Ordering::Relaxed);
+        core.sum.fetch_add(block.sum, Ordering::Relaxed);
+        core.min.fetch_min(block.min, Ordering::Relaxed);
+        core.max.fetch_max(block.max, Ordering::Relaxed);
     }
 
     /// Number of samples recorded so far.
@@ -313,27 +337,39 @@ mod tests {
         assert_eq!(snap.percentile(1.0), 100);
     }
 
+    /// A block folded from `values` one [`HistogramBlock::record`] at a
+    /// time.
+    fn folded(values: &[u64]) -> HistogramBlock {
+        let mut block = HistogramBlock::default();
+        for &v in values {
+            block.record(v);
+        }
+        block
+    }
+
     #[test]
-    fn record_slice_matches_per_sample_records() {
+    fn record_block_matches_per_sample_records() {
         let per_sample = Histogram::default();
-        let sliced = Histogram::default();
+        let blocked = Histogram::default();
         let values: Vec<u64> = (0..5000u64).map(|i| (i * 2654435761) % 1_000_000).collect();
         for &v in &values {
             per_sample.record(v);
         }
         for block in values.chunks(1024) {
-            sliced.record_slice(block);
+            blocked.record_block(&folded(block));
         }
-        sliced.record_slice(&[]);
-        assert_eq!(per_sample.snapshot(), sliced.snapshot());
+        blocked.record_block(&HistogramBlock::default());
+        assert_eq!(per_sample.snapshot(), blocked.snapshot());
     }
 
-    /// `record_slice` lands each shape of block exactly as per-value
-    /// `record` calls do: across a bucket edge, inside one bucket (the
-    /// one-add path), all zeros, and at `u64::MAX`, whose bucket is
-    /// clamped to the last.
+    /// `record_block` lands each shape of block exactly as per-value
+    /// `record` calls do: across a bucket edge, inside one bucket, all
+    /// zeros, and at `u64::MAX`, whose bucket is clamped to the last. A
+    /// block filled the one-bucket way (the bucket and `count` bumped by
+    /// the run's length, its sum and extremes set at once) is the same
+    /// block as one folded value by value.
     #[test]
-    fn record_slice_one_bucket_path_matches_records() {
+    fn record_block_one_bucket_path_matches_records() {
         let blocks: [&[u64]; 5] = [
             &[131_071, 131_072, 131_071, 131_072, 131_071],
             &[131_072, 200_000, 262_143, 131_072],
@@ -343,17 +379,27 @@ mod tests {
         ];
         for block in blocks {
             let per_value = Histogram::default();
-            let sliced = Histogram::default();
+            let blocked = Histogram::default();
             per_value.record(7);
-            sliced.record(7);
+            blocked.record(7);
             for &v in block {
                 per_value.record(v);
             }
-            sliced.record_slice(block);
-            assert_eq!(per_value.snapshot(), sliced.snapshot(), "{block:?}");
+            blocked.record_block(&folded(block));
+            assert_eq!(per_value.snapshot(), blocked.snapshot(), "{block:?}");
+
+            let (lo, hi) = (*block.iter().min().unwrap(), *block.iter().max().unwrap());
+            if bucket_index(lo) == bucket_index(hi) {
+                let mut one_bucket = HistogramBlock::default();
+                one_bucket.buckets[bucket_index(lo)] += block.len() as u64;
+                one_bucket.count += block.len() as u64;
+                one_bucket.sum = block.iter().fold(0, |s: u64, &v| s.wrapping_add(v));
+                (one_bucket.min, one_bucket.max) = (lo, hi);
+                assert_eq!(one_bucket, folded(block), "{block:?}");
+            }
         }
         let h = Histogram::default();
-        h.record_slice(&[u64::MAX, u64::MAX]);
+        h.record_block(&folded(&[u64::MAX, u64::MAX]));
         assert_eq!(h.snapshot().buckets[HISTOGRAM_BUCKETS - 1], 2);
     }
 

@@ -20,7 +20,7 @@ use batterylab::power::{
     Calibration, ConstantLoad, Monsoon, MonsoonError, OpenCircuit, SampleRun, TraceLoad,
 };
 use batterylab::sim::{SimDuration, SimRng, SimTime, StepSignal};
-use batterylab::telemetry::Registry;
+use batterylab::telemetry::{Histogram, HistogramSnapshot, Registry, Report};
 use proptest::prelude::*;
 
 fn powered(seed: u64, cal: Calibration) -> Monsoon {
@@ -252,25 +252,36 @@ fn pinned(run: &SampleRun, registry: &Registry) -> Pinned {
             digest = digest.wrapping_mul(0x0100_0000_01b3);
         }
     }
-    let h = registry
-        .snapshot()
-        .histogram("power.sample_ua")
-        .unwrap()
-        .clone();
-    let buckets = h
-        .buckets
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|&(_, n)| n > 0);
     Pinned {
         digest,
         mah: run.energy.mah().to_bits(),
         mwh: run.energy.mwh().to_bits(),
         min_ma: run.energy.min_ma().to_bits(),
         max_ma: run.energy.max_ma().to_bits(),
-        sample_ua: (h.count, h.sum, h.min, h.max, buckets.collect()),
+        sample_ua: sample_ua(&registry.snapshot()),
     }
+}
+
+/// `power.sample_ua`'s count, sum, min, max and non-empty buckets.
+fn sample_ua(report: &Report) -> (u64, u64, u64, u64, Vec<(usize, u64)>) {
+    let h = report.histogram("power.sample_ua").unwrap().clone();
+    let buckets = h
+        .buckets
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, n)| n > 0);
+    (h.count, h.sum, h.min, h.max, buckets.collect())
+}
+
+/// What `power.sample_ua` holds after a run that drew exactly `samples`:
+/// one per-value `record` of each sample's µA reading.
+fn recorded_ua(samples: &[f64]) -> HistogramSnapshot {
+    let h = Histogram::default();
+    for &ma in samples {
+        h.record((ma * 1000.0).round() as u64);
+    }
+    h.snapshot()
 }
 
 /// The sparse step trace of the `sampling` microbench: 10 s, a step
@@ -410,5 +421,118 @@ fn meter_output_is_pinned() {
                 vec![(17, 0xc1b), (18, 0x8fd), (19, 0x11f8)],
             ),
         }
+    );
+}
+
+/// A noisy constant load calibrated to ~131.07 mA: its readings fall on
+/// both sides of the 131 072 µA edge between buckets 17 and 18, so every
+/// stretch is counted value by value, and `power.sample_ua` still holds
+/// exactly the per-value records, at the literals recorded before the
+/// histogram was folded per run.
+#[test]
+fn straddling_readings_are_pinned() {
+    let registry = Registry::new();
+    let run = powered(5, Calibration::default())
+        .with_telemetry(&registry)
+        .sample_run_at_rate(
+            &ConstantLoad::new(130.9765, 4.0),
+            SimTime::ZERO,
+            1.0,
+            5000.0,
+        )
+        .unwrap();
+    let report = registry.snapshot();
+    assert_eq!(
+        report.histogram("power.sample_ua"),
+        Some(&recorded_ua(run.samples.values()))
+    );
+    assert_eq!(
+        pinned(&run, &registry),
+        Pinned {
+            digest: 0xec75446662ef05f7,
+            mah: 0x3fa2a41954220c95,
+            mwh: 0x3fc2a41954220c95,
+            min_ma: 0x4060447ae147ae15,
+            max_ma: 0x406085c28f5c28f6,
+            sample_ua: (
+                0x1388,
+                0x270fd15c,
+                0x1fc5c,
+                0x20454,
+                vec![(17, 0x9c1), (18, 0x9c7)],
+            ),
+        }
+    );
+}
+
+/// A resumed checkpointed run records only the samples it drew itself:
+/// its histogram's extremes are those of the refilled stretch, not of the
+/// whole run its cumulative energy covers.
+#[test]
+fn resumed_run_records_only_its_drawn_samples() {
+    let load = sparse_step_trace();
+    let mut stream = CheckpointStream::new(700);
+    powered(3, Calibration::default())
+        .sample_run_checkpointed(&load, SimTime::ZERO, 2.0, 5000.0, &mut stream)
+        .unwrap();
+    stream.segments.truncate(6);
+    let registry = Registry::new();
+    let resumed = powered(3, Calibration::default())
+        .with_telemetry(&registry)
+        .sample_run_checkpointed(&load, SimTime::ZERO, 2.0, 5000.0, &mut stream)
+        .unwrap();
+    let drawn = &resumed.samples.values()[4200..];
+    let report = registry.snapshot();
+    assert_eq!(report.counter("durable.samples_salvaged"), 4200);
+    assert_eq!(
+        report.histogram("power.sample_ua"),
+        Some(&recorded_ua(drawn))
+    );
+    assert!(resumed.energy.min_ma() < drawn.iter().copied().fold(f64::MAX, f64::min));
+    assert_eq!(
+        sample_ua(&report),
+        (
+            0x16a8,
+            0x5a9ff4c0,
+            0x1f8ec,
+            0x65950,
+            vec![(17, 0x79d), (18, 0x47f), (19, 0xa8c)],
+        )
+    );
+}
+
+/// An over-current trip mid-run leaves in `power.sample_ua` exactly the
+/// samples drawn before it: those of a run on the same meter state that
+/// stops at the last healthy sample instant.
+#[test]
+fn tripped_run_records_the_samples_before_the_trip() {
+    let mut trace = StepSignal::new(120.0);
+    trace.set(SimTime::from_micros(30_000), 215.0);
+    trace.set(SimTime::from_micros(61_300), 6900.0);
+    let load = TraceLoad::new(trace, 4.0);
+    let registry = Registry::new();
+    let err = powered(77, Calibration::default())
+        .with_telemetry(&registry)
+        .sample_run_at_rate(&load, SimTime::ZERO, 0.2, 5000.0)
+        .unwrap_err();
+    assert!(matches!(err, MonsoonError::OverCurrent { .. }), "{err:?}");
+    let before = powered(77, Calibration::default())
+        .sample_run_at_rate(&load, SimTime::ZERO, 307.0 / 5000.0, 5000.0)
+        .unwrap();
+    assert_eq!(before.samples.len(), 307);
+    let report = registry.snapshot();
+    assert_eq!(
+        report.histogram("power.sample_ua"),
+        Some(&recorded_ua(before.samples.values()))
+    );
+    assert_eq!(
+        sample_ua(&report),
+        (
+            0x133,
+            0x3163afc,
+            0x1d22c,
+            0x34b48,
+            vec![(17, 0x96), (18, 0x9d)],
+        )
     );
 }
