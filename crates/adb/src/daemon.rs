@@ -6,8 +6,6 @@
 //! than the negotiated payload limit is split across multiple `WRTE`
 //! frames, like the real daemon.
 
-use bytes::{Bytes, BytesMut};
-
 use crate::auth::{PublicKey, TOKEN_LEN};
 use crate::services::DeviceServices;
 use crate::transport::{TransportEnd, TransportError};
@@ -54,7 +52,7 @@ enum State {
 pub struct AdbDaemon<S: DeviceServices> {
     services: S,
     state: State,
-    rx_buf: BytesMut,
+    rx_buf: Vec<u8>,
     next_local_id: u32,
     token_counter: u64,
     known_keys: Vec<PublicKey>,
@@ -68,7 +66,7 @@ impl<S: DeviceServices> AdbDaemon<S> {
         AdbDaemon {
             services,
             state: State::Offline,
-            rx_buf: BytesMut::new(),
+            rx_buf: Vec::new(),
             next_local_id: 1,
             token_counter: 0,
             known_keys: Vec::new(),
@@ -161,7 +159,7 @@ impl<S: DeviceServices> AdbDaemon<S> {
             A_OPEN if self.state == State::Online => self.handle_open(packet, transport),
             A_OPEN => {
                 // Service request before auth: close it immediately.
-                self.send(transport, Packet::new(A_CLSE, 0, packet.arg0, Bytes::new()))
+                self.send(transport, Packet::new(A_CLSE, 0, packet.arg0, Vec::new()))
             }
             // OKAY/CLSE acks for one-shot streams need no bookkeeping; SYNC
             // and WRTE to unknown streams are ignored like the real daemon.
@@ -222,7 +220,7 @@ impl<S: DeviceServices> AdbDaemon<S> {
             Ok(output) => {
                 self.send(
                     transport,
-                    Packet::new(A_OKAY, local_id, remote_id, Bytes::new()),
+                    Packet::new(A_OKAY, local_id, remote_id, Vec::new()),
                 )?;
                 for chunk in output.chunks((MAX_PAYLOAD as usize).max(1)) {
                     self.send(
@@ -232,12 +230,12 @@ impl<S: DeviceServices> AdbDaemon<S> {
                 }
                 self.send(
                     transport,
-                    Packet::new(A_CLSE, local_id, remote_id, Bytes::new()),
+                    Packet::new(A_CLSE, local_id, remote_id, Vec::new()),
                 )
             }
             Err(_) => {
                 // Service refused: CLSE without OKAY, as the real daemon.
-                self.send(transport, Packet::new(A_CLSE, 0, remote_id, Bytes::new()))
+                self.send(transport, Packet::new(A_CLSE, 0, remote_id, Vec::new()))
             }
         }
     }
@@ -270,8 +268,7 @@ mod tests {
     use crate::services::MockServices;
     use crate::transport::{duplex, TransportKind};
 
-    fn decode_all(raw: Vec<u8>) -> Vec<Packet> {
-        let mut buf = BytesMut::from(&raw[..]);
+    fn decode_all(mut buf: Vec<u8>) -> Vec<Packet> {
         let mut out = Vec::new();
         while let Some(p) = Packet::decode(&mut buf).unwrap() {
             out.push(p);

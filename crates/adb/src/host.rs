@@ -10,7 +10,6 @@
 use batterylab_faults::{FaultInjector, FaultKind};
 use batterylab_sim::SimTime;
 use batterylab_telemetry::{Counter, Histogram, Registry};
-use bytes::{Bytes, BytesMut};
 
 use crate::auth::AdbKey;
 use crate::daemon::{AdbDaemon, DaemonError};
@@ -118,7 +117,7 @@ impl AdbTelemetry {
 pub struct AdbHostClient {
     transport: TransportEnd,
     key: AdbKey,
-    rx: BytesMut,
+    rx: Vec<u8>,
     banner: Option<String>,
     auth: AuthPhase,
     stream: Option<(u32, String, StreamPhase)>,
@@ -132,7 +131,7 @@ impl AdbHostClient {
         AdbHostClient {
             transport,
             key,
-            rx: BytesMut::new(),
+            rx: Vec::new(),
             banner: None,
             auth: AuthPhase::Fresh,
             stream: None,
@@ -264,7 +263,7 @@ impl AdbHostClient {
                 }
                 if let Some(id) = ack {
                     // Ack the write so the daemon can keep streaming.
-                    self.send_packet(Packet::new(A_OKAY, id, packet.arg0, Bytes::new()))?;
+                    self.send_packet(Packet::new(A_OKAY, id, packet.arg0, Vec::new()))?;
                 }
                 Ok(None)
             }

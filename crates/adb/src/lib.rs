@@ -30,7 +30,6 @@ pub use wire::{Packet, WireError};
 #[cfg(test)]
 mod proptests {
     use super::wire::*;
-    use bytes::BytesMut;
     use proptest::prelude::*;
 
     fn arb_command() -> impl Strategy<Value = u32> {
@@ -42,7 +41,7 @@ mod proptests {
         fn encode_decode_round_trip(cmd in arb_command(), a0: u32, a1: u32,
                                     payload in proptest::collection::vec(any::<u8>(), 0..4096)) {
             let p = Packet::new(cmd, a0, a1, payload);
-            let mut buf = BytesMut::from(&p.encode()[..]);
+            let mut buf = p.encode();
             let q = Packet::decode(&mut buf).unwrap().unwrap();
             prop_assert_eq!(p, q);
             prop_assert!(buf.is_empty());
@@ -50,7 +49,7 @@ mod proptests {
 
         #[test]
         fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let mut buf = BytesMut::from(&bytes[..]);
+            let mut buf = bytes;
             // Any result is fine — Ok(None), Ok(Some), or a WireError — as
             // long as it does not panic.
             let _ = Packet::decode(&mut buf);
@@ -65,7 +64,7 @@ mod proptests {
             let mut corrupted = encoded.to_vec();
             let bit = flip_bit % (corrupted.len() * 8);
             corrupted[bit / 8] ^= 1 << (bit % 8);
-            let mut buf = BytesMut::from(&corrupted[..]);
+            let mut buf = corrupted.clone();
             match Packet::decode(&mut buf) {
                 // Header corruption in args changes arg0/arg1 but can't be
                 // detected without magic coverage — decoding may succeed

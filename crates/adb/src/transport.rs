@@ -20,10 +20,9 @@ use std::sync::Arc;
 
 use batterylab_net::LinkProfile;
 use parking_lot::Mutex;
-use serde::Serialize;
 
 /// The medium a transport runs over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TransportKind {
     /// USB cable to the controller hub (powers the device!).
     Usb,

@@ -18,8 +18,6 @@
 //! that `magic` matches and the payload byte-sum verifies), following the
 //! smoltcp school: parse defensively, never panic on wire input.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// `CNXN` — connection handshake.
 pub const A_CNXN: u32 = 0x4e58_4e43;
 /// `AUTH` — authentication exchange.
@@ -104,7 +102,7 @@ pub struct Packet {
     /// Second argument.
     pub arg1: u32,
     /// Payload.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 /// ADB's "checksum": the wrapping byte-sum of the payload.
@@ -123,7 +121,7 @@ fn known_command(c: u32) -> bool {
 
 impl Packet {
     /// Build a packet.
-    pub fn new(command: u32, arg0: u32, arg1: u32, payload: impl Into<Bytes>) -> Self {
+    pub fn new(command: u32, arg0: u32, arg1: u32, payload: impl Into<Vec<u8>>) -> Self {
         let payload = payload.into();
         assert!(
             payload.len() <= MAX_PAYLOAD as usize,
@@ -148,34 +146,39 @@ impl Packet {
     }
 
     /// Serialise to wire bytes (header + payload).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + self.payload.len());
-        buf.put_u32_le(self.command);
-        buf.put_u32_le(self.arg0);
-        buf.put_u32_le(self.arg1);
-        buf.put_u32_le(self.payload.len() as u32);
-        buf.put_u32_le(checksum(&self.payload));
-        buf.put_u32_le(self.command ^ 0xffff_ffff);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        for word in [
+            self.command,
+            self.arg0,
+            self.arg1,
+            self.payload.len() as u32,
+            checksum(&self.payload),
+            self.command ^ 0xffff_ffff,
+        ] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf.extend_from_slice(&self.payload);
+        buf
     }
 
     /// Try to decode one packet from the front of `buf`.
     ///
-    /// Returns `Ok(None)` when more bytes are needed (partial frame);
-    /// consumes the frame from `buf` only on success.
-    pub fn decode(buf: &mut BytesMut) -> Result<Option<Packet>, WireError> {
+    /// Returns `Ok(None)` when more bytes are needed (partial frame) and
+    /// a header error without consuming anything; a whole frame, even one
+    /// whose checksum fails, is consumed from `buf`.
+    pub fn decode(buf: &mut Vec<u8>) -> Result<Option<Packet>, WireError> {
         if buf.len() < HEADER_LEN {
             return Ok(None);
         }
         // Peek the header without consuming.
-        let mut header = &buf[..HEADER_LEN];
-        let command = header.get_u32_le();
-        let arg0 = header.get_u32_le();
-        let arg1 = header.get_u32_le();
-        let data_length = header.get_u32_le();
-        let data_check = header.get_u32_le();
-        let magic = header.get_u32_le();
+        let word = |i: usize| u32::from_le_bytes([buf[i], buf[i + 1], buf[i + 2], buf[i + 3]]);
+        let command = word(0);
+        let arg0 = word(4);
+        let arg1 = word(8);
+        let data_length = word(12);
+        let data_check = word(16);
+        let magic = word(20);
 
         if magic != command ^ 0xffff_ffff {
             return Err(WireError::BadMagic { command, magic });
@@ -190,8 +193,8 @@ impl Packet {
         if buf.len() < total {
             return Ok(None);
         }
-        buf.advance(HEADER_LEN);
-        let payload = buf.split_to(data_length as usize).freeze();
+        let payload = buf[HEADER_LEN..total].to_vec();
+        buf.drain(..total);
         let actual = checksum(&payload);
         if actual != data_check {
             return Err(WireError::BadChecksum {
@@ -212,6 +215,11 @@ impl Packet {
 mod tests {
     use super::*;
 
+    /// Six little-endian header words, as a peer would put them on the wire.
+    fn header(words: &[u32; 6]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
     #[test]
     fn command_words_are_ascii() {
         assert_eq!(&A_CNXN.to_le_bytes(), b"CNXN");
@@ -226,10 +234,38 @@ mod tests {
     #[test]
     fn round_trip() {
         let p = Packet::new(A_WRTE, 7, 9, &b"hello adb"[..]);
-        let mut buf = BytesMut::from(&p.encode()[..]);
+        let mut buf = p.encode();
         let q = Packet::decode(&mut buf).unwrap().unwrap();
         assert_eq!(p, q);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn encode_layout_is_pinned() {
+        assert_eq!(
+            Packet::new(A_OPEN, 1, 0, b"shell:ls\0").encode(),
+            b"OPEN\x01\0\0\0\0\0\0\0\x09\0\0\0\x31\x03\0\0\xb0\xaf\xba\xb1shell:ls\0"
+        );
+    }
+
+    #[test]
+    fn errors_consume_only_whole_frames() {
+        let wire = Packet::new(A_WRTE, 0, 0, &b"payload"[..]).encode();
+        // A header error leaves the buffer as it was.
+        let mut bad_magic = wire.clone();
+        bad_magic[20] ^= 0xff;
+        let before = bad_magic.clone();
+        assert!(Packet::decode(&mut bad_magic).is_err());
+        assert_eq!(bad_magic, before);
+        // A checksum error consumes its frame, so the next one decodes.
+        let mut corrupt = wire.clone();
+        *corrupt.last_mut().unwrap() ^= 0x01;
+        corrupt.extend_from_slice(&wire);
+        assert!(matches!(
+            Packet::decode(&mut corrupt),
+            Err(WireError::BadChecksum { .. })
+        ));
+        assert_eq!(corrupt, wire);
     }
 
     #[test]
@@ -237,7 +273,7 @@ mod tests {
         let p = Packet::new(A_OPEN, 1, 0, &b"shell:ls"[..]);
         let encoded = p.encode();
         for cut in [0, 5, HEADER_LEN - 1, HEADER_LEN, encoded.len() - 1] {
-            let mut buf = BytesMut::from(&encoded[..cut]);
+            let mut buf = encoded[..cut].to_vec();
             assert_eq!(Packet::decode(&mut buf), Ok(None), "cut at {cut}");
             assert_eq!(buf.len(), cut, "partial decode must not consume");
         }
@@ -245,9 +281,9 @@ mod tests {
 
     #[test]
     fn two_packets_back_to_back() {
-        let a = Packet::new(A_OKAY, 1, 2, Bytes::new());
+        let a = Packet::new(A_OKAY, 1, 2, Vec::new());
         let b = Packet::new(A_WRTE, 1, 2, &b"data"[..]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.extend_from_slice(&a.encode());
         buf.extend_from_slice(&b.encode());
         assert_eq!(Packet::decode(&mut buf).unwrap().unwrap(), a);
@@ -258,7 +294,7 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let p = Packet::new(A_WRTE, 0, 0, &b"x"[..]);
-        let mut bytes = BytesMut::from(&p.encode()[..]);
+        let mut bytes = p.encode();
         bytes[20] ^= 0xff; // corrupt magic
         let err = Packet::decode(&mut bytes).unwrap_err();
         assert!(matches!(err, WireError::BadMagic { .. }));
@@ -267,7 +303,7 @@ mod tests {
     #[test]
     fn corrupt_payload_rejected() {
         let p = Packet::new(A_WRTE, 0, 0, &b"payload"[..]);
-        let mut bytes = BytesMut::from(&p.encode()[..]);
+        let mut bytes = p.encode();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         let err = Packet::decode(&mut bytes).unwrap_err();
@@ -276,14 +312,8 @@ mod tests {
 
     #[test]
     fn unknown_command_rejected() {
-        let mut raw = BytesMut::new();
         let cmd = 0xdead_beefu32;
-        raw.put_u32_le(cmd);
-        raw.put_u32_le(0);
-        raw.put_u32_le(0);
-        raw.put_u32_le(0);
-        raw.put_u32_le(0);
-        raw.put_u32_le(cmd ^ 0xffff_ffff);
+        let mut raw = header(&[cmd, 0, 0, 0, 0, cmd ^ 0xffff_ffff]);
         assert_eq!(
             Packet::decode(&mut raw).unwrap_err(),
             WireError::UnknownCommand(cmd)
@@ -292,13 +322,7 @@ mod tests {
 
     #[test]
     fn oversized_rejected_before_buffering() {
-        let mut raw = BytesMut::new();
-        raw.put_u32_le(A_WRTE);
-        raw.put_u32_le(0);
-        raw.put_u32_le(0);
-        raw.put_u32_le(MAX_PAYLOAD + 1);
-        raw.put_u32_le(0);
-        raw.put_u32_le(A_WRTE ^ 0xffff_ffff);
+        let mut raw = header(&[A_WRTE, 0, 0, MAX_PAYLOAD + 1, 0, A_WRTE ^ 0xffff_ffff]);
         assert_eq!(
             Packet::decode(&mut raw).unwrap_err(),
             WireError::Oversized(MAX_PAYLOAD + 1)

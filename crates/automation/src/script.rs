@@ -7,11 +7,10 @@
 //! runs over ADB, UI tests or the Bluetooth keyboard (§3.3).
 
 use batterylab_sim::SimDuration;
-use serde::Serialize;
 
 /// Scroll direction, as in the paper's "scroll up"/"scroll down"
 /// interactions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScrollDir {
     /// Content moves up (finger swipes up).
     Down,
@@ -20,7 +19,7 @@ pub enum ScrollDir {
 }
 
 /// One automation step.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Action {
     /// Start an app by package name.
     LaunchApp(String),
@@ -41,7 +40,7 @@ pub enum Action {
 }
 
 /// A named, ordered list of actions.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Script {
     /// Human-readable name (job display).
     pub name: String,

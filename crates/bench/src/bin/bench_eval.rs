@@ -2,7 +2,9 @@
 //! the machine's full parallelism, per target. Each target runs as
 //! [`TRIALS`] interleaved (serial, parallel) pairs; the table and the
 //! JSON report each cell's median and interquartile range, with the host
-//! core count. The JSON (`BENCH_eval.json`) is written only with `--out`.
+//! core count. Two further tables time the Monsoon sampler's two paths
+//! and the telemetry overhead budget. The JSON (`BENCH_eval.json`) is
+//! written only with `--out`.
 //!
 //! ```sh
 //! cargo run --release -p batterylab-bench --bin bench_eval
@@ -16,13 +18,19 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use batterylab::adb::{AdbKey, AdbLink, MockServices, TransportKind};
 use batterylab::eval::{par, run_target, EvalConfig, ALL_TARGETS};
-use batterylab::power::{Calibration, Monsoon, TraceLoad, MONSOON_RATE_HZ};
+use batterylab::power::{Calibration, ConstantLoad, Monsoon, TraceLoad, MONSOON_RATE_HZ};
 use batterylab::sim::{SimRng, SimTime, StepSignal};
 use batterylab::stats::Cdf;
+use batterylab::telemetry::Registry;
 
 /// Interleaved (serial, parallel) pairs per target.
 const TRIALS: usize = 5;
+
+/// DESIGN §3c: binding a component to a registry may cost at most this
+/// percentage of its unbound time.
+const OVERHEAD_BUDGET_PCT: f64 = 5.0;
 
 fn usage() -> ! {
     eprintln!("usage: bench_eval [--seed N] [--out DIR]");
@@ -147,6 +155,96 @@ fn sampler_throughput(seed: u64) -> serde_json::Value {
     serde_json::Value::Object(out)
 }
 
+/// One overhead cell: `reps` runs of `run(bound)` per timed trial, enough
+/// to make a trial milliseconds long, as [`TRIALS`] interleaved
+/// (unbound, bound) pairs. The overhead is the median of the per-pair
+/// ratios, so host load that drifts between pairs cancels out.
+fn overhead_pair(name: &str, reps: usize, mut run: impl FnMut(bool)) -> serde_json::Value {
+    let mut unbound_ms = [0.0; TRIALS];
+    let mut bound_ms = [0.0; TRIALS];
+    let mut overhead_pct = [0.0; TRIALS];
+    for trial in 0..TRIALS {
+        // Alternate which side runs first so neither always runs warm.
+        for bound in [trial % 2 == 1, trial % 2 == 0] {
+            let ms = timed(|| (0..reps).for_each(|_| run(bound)));
+            if bound {
+                bound_ms[trial] = ms;
+            } else {
+                unbound_ms[trial] = ms;
+            }
+        }
+        overhead_pct[trial] = (bound_ms[trial] / unbound_ms[trial] - 1.0) * 100.0;
+    }
+    let (unbound, bound) = (spread(&unbound_ms), spread(&bound_ms));
+    let overhead = spread(&overhead_pct);
+    let within_budget = overhead.0 <= OVERHEAD_BUDGET_PCT;
+    let cell = |(median, iqr): (f64, f64)| format!("{median:.2} ± {iqr:.2}ms");
+    println!(
+        "{:<22} {:>18} {:>18} {:>14} {}",
+        name,
+        cell(unbound),
+        cell(bound),
+        format!("{:+.1} ± {:.1}%", overhead.0, overhead.1),
+        if within_budget { "ok" } else { "BROKEN" }
+    );
+    serde_json::json!({
+        "reps": reps,
+        "unbound_ms": serde_json::json!({ "median": unbound.0, "iqr": unbound.1 }),
+        "bound_ms": serde_json::json!({ "median": bound.0, "iqr": bound.1 }),
+        "overhead_pct": serde_json::json!({ "median": overhead.0, "iqr": overhead.1 }),
+        "within_budget": within_budget,
+    })
+}
+
+/// Telemetry overhead (DESIGN §3c): one virtual second of 5 kHz Monsoon
+/// sampling on a fresh meter, and one ADB shell round trip over a
+/// connected WiFi link, each with its component bound to a shared
+/// registry vs left unbound.
+fn telemetry_overhead() -> serde_json::Value {
+    println!(
+        "\n# telemetry overhead (registry bound vs unbound; \
+         median ± IQR of {TRIALS} interleaved pairs; budget {OVERHEAD_BUDGET_PCT}%)"
+    );
+    println!(
+        "{:<22} {:>18} {:>18} {:>14}",
+        "operation", "unbound", "bound", "overhead"
+    );
+    let registry = Registry::new();
+    let monsoon = overhead_pair("monsoon_1s_5khz", 300, |bound| {
+        let mut m = Monsoon::new(SimRng::new(1).derive("m"));
+        if bound {
+            m.set_telemetry(&registry);
+        }
+        m.set_powered(true);
+        m.set_voltage(4.0).unwrap();
+        m.enable_vout().unwrap();
+        std::hint::black_box(
+            m.sample_run(&ConstantLoad::new(160.0, 4.0), SimTime::ZERO, 1.0)
+                .unwrap(),
+        );
+    });
+    let mut links = [false, true].map(|bound| {
+        let mut link = AdbLink::new(
+            MockServices::default(),
+            TransportKind::WiFi,
+            AdbKey::generate("bench", 1),
+        );
+        if bound {
+            link.set_telemetry(&registry);
+        }
+        link.connect().unwrap();
+        link
+    });
+    let adb = overhead_pair("adb_shell_round_trip", 10_000, |bound| {
+        std::hint::black_box(links[bound as usize].shell("echo bench").unwrap());
+    });
+    serde_json::json!({
+        "budget_pct": OVERHEAD_BUDGET_PCT,
+        "monsoon_1s_5khz": monsoon,
+        "adb_shell_round_trip": adb,
+    })
+}
+
 /// Print one table row and return its JSON cell.
 fn row(name: &str, serial_ms: &[f64], parallel_ms: &[f64]) -> serde_json::Value {
     let (serial, parallel) = (spread(serial_ms), spread(parallel_ms));
@@ -224,6 +322,7 @@ fn main() {
     let total = row("total", &total_serial, &total_parallel);
 
     let sampler = sampler_throughput(seed);
+    let overhead = telemetry_overhead();
 
     let Some(dir) = out else { return };
     let json = serde_json::json!({
@@ -233,6 +332,7 @@ fn main() {
         "parallel_jobs": jobs,
         "available_parallelism": cores,
         "sampler": sampler,
+        "telemetry_overhead": overhead,
         "targets": targets,
         "total": total,
     });

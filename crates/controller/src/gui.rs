@@ -8,10 +8,9 @@
 //! Mechanical Turk should interact with the app, not the power meter.
 
 use crate::vantage::{ControllerError, VantagePoint};
-use serde::Serialize;
 
 /// Toolbar buttons (the API subset of Table 1 the GUI exposes).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ToolbarAction {
     /// List test devices.
     ListDevices,

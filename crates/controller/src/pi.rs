@@ -12,7 +12,6 @@
 use std::collections::BTreeMap;
 
 use batterylab_sim::SimRng;
-use serde::Serialize;
 
 /// Total RAM of the Pi 3B+, MB.
 pub const PI_RAM_MB: f64 = 1024.0;
@@ -20,7 +19,7 @@ pub const PI_RAM_MB: f64 = 1024.0;
 pub const PI_CORES: u32 = 4;
 
 /// Static cost of a named load source.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LoadSource {
     /// CPU fraction of the whole SoC (0–1).
     pub cpu: f64,

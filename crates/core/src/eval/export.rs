@@ -7,12 +7,12 @@
 //! the evaluation itself.
 
 use batterylab_stats::{Cdf, Summary};
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use crate::eval::{fig2, fig3, fig4, fig5, fig6, table2};
 
 /// Points on a CDF curve, ready for a line plot.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct CdfSeries {
     /// Legend label.
     pub label: String,
@@ -21,7 +21,7 @@ pub struct CdfSeries {
 }
 
 /// One bar of a bar chart.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Bar {
     /// Group (x-axis category).
     pub group: String,
@@ -113,7 +113,7 @@ pub fn fig6_bars(f: &fig6::Fig6) -> Vec<Bar> {
 }
 
 /// Table 2 as JSON-ready rows.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Table2Row {
     /// Country label.
     pub location: String,
@@ -127,6 +127,19 @@ pub struct Table2Row {
     pub up_mbps: f64,
     /// RTT ms.
     pub latency_ms: f64,
+}
+
+impl Serialize for Table2Row {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("location".to_string(), self.location.to_value()),
+            ("server".to_string(), self.server.to_value()),
+            ("server_km".to_string(), self.server_km.to_value()),
+            ("down_mbps".to_string(), self.down_mbps.to_value()),
+            ("up_mbps".to_string(), self.up_mbps.to_value()),
+            ("latency_ms".to_string(), self.latency_ms.to_value()),
+        ])
+    }
 }
 
 /// Table 2 rows.
@@ -216,6 +229,29 @@ mod tests {
         let csv = bars_csv(&bars);
         assert!(csv.starts_with("group,series,mean,std_dev\n"));
         assert!(csv.contains("Japan,Chrome,8,0.1"));
+    }
+
+    #[test]
+    fn table2_json_layout_is_pinned() {
+        let rows = vec![Table2Row {
+            location: "Japan".into(),
+            server: "Tokyo".into(),
+            server_km: 12.5,
+            down_mbps: 95.0,
+            up_mbps: 40.25,
+            latency_ms: 8.0,
+        }];
+        let expected = r#"[
+  {
+    "location": "Japan",
+    "server": "Tokyo",
+    "server_km": 12.5,
+    "down_mbps": 95.0,
+    "up_mbps": 40.25,
+    "latency_ms": 8.0
+  }
+]"#;
+        assert_eq!(serde_json::to_string_pretty(&rows).unwrap(), expected);
     }
 
     #[test]

@@ -13,13 +13,11 @@
 //! smartphone power-modelling literature the paper builds on (Chen et al.,
 //! SIGMETRICS '15).
 
-use serde::Serialize;
-
 use crate::state::{ComponentState, RadioState};
 use batterylab_sim::SimTime;
 
 /// Additive per-component current model (all values mA at nominal volts).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PowerModel {
     /// Everything-off floor (SoC retention, PMIC).
     pub base_idle_ma: f64,

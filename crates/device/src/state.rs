@@ -4,12 +4,11 @@
 //! device simulator evolves it over virtual time as workloads run.
 
 use batterylab_sim::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// Activity state of a network radio, with the tail-energy behaviour that
 /// dominates mobile radio power: after a transfer the radio lingers in a
 /// high-power state before dropping back to idle.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RadioState {
     /// Low-power idle / paging.
     Idle,
@@ -37,7 +36,7 @@ impl RadioState {
 }
 
 /// Which interface carries the device's data traffic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DataPath {
     /// The vantage point's WiFi AP.
     WiFi,
@@ -46,7 +45,7 @@ pub enum DataPath {
 }
 
 /// What powers the device right now.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PowerSource {
     /// Its own battery (relay in the Battery position).
     Battery,
@@ -55,7 +54,7 @@ pub enum PowerSource {
 }
 
 /// Full component state at an instant.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ComponentState {
     /// Screen powered?
     pub screen_on: bool,
@@ -98,7 +97,7 @@ impl Default for ComponentState {
 }
 
 /// Static description of a device model.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct DeviceSpec {
     /// Marketing model, e.g. "Samsung J7 Duo".
     pub model: String,

@@ -18,7 +18,6 @@
 use std::fmt;
 
 use batterylab_stats::EnergyAccumulator;
-use serde::Serialize;
 
 use crate::disk::crc32;
 
@@ -32,7 +31,7 @@ pub fn sample_crc(samples: &[f64]) -> u32 {
 }
 
 /// Why a checkpoint splice was rejected.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GapKind {
     /// A segment starts after where the previous one ended.
     Gap,
@@ -48,7 +47,7 @@ pub enum GapKind {
 }
 
 /// A rejected splice: which segment failed and why.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GapReport {
     /// Ordinal of the offending segment.
     pub segment: u64,
@@ -71,7 +70,7 @@ impl fmt::Display for GapReport {
 impl std::error::Error for GapReport {}
 
 /// One sealed sample-stream segment.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SealedSegment {
     /// Segment ordinal, 0-based.
     pub index: u64,
@@ -86,7 +85,7 @@ pub struct SealedSegment {
 }
 
 /// A durable sequence of sealed segments for one sample run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CheckpointStream {
     rate_hz: f64,
     voltage_v: f64,

@@ -33,7 +33,6 @@ use std::sync::{Arc, Mutex};
 
 use batterylab_sim::{SimRng, SimTime};
 use batterylab_telemetry::Registry;
-use serde::Serialize;
 
 /// Well-known injection-site suffixes. A vantage point scopes them with
 /// its node name via [`scoped_site`] (`node1.power.socket`), so merged
@@ -67,7 +66,7 @@ pub fn scoped_site(node: &str, suffix: &str) -> String {
 }
 
 /// The taxonomy of faults the platform can inject.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The WiFi socket does not answer its LAN API.
     SocketUnreachable,
@@ -118,7 +117,7 @@ impl std::fmt::Display for FaultKind {
 }
 
 /// When a spec fires.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Trigger {
     /// Fire on the next `n` matching operations, then disarm. This is
     /// the compat shape of the old `inject_unreachable(n)` knob.
@@ -137,7 +136,7 @@ pub enum Trigger {
 }
 
 /// One fault: what, where, when.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultSpec {
     /// Dotted site label the spec applies to (e.g. `node1.power.socket`).
     pub site: String,
@@ -148,7 +147,7 @@ pub struct FaultSpec {
 }
 
 /// A declarative, serialisable schedule of faults.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     specs: Vec<FaultSpec>,
 }

@@ -16,10 +16,9 @@
 
 use batterylab_device::IosDevice;
 use batterylab_sim::SimTime;
-use serde::Serialize;
 
 /// AirPlay sender configuration.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AirPlayConfig {
     /// Video bitrate, bits/s (AirPlay mirrors at several Mbps by default;
     /// receivers can negotiate down).

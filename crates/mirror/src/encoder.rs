@@ -13,10 +13,9 @@
 
 use batterylab_device::AndroidDevice;
 use batterylab_sim::SimTime;
-use serde::Serialize;
 
 /// Encoder configuration (scrcpy command-line equivalents).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EncoderConfig {
     /// Rate-control cap, bits per second. The paper uses 1 Mbps.
     pub bitrate_bps: f64,

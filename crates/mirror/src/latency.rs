@@ -14,11 +14,10 @@
 use batterylab_net::LinkProfile;
 use batterylab_sim::{SimDuration, SimRng};
 use batterylab_stats::Summary;
-use serde::Serialize;
 
 /// Mean cost of each pipeline stage, milliseconds. The defaults are
 /// calibrated so a co-located trial distribution matches §4.2.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LatencyModel {
     /// Browser JS event handling + WebSocket send.
     pub browser_send_ms: f64,
@@ -55,7 +54,7 @@ impl Default for LatencyModel {
 }
 
 /// One measured trial.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LatencyTrial {
     /// Click-to-display interval.
     pub total: SimDuration,

@@ -8,9 +8,6 @@
 //! compression — which is what turns scrcpy's ~50 MB cap into the ~32 MB
 //! the paper measured.
 
-use bytes::{BufMut, BytesMut};
-use serde::Serialize;
-
 /// The RFB protocol version BatteryLab's tigervnc speaks.
 pub const RFB_VERSION: &[u8; 12] = b"RFB 003.008\n";
 
@@ -18,7 +15,7 @@ pub const RFB_VERSION: &[u8; 12] = b"RFB 003.008\n";
 pub const NOVNC_COMPRESSION: f64 = 0.82;
 
 /// Security types offered in the RFB handshake.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RfbSecurity {
     /// No authentication (never offered by BatteryLab).
     None,
@@ -64,7 +61,7 @@ pub struct VncServer {
 }
 
 /// Opaque viewer identifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ViewerId(u32);
 
 impl VncServer {
@@ -162,19 +159,19 @@ fn websocket_header_len(body_len: usize) -> usize {
 }
 
 /// Build an RFB FramebufferUpdate message carrying one encoded rect.
-pub fn framebuffer_update(width: u16, height: u16, payload: &[u8]) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(RFB_UPDATE_HEADER_LEN + payload.len());
-    buf.put_u8(0); // message-type: FramebufferUpdate
-    buf.put_u8(0); // padding
-    buf.put_u16(1); // number-of-rectangles
-    buf.put_u16(0); // x
-    buf.put_u16(0); // y
-    buf.put_u16(width);
-    buf.put_u16(height);
-    buf.put_i32(7); // encoding: Tight(ish) carrying our H.264 payload
-    buf.put_u32(payload.len() as u32);
+pub fn framebuffer_update(width: u16, height: u16, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(RFB_UPDATE_HEADER_LEN + payload.len());
+    buf.push(0); // message-type: FramebufferUpdate
+    buf.push(0); // padding
+    buf.extend_from_slice(&1u16.to_be_bytes()); // number-of-rectangles
+    buf.extend_from_slice(&0u16.to_be_bytes()); // x
+    buf.extend_from_slice(&0u16.to_be_bytes()); // y
+    buf.extend_from_slice(&width.to_be_bytes());
+    buf.extend_from_slice(&height.to_be_bytes());
+    buf.extend_from_slice(&7i32.to_be_bytes()); // encoding: Tight(ish) carrying our H.264 payload
+    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     debug_assert_eq!(buf.len(), RFB_UPDATE_HEADER_LEN);
-    buf.put_slice(payload);
+    buf.extend_from_slice(payload);
     buf
 }
 
@@ -311,6 +308,14 @@ mod tests {
         assert_eq!(msg[0], 0); // FramebufferUpdate
         assert_eq!(&msg[2..4], &1u16.to_be_bytes()); // one rect
         assert_eq!(msg.len(), 16 + 4 + 3);
+    }
+
+    #[test]
+    fn framebuffer_update_bytes_are_pinned() {
+        assert_eq!(
+            framebuffer_update(2, 3, b"ab"),
+            b"\0\0\0\x01\0\0\0\0\0\x02\0\x03\0\0\0\x07\0\0\0\x02ab"
+        );
     }
 
     #[test]

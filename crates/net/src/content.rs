@@ -12,12 +12,10 @@
 //! This module is the catalog that tells a browser workload what the
 //! network at a given region serves.
 
-use serde::Serialize;
-
 use crate::vpn::VpnLocation;
 
 /// Where the vantage point's traffic egresses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Region {
     /// No tunnel: the vantage point's own location (Imperial College, UK).
     Local,
@@ -36,7 +34,7 @@ impl Region {
 }
 
 /// What the ad ecosystem serves at a region.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RegionalContent {
     /// Multiplier on ad payload bytes relative to the UK baseline.
     pub ad_size_factor: f64,

@@ -5,10 +5,8 @@
 //! Profiles compose: a WiFi hop chained with a VPN tunnel yields the
 //! end-to-end path a BatteryLab vantage point sees in §4.3.
 
-use serde::Serialize;
-
 /// Characteristics of a network link or end-to-end path.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkProfile {
     /// Downstream bandwidth, megabits per second.
     pub down_mbps: f64,

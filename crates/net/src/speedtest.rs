@@ -6,14 +6,13 @@
 //! a timed download and a timed upload — with realistic measurement noise.
 
 use batterylab_sim::SimRng;
-use serde::Serialize;
 
 use crate::link::LinkProfile;
 use crate::transfer::{Direction, TransferModel};
 use crate::vpn::VpnLocation;
 
 /// One SpeedTest result row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SpeedtestResult {
     /// Server city the test ran against.
     pub server: String,

@@ -9,12 +9,11 @@
 //! nominal bandwidth.
 
 use batterylab_sim::{SimDuration, SimRng};
-use serde::Serialize;
 
 use crate::link::LinkProfile;
 
 /// Direction of a transfer relative to the device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
     /// Server → device (page loads, video segments).
     Down,
@@ -28,7 +27,7 @@ const MSS: f64 = 1460.0;
 const INIT_CWND: f64 = 10.0;
 
 /// Outcome of a modelled transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TransferOutcome {
     /// Total wall time from request to last byte.
     pub duration: SimDuration,

@@ -9,12 +9,11 @@
 
 use batterylab_faults::{site, FaultInjector, FaultKind};
 use batterylab_sim::SimTime;
-use serde::Serialize;
 
 use crate::link::LinkProfile;
 
 /// The five ProtonVPN exit locations of Table 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum VpnLocation {
     /// Johannesburg exit.
     SouthAfrica,

@@ -6,10 +6,8 @@
 //! of that switch: open-circuit voltage as a function of state of charge,
 //! internal resistance, and discharge bookkeeping.
 
-use serde::Serialize;
-
 /// A lithium-ion battery pack.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Battery {
     /// Rated capacity, mAh.
     capacity_mah: f64,

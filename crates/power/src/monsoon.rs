@@ -16,7 +16,6 @@ use batterylab_faults::{FaultInjector, FaultKind};
 use batterylab_sim::{SimDuration, SimRng, SimTime, UniformSeries};
 use batterylab_stats::EnergyAccumulator;
 use batterylab_telemetry::{bucket_index, Counter, Histogram, HistogramBlock, Registry};
-use serde::Serialize;
 
 use crate::source::{CurrentSource, Segment};
 
@@ -84,7 +83,7 @@ pub struct SampleRun {
 }
 
 /// Calibration and noise characteristics of an individual instrument.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Calibration {
     /// Multiplicative gain error (1.0 = perfect).
     pub gain: f64,

@@ -13,7 +13,6 @@
 
 use batterylab_faults::{FaultInjector, FaultKind};
 use batterylab_sim::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// Errors from the socket's LAN API.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,7 +32,7 @@ impl std::fmt::Display for SocketError {
 impl std::error::Error for SocketError {}
 
 /// Current state reported by the socket.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SocketState {
     /// Relay closed, mains delivered.
     On,

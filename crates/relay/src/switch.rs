@@ -17,12 +17,11 @@ use std::sync::Arc;
 use batterylab_sim::SimTime;
 use batterylab_telemetry::{Counter, Gauge, Registry};
 use parking_lot::RwLock;
-use serde::Serialize;
 
 use batterylab_power::{CurrentSource, Segment};
 
 /// Relay contact position for one channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChannelRoute {
     /// Device runs from its own battery; the meter sees nothing.
     Battery,

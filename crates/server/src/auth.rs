@@ -7,10 +7,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-
 /// Platform roles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Role {
     /// Full control, approves pipeline changes, manages nodes.
     Admin,
@@ -21,7 +19,7 @@ pub enum Role {
 }
 
 /// Actions the matrix gates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Permission {
     /// Create a new job.
     CreateJob,
@@ -88,14 +86,14 @@ impl std::fmt::Display for AuthError {
 
 impl std::error::Error for AuthError {}
 
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 struct Account {
     role: Role,
     password_hash: u64,
 }
 
 /// An issued console session.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Session {
     /// Opaque token.
     pub token: u64,

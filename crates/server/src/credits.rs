@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 
 use batterylab_sim::SimDuration;
-use serde::Serialize;
 
 /// Credits earned per node-hour of availability.
 pub const EARN_PER_NODE_HOUR: f64 = 10.0;
@@ -54,7 +53,7 @@ impl std::fmt::Display for CreditError {
 impl std::error::Error for CreditError {}
 
 /// One ledger entry, for the audit trail.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LedgerEntry {
     /// Account affected.
     pub user: String,

@@ -4,7 +4,6 @@
 use batterylab_automation::Script;
 use batterylab_net::VpnLocation;
 use batterylab_sim::{SimDuration, SimTime};
-use serde::Serialize;
 
 use crate::vantage_exec::JobOutcome;
 
@@ -12,7 +11,7 @@ use crate::vantage_exec::JobOutcome;
 /// server will dispatch queued jobs based on experimenter constraints,
 /// e.g., target device, connectivity, or network location, and BatteryLab
 /// constraints, e.g., one job at the time per device".
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Constraints {
     /// Required vantage point (`node1`), if any.
     pub node: Option<String>,
@@ -28,7 +27,7 @@ pub struct Constraints {
 }
 
 /// A declarative experiment: the pipeline the Jenkins UI builds.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ExperimentSpec {
     /// Target device serial.
     pub device: String,
@@ -62,11 +61,11 @@ impl ExperimentSpec {
 }
 
 /// Job identifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 /// Terminal state of a build.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum BuildState {
     /// Waiting in the queue.
     Queued,
@@ -77,7 +76,7 @@ pub enum BuildState {
 }
 
 /// A file left in the job workspace.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Artifact {
     /// Workspace-relative name, e.g. `power_summary.json`.
     pub name: String,
@@ -87,7 +86,7 @@ pub struct Artifact {
 
 /// The record of one job run, kept in the workspace until retention
 /// expires ("logs … made available for several days").
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BuildRecord {
     /// Id.
     pub id: JobId,

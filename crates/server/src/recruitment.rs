@@ -9,13 +9,12 @@
 //! hidden); on completion the experimenter's approval pays out.
 
 use batterylab_sim::SimDuration;
-use serde::Serialize;
 
 use crate::auth::{AuthService, Role};
 use crate::credits::{CreditError, CreditLedger};
 
 /// Where the worker came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Marketplace {
     /// Amazon Mechanical Turk.
     MechanicalTurk,
@@ -26,7 +25,7 @@ pub enum Marketplace {
 }
 
 /// Lifecycle of a posted task.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TaskState {
     /// Posted, waiting for a worker.
     Open,
@@ -55,7 +54,7 @@ pub enum TaskState {
 }
 
 /// A usability task (HIT).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct UsabilityTask {
     /// Task id.
     pub id: u64,

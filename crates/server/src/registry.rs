@@ -6,7 +6,6 @@
 use std::collections::BTreeMap;
 
 use batterylab_sim::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// Ports §3.4 requires a controller to expose.
 pub const REQUIRED_PORTS: [(u16, &str); 3] =
@@ -44,7 +43,7 @@ impl std::fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// The wildcard certificate (`*.batterylab.dev`).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Certificate {
     /// Monotonic serial.
     pub serial: u64,
@@ -60,7 +59,7 @@ impl Certificate {
 }
 
 /// One enrolled vantage point.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct NodeRecord {
     /// Human-readable identifier, e.g. `node1`.
     pub name: String,

@@ -10,10 +10,9 @@
 use std::collections::BTreeMap;
 
 use batterylab_sim::SimTime;
-use serde::Serialize;
 
 /// One reservation.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Slot {
     /// Who holds it.
     pub user: String,

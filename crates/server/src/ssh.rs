@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 use batterylab_faults::{site, FaultInjector, FaultKind};
 use batterylab_sim::SimTime;
 use batterylab_telemetry::{Counter, Histogram, Registry};
-use bytes::{Buf, BufMut, BytesMut};
 
 /// SSH faults.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,7 +69,7 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Decode one frame from the front of `buf`; `None` when incomplete.
-pub fn decode_frame(buf: &mut BytesMut) -> Result<Option<Vec<u8>>, SshError> {
+pub fn decode_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, SshError> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -81,8 +80,9 @@ pub fn decode_frame(buf: &mut BytesMut) -> Result<Option<Vec<u8>>, SshError> {
     if buf.len() < 4 + len {
         return Ok(None);
     }
-    buf.advance(4);
-    Ok(Some(buf.split_to(len).to_vec()))
+    let frame = buf[4..4 + len].to_vec();
+    buf.drain(..4 + len);
+    Ok(Some(frame))
 }
 
 /// What a controller does with an exec request.
@@ -268,8 +268,8 @@ impl SshSession<'_> {
         }
         self.server.telemetry.execs.inc();
         // Client → server.
-        let wire = encode_frame(cmd.as_bytes());
-        let mut rx = BytesMut::from(&wire[..]);
+        let mut rx = encode_frame(cmd.as_bytes());
+        let wire_len = rx.len();
         let frame = decode_frame(&mut rx)?
             .ok_or_else(|| SshError::Framing("truncated request".to_string()))?;
         let request =
@@ -280,10 +280,7 @@ impl SshSession<'_> {
             Err(err) => (1i32, err),
         };
         // Server → client: status frame + body frame.
-        let mut reply = BytesMut::new();
-        let mut status = Vec::new();
-        status.put_i32(code);
-        reply.extend_from_slice(&encode_frame(&status));
+        let mut reply = encode_frame(&code.to_be_bytes());
         reply.extend_from_slice(&encode_frame(body.as_bytes()));
         let status_frame = decode_frame(&mut reply)?
             .ok_or_else(|| SshError::Framing("missing status".to_string()))?;
@@ -299,7 +296,7 @@ impl SshSession<'_> {
         self.server
             .telemetry
             .exec_bytes
-            .record((wire.len() + body.len()) as u64);
+            .record((wire_len + body.len()) as u64);
         if code != 0 {
             self.server.telemetry.exec_failures.inc();
             return Err(SshError::ExitNonZero { code, stderr: body });
@@ -314,22 +311,26 @@ mod tests {
 
     #[test]
     fn frame_round_trip() {
-        let mut buf = BytesMut::from(&encode_frame(b"hello")[..]);
+        let mut buf = encode_frame(b"hello");
         assert_eq!(decode_frame(&mut buf).unwrap().unwrap(), b"hello");
         assert_eq!(decode_frame(&mut buf).unwrap(), None);
     }
 
     #[test]
+    fn frame_layout_is_pinned() {
+        assert_eq!(encode_frame(b"hi"), b"\0\0\0\x02hi");
+    }
+
+    #[test]
     fn partial_frame_waits() {
         let wire = encode_frame(b"abcdef");
-        let mut buf = BytesMut::from(&wire[..5]);
+        let mut buf = wire[..5].to_vec();
         assert_eq!(decode_frame(&mut buf).unwrap(), None);
     }
 
     #[test]
     fn oversized_frame_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(64 * 1024 * 1024);
+        let mut buf = (64u32 * 1024 * 1024).to_be_bytes().to_vec();
         assert!(matches!(decode_frame(&mut buf), Err(SshError::Framing(_))));
     }
 

@@ -1,13 +1,11 @@
 //! Empirical cumulative distribution functions.
 
-use serde::Serialize;
-
 /// An empirical CDF over `f64` samples.
 ///
 /// Non-finite samples are rejected at construction; quantiles use linear
 /// interpolation between order statistics (type-7, the numpy default), so
 /// medians of even-length samples behave as users expect.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

@@ -4,12 +4,10 @@
 //! The Monsoon reports instantaneous current at a fixed sampling rate; the
 //! battery discharge over a test is the time integral of that current.
 
-use serde::Serialize;
-
 /// Streaming accumulator used by the Monsoon client on the controller: it
 /// never stores the full 5 kHz trace, only running aggregates, mirroring
 /// how long-running tests keep memory bounded on a Raspberry Pi.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct EnergyAccumulator {
     samples: u64,
     sum_ma: f64,

@@ -2,10 +2,8 @@
 //! reports in Figures 3 and 6 ("average battery discharge, standard
 //! deviation as errorbars").
 
-use serde::Serialize;
-
 /// Mean / standard deviation / extremes of a sample set.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     /// Number of samples aggregated.
     pub n: usize,

@@ -8,10 +8,10 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// One journal entry.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Virtual time of the event, microseconds.
     pub at_micros: u64,
@@ -19,6 +19,16 @@ pub struct Event {
     pub label: String,
     /// Free-form detail, e.g. the channel or device involved.
     pub detail: String,
+}
+
+impl Serialize for Event {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("at_micros".to_string(), self.at_micros.to_value()),
+            ("label".to_string(), self.label.to_value()),
+            ("detail".to_string(), self.detail.to_value()),
+        ])
+    }
 }
 
 struct JournalState {

@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// Number of log2 histogram buckets; bucket `i > 0` covers values in
 /// `[2^(i-1), 2^i)` and bucket 0 covers exactly zero. The last bucket
@@ -246,7 +246,7 @@ impl Histogram {
 }
 
 /// Frozen histogram state with derived statistics.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HistogramSnapshot {
     /// Total samples.
     pub count: u64,
@@ -258,6 +258,18 @@ pub struct HistogramSnapshot {
     pub max: u64,
     /// Per-bucket counts; bucket `i > 0` covers `[2^(i-1), 2^i)`.
     pub buckets: Vec<u64>,
+}
+
+impl Serialize for HistogramSnapshot {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("count".to_string(), self.count.to_value()),
+            ("sum".to_string(), self.sum.to_value()),
+            ("min".to_string(), self.min.to_value()),
+            ("max".to_string(), self.max.to_value()),
+            ("buckets".to_string(), self.buckets.to_value()),
+        ])
+    }
 }
 
 impl HistogramSnapshot {

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use crate::clock::VirtualClock;
 use crate::journal::{Event, Journal};
@@ -207,7 +207,7 @@ impl Registry {
 }
 
 /// A frozen, serialisable view of a [`Registry`].
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Report {
     /// Virtual time of the snapshot, microseconds.
     pub at_micros: u64,
@@ -221,6 +221,19 @@ pub struct Report {
     pub events: Vec<Event>,
     /// Events evicted from the journal due to capacity.
     pub events_dropped: u64,
+}
+
+impl Serialize for Report {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("at_micros".to_string(), self.at_micros.to_value()),
+            ("counters".to_string(), self.counters.to_value()),
+            ("gauges".to_string(), self.gauges.to_value()),
+            ("histograms".to_string(), self.histograms.to_value()),
+            ("events".to_string(), self.events.to_value()),
+            ("events_dropped".to_string(), self.events_dropped.to_value()),
+        ])
+    }
 }
 
 impl Report {
@@ -402,6 +415,65 @@ power_run_us_sum 1006
 power_run_us_count 4
 ";
         assert_eq!(registry.snapshot().to_prometheus(), golden);
+    }
+
+    #[test]
+    fn json_layout_is_pinned() {
+        let registry = Registry::new();
+        registry.counter("adb.frames_tx").add(3);
+        registry.gauge("queue.depth").set(-2);
+        let lat = registry.histogram("lat");
+        lat.record(1);
+        lat.record(5);
+        registry.clock().advance_to(7);
+        registry.event("relay.bypass", "ch0");
+        registry.clock().advance_to(9);
+        registry.event("adb.reconnect", "vp0");
+        // Fields in declaration order, maps sorted by key, and all 64
+        // buckets, the 59 trailing empty ones folded into a `repeat`.
+        let expected = [
+            r#"{
+  "at_micros": 9,
+  "counters": {
+    "adb.frames_tx": 3
+  },
+  "gauges": {
+    "queue.depth": -2
+  },
+  "histograms": {
+    "lat": {
+      "count": 2,
+      "sum": 6,
+      "min": 1,
+      "max": 5,
+      "buckets": [
+        0,
+        1,
+        0,
+        1,
+"#,
+            &"        0,\n".repeat(59),
+            r#"        0
+      ]
+    }
+  },
+  "events": [
+    {
+      "at_micros": 7,
+      "label": "relay.bypass",
+      "detail": "ch0"
+    },
+    {
+      "at_micros": 9,
+      "label": "adb.reconnect",
+      "detail": "vp0"
+    }
+  ],
+  "events_dropped": 0
+}"#,
+        ]
+        .concat();
+        assert_eq!(registry.snapshot().to_json(), expected);
     }
 
     #[test]

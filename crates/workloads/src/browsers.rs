@@ -7,10 +7,8 @@
 //! Fig. 3 is an emergent result of running the actual workload through the
 //! device model, not a lookup table.
 
-use serde::Serialize;
-
 /// How a browser engine spends resources on a page.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BrowserProfile {
     /// Display name.
     pub name: String,

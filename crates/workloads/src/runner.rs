@@ -12,7 +12,6 @@ use batterylab_automation::{Action, AutomationBackend, AutomationError, ScrollDi
 use batterylab_device::AndroidDevice;
 use batterylab_net::{Direction, Region, RegionalContent};
 use batterylab_sim::{SimDuration, SimTime};
-use serde::Serialize;
 
 use crate::browsers::BrowserProfile;
 use crate::sites::Website;
@@ -21,7 +20,7 @@ use crate::sites::Website;
 pub const PAGE_DWELL: SimDuration = SimDuration::from_secs(6);
 
 /// Outcome of one page visit.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PageVisit {
     /// Bytes fetched (after ad blocking / regional scaling).
     pub bytes: u64,
@@ -30,7 +29,7 @@ pub struct PageVisit {
 }
 
 /// Aggregate outcome of a full workload run.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WorkloadStats {
     /// Pages visited.
     pub pages: usize,

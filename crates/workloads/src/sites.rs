@@ -2,10 +2,8 @@
 //! resource manifest splitting content from ads — the split that makes
 //! Brave's blocking and Japan's smaller ads (Fig. 6) observable.
 
-use serde::Serialize;
-
 /// One test page's resource manifest.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Website {
     /// Domain, used as the URL the automation types.
     pub domain: String,

@@ -73,6 +73,17 @@ cargo test -q -p batterylab-tests --test artifacts_golden
 # shim is depended on.
 cargo test -q -p batterylab-tests --test manifests
 
+# The benchmark (`perfbench/`, a workspace of its own) builds against the
+# workspace's public API, so a change there that breaks it fails here,
+# and its smoke test runs every workload at tiny scale. Building it
+# rewrites its Cargo.lock when a workspace crate's dependency list
+# changed; the trap puts the committed lock back, so the gate leaves
+# `git status` clean.
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+trap 'cp "$perfbench_lock" perfbench/Cargo.lock; rm -f "$perfbench_lock"' EXIT
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Wall-clock split: evaluation at jobs=1 vs every available core.
 # Prints the per-figure table; the JSON goes under target/ so the gate
 # leaves the committed BENCH_eval.json (and `git status`) untouched.

@@ -1,21 +1,17 @@
 //! Minimal `serde` shim, serialisation only.
 //!
 //! The real serde serialises through a visitor pipeline; this shim keeps
-//! the same trait name and derive ergonomics but routes everything
-//! through a concrete JSON-shaped [`Value`] tree, which is all the
-//! workspace (and the `serde_json` shim) needs. The workspace never
-//! deserialises into a type, so the shim has no deserialising half. The
-//! derive comes from the sibling `serde_derive` proc-macro crate and
-//! follows serde_json's data conventions: structs → objects, newtype
-//! structs → their inner value, unit enum variants → strings,
-//! data-carrying variants → single-key objects.
+//! the same trait name but routes everything through a concrete
+//! JSON-shaped [`Value`] tree, which is all the workspace (and the
+//! `serde_json` shim) needs. The workspace never deserialises into a
+//! type, so the shim has no deserialising half, and it has no derive:
+//! the few types written as JSON implement [`Serialize`] by hand, in
+//! serde_json's conventions (structs → objects, fields in declaration
+//! order).
 
 mod value;
 
-pub use value::{Map, Number, Value};
-
-/// The derive macro, re-exported under the familiar name.
-pub use serde_derive::Serialize;
+pub use value::{Map, Value};
 
 /// Types that can render themselves as a [`Value`].
 pub trait Serialize {
@@ -36,28 +32,17 @@ macro_rules! ser_unsigned {
         }
     )*};
 }
-ser_unsigned!(u8, u16, u32, u64, usize);
+ser_unsigned!(u64, usize);
 
-macro_rules! ser_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::I64(*self as i64)
-            }
-        }
-    )*};
+impl Serialize for i64 {
+    fn to_value(&self) -> Value {
+        Value::I64(*self)
+    }
 }
-ser_signed!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::F64(*self)
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self as f64)
     }
 }
 
@@ -74,12 +59,6 @@ impl Serialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
@@ -104,48 +83,6 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-
-macro_rules! ser_tuple {
-    ($(($($n:tt $t:ident),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$n.to_value()),+])
-            }
-        }
-    )*};
-}
-ser_tuple! {
-    (0 A)
-    (0 A, 1 B)
-    (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
-    (0 A, 1 B, 2 C, 3 D, 4 E)
-    (0 A, 1 B, 2 C, 3 D, 4 E, 5 F)
 }
 
 impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {

@@ -8,18 +8,6 @@ use std::ops::{Index, IndexMut};
 /// Alias kept for signature compatibility with serde_json's `Map`.
 pub type Map = Vec<(String, Value)>;
 
-/// Numeric kind marker (compatibility shell; the shim stores numbers
-/// directly in [`Value`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Number {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-}
-
 /// A JSON value tree.
 #[derive(Clone, Debug, Default)]
 pub enum Value {
@@ -65,19 +53,6 @@ impl Value {
     /// True when any numeric representation.
     pub fn is_number(&self) -> bool {
         matches!(self, Value::U64(_) | Value::I64(_) | Value::F64(_))
-    }
-
-    /// True when a string.
-    pub fn is_string(&self) -> bool {
-        matches!(self, Value::Str(_))
-    }
-
-    /// As a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
     }
 
     /// As an unsigned integer, if representable.
@@ -312,69 +287,5 @@ impl IndexMut<&str> for Value {
         }
         pairs.push((key.to_string(), Value::Null));
         &mut pairs.last_mut().expect("just pushed").1
-    }
-}
-
-macro_rules! value_from_unsigned {
-    ($($t:ty),*) => {$(
-        impl From<$t> for Value {
-            fn from(v: $t) -> Value { Value::U64(v as u64) }
-        }
-    )*};
-}
-value_from_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! value_from_signed {
-    ($($t:ty),*) => {$(
-        impl From<$t> for Value {
-            fn from(v: $t) -> Value {
-                if v >= 0 { Value::U64(v as u64) } else { Value::I64(v as i64) }
-            }
-        }
-    )*};
-}
-value_from_signed!(i8, i16, i32, i64, isize);
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Value {
-        Value::F64(v)
-    }
-}
-impl From<f32> for Value {
-    fn from(v: f32) -> Value {
-        Value::F64(v as f64)
-    }
-}
-impl From<bool> for Value {
-    fn from(v: bool) -> Value {
-        Value::Bool(v)
-    }
-}
-impl From<&str> for Value {
-    fn from(v: &str) -> Value {
-        Value::Str(v.to_string())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Value {
-        Value::Str(v)
-    }
-}
-impl<T: Into<Value>> From<Vec<T>> for Value {
-    fn from(v: Vec<T>) -> Value {
-        Value::Array(v.into_iter().map(Into::into).collect())
-    }
-}
-impl<T: Into<Value> + Clone> From<&[T]> for Value {
-    fn from(v: &[T]) -> Value {
-        Value::Array(v.iter().cloned().map(Into::into).collect())
-    }
-}
-impl<T: Into<Value>> From<Option<T>> for Value {
-    fn from(v: Option<T>) -> Value {
-        match v {
-            Some(x) => x.into(),
-            None => Value::Null,
-        }
     }
 }

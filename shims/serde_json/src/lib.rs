@@ -6,7 +6,7 @@
 //! small recursive-descent parser. Rendering lives on `Value` itself so
 //! both crates agree byte-for-byte.
 
-pub use serde::{Map, Number, Value};
+pub use serde::{Map, Value};
 
 mod parse;
 
@@ -49,7 +49,7 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 /// Build a [`Value`] from JSON-ish syntax.
 ///
 /// Supports object literals with string-literal keys, array literals,
-/// `null`, and arbitrary expressions convertible via `Into<Value>`
+/// `null`, and any expression whose type implements `Serialize`
 /// (numbers, strings, bools, `Option`, `Vec`, `Value`). Values inside
 /// an object/array literal are Rust expressions — nest with an inner
 /// `json!(..)` call rather than a bare `{..}` literal.
@@ -84,7 +84,7 @@ mod tests {
             "name": "fig3",
             "count": 3u64,
             "ratio": 0.5,
-            "tags": ["a", "b"],
+            "tags": json!(["a", "b"]),
             "vpn": Option::<String>::None,
         });
         assert_eq!(v["name"], "fig3");

@@ -6,7 +6,6 @@
 use batterylab::adb::wire::{checksum, Packet, A_CLSE, A_CNXN, A_OKAY, A_OPEN, A_WRTE};
 use batterylab::mirror::{framebuffer_update, websocket_wrap};
 use batterylab::server::ssh::{decode_frame, encode_frame};
-use bytes::BytesMut;
 use proptest::prelude::*;
 
 fn arb_packet() -> impl Strategy<Value = Packet> {
@@ -32,7 +31,7 @@ proptest! {
             wire.extend_from_slice(&p.encode());
         }
         // Feed the decoder in fragments sized by `cuts` (cycled).
-        let mut rx = BytesMut::new();
+        let mut rx = Vec::new();
         let mut decoded = Vec::new();
         let mut offset = 0;
         let mut cut_idx = 0;
@@ -62,10 +61,10 @@ proptest! {
         delta in 1u8..=255,
     ) {
         let p = Packet::new(A_WRTE, 0, 0, payload.clone());
-        let mut wire = p.encode().to_vec();
+        let mut wire = p.encode();
         let idx = 24 + victim.index(payload.len());
         wire[idx] = wire[idx].wrapping_add(delta);
-        let mut buf = BytesMut::from(&wire[..]);
+        let mut buf = wire;
         // Either checksum error, or — if the sum happens to collide
         // (wrapping add of a multiple of 256 across bytes can't happen for
         // a single byte) — never the original packet.
@@ -84,7 +83,7 @@ proptest! {
         for p in &payloads {
             wire.extend_from_slice(&encode_frame(p));
         }
-        let mut buf = BytesMut::from(&wire[..]);
+        let mut buf = wire;
         let mut decoded = Vec::new();
         while let Some(f) = decode_frame(&mut buf).unwrap() {
             decoded.push(f);
