@@ -10,8 +10,8 @@ use crate::auth::{PublicKey, TOKEN_LEN};
 use crate::services::DeviceServices;
 use crate::transport::{TransportEnd, TransportError};
 use crate::wire::{
-    Packet, WireError, ADB_VERSION, AUTH_RSAPUBLICKEY, AUTH_SIGNATURE, AUTH_TOKEN, A_AUTH, A_CLSE,
-    A_CNXN, A_OKAY, A_OPEN, A_WRTE, MAX_PAYLOAD,
+    encode_frame, Packet, WireError, ADB_VERSION, AUTH_RSAPUBLICKEY, AUTH_SIGNATURE, AUTH_TOKEN,
+    A_AUTH, A_CLSE, A_CNXN, A_OKAY, A_OPEN, A_WRTE, MAX_PAYLOAD,
 };
 
 /// Daemon faults (wire corruption or transport loss).
@@ -53,6 +53,8 @@ pub struct AdbDaemon<S: DeviceServices> {
     services: S,
     state: State,
     rx_buf: Vec<u8>,
+    /// Each outgoing frame is encoded here, reusing one allocation.
+    tx_buf: Vec<u8>,
     next_local_id: u32,
     token_counter: u64,
     known_keys: Vec<PublicKey>,
@@ -67,6 +69,7 @@ impl<S: DeviceServices> AdbDaemon<S> {
             services,
             state: State::Offline,
             rx_buf: Vec::new(),
+            tx_buf: Vec::new(),
             next_local_id: 1,
             token_counter: 0,
             known_keys: Vec::new(),
@@ -114,16 +117,24 @@ impl<S: DeviceServices> AdbDaemon<S> {
     /// Pump: drain the transport, process every complete packet, send
     /// replies. Call whenever the host may have written.
     pub fn poll(&mut self, transport: &TransportEnd) -> Result<(), DaemonError> {
-        let incoming = transport.recv();
-        self.rx_buf.extend_from_slice(&incoming);
+        transport.recv_into(&mut self.rx_buf);
         while let Some(packet) = Packet::decode(&mut self.rx_buf)? {
             self.handle(packet, transport)?;
         }
         Ok(())
     }
 
-    fn send(&self, transport: &TransportEnd, p: Packet) -> Result<(), DaemonError> {
-        transport.send(&p.encode())?;
+    fn send(
+        &mut self,
+        transport: &TransportEnd,
+        command: u32,
+        arg0: u32,
+        arg1: u32,
+        payload: &[u8],
+    ) -> Result<(), DaemonError> {
+        self.tx_buf.clear();
+        encode_frame(&mut self.tx_buf, command, arg0, arg1, payload);
+        transport.send(&self.tx_buf)?;
         Ok(())
     }
 
@@ -133,17 +144,17 @@ impl<S: DeviceServices> AdbDaemon<S> {
         let banner = self.services.identity();
         self.send(
             transport,
-            Packet::new(A_CNXN, ADB_VERSION, MAX_PAYLOAD, banner.into_bytes()),
+            A_CNXN,
+            ADB_VERSION,
+            MAX_PAYLOAD,
+            banner.as_bytes(),
         )
     }
 
     fn challenge(&mut self, transport: &TransportEnd, attempts: u8) -> Result<(), DaemonError> {
         let token = self.fresh_token();
         self.state = State::Authenticating { token, attempts };
-        self.send(
-            transport,
-            Packet::new(A_AUTH, AUTH_TOKEN, 0, token.to_vec()),
-        )
+        self.send(transport, A_AUTH, AUTH_TOKEN, 0, &token)
     }
 
     fn handle(&mut self, packet: Packet, transport: &TransportEnd) -> Result<(), DaemonError> {
@@ -159,7 +170,7 @@ impl<S: DeviceServices> AdbDaemon<S> {
             A_OPEN if self.state == State::Online => self.handle_open(packet, transport),
             A_OPEN => {
                 // Service request before auth: close it immediately.
-                self.send(transport, Packet::new(A_CLSE, 0, packet.arg0, Vec::new()))
+                self.send(transport, A_CLSE, 0, packet.arg0, &[])
             }
             // OKAY/CLSE acks for one-shot streams need no bookkeeping; SYNC
             // and WRTE to unknown streams are ignored like the real daemon.
@@ -215,27 +226,17 @@ impl<S: DeviceServices> AdbDaemon<S> {
         let remote_id = packet.arg0;
         let local_id = self.next_local_id;
         self.next_local_id += 1;
-        let service = packet.text();
-        match self.services.exec(&service) {
+        match self.services.exec(&packet.text()) {
             Ok(output) => {
-                self.send(
-                    transport,
-                    Packet::new(A_OKAY, local_id, remote_id, Vec::new()),
-                )?;
-                for chunk in output.chunks((MAX_PAYLOAD as usize).max(1)) {
-                    self.send(
-                        transport,
-                        Packet::new(A_WRTE, local_id, remote_id, chunk.to_vec()),
-                    )?;
+                self.send(transport, A_OKAY, local_id, remote_id, &[])?;
+                for chunk in output.chunks(MAX_PAYLOAD as usize) {
+                    self.send(transport, A_WRTE, local_id, remote_id, chunk)?;
                 }
-                self.send(
-                    transport,
-                    Packet::new(A_CLSE, local_id, remote_id, Vec::new()),
-                )
+                self.send(transport, A_CLSE, local_id, remote_id, &[])
             }
             Err(_) => {
                 // Service refused: CLSE without OKAY, as the real daemon.
-                self.send(transport, Packet::new(A_CLSE, 0, remote_id, Vec::new()))
+                self.send(transport, A_CLSE, 0, remote_id, &[])
             }
         }
     }
@@ -268,7 +269,10 @@ mod tests {
     use crate::services::MockServices;
     use crate::transport::{duplex, TransportKind};
 
-    fn decode_all(mut buf: Vec<u8>) -> Vec<Packet> {
+    /// Every frame `end` has pending.
+    fn decode_all(end: &TransportEnd) -> Vec<Packet> {
+        let mut buf = Vec::new();
+        end.recv_into(&mut buf);
         let mut out = Vec::new();
         while let Some(p) = Packet::decode(&mut buf).unwrap() {
             out.push(p);
@@ -287,7 +291,7 @@ mod tests {
         host.send(&Packet::new(A_CNXN, ADB_VERSION, MAX_PAYLOAD, &b"host::"[..]).encode())
             .unwrap();
         daemon.poll(&dev).unwrap();
-        let replies = decode_all(host.recv());
+        let replies = decode_all(&host);
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].command, A_CNXN);
         assert!(replies[0].text().starts_with("device::"));
@@ -301,7 +305,7 @@ mod tests {
         host.send(&Packet::new(A_CNXN, ADB_VERSION, MAX_PAYLOAD, &b"host::"[..]).encode())
             .unwrap();
         daemon.poll(&dev).unwrap();
-        let replies = decode_all(host.recv());
+        let replies = decode_all(&host);
         assert_eq!(replies[0].command, A_AUTH);
         assert_eq!(replies[0].arg0, AUTH_TOKEN);
         assert_eq!(replies[0].payload.len(), TOKEN_LEN);
@@ -315,7 +319,7 @@ mod tests {
         host.send(&Packet::new(A_OPEN, 5, 0, &b"shell:id\0"[..]).encode())
             .unwrap();
         daemon.poll(&dev).unwrap();
-        let replies = decode_all(host.recv());
+        let replies = decode_all(&host);
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].command, A_CLSE);
         assert_eq!(replies[0].arg1, 5);
@@ -332,11 +336,11 @@ mod tests {
         host.send(&Packet::new(A_CNXN, ADB_VERSION, MAX_PAYLOAD, &b"host::"[..]).encode())
             .unwrap();
         daemon.poll(&dev).unwrap();
-        host.recv();
+        decode_all(&host);
         host.send(&Packet::new(A_OPEN, 11, 0, &b"shell:echo hi\0"[..]).encode())
             .unwrap();
         daemon.poll(&dev).unwrap();
-        let replies = decode_all(host.recv());
+        let replies = decode_all(&host);
         assert_eq!(replies[0].command, A_OKAY);
         assert_eq!(replies[1].command, A_WRTE);
         assert_eq!(replies[1].text(), "hi\n");
@@ -355,11 +359,11 @@ mod tests {
         host.send(&Packet::new(A_CNXN, ADB_VERSION, MAX_PAYLOAD, &b"host::"[..]).encode())
             .unwrap();
         daemon.poll(&dev).unwrap();
-        host.recv();
+        decode_all(&host);
         host.send(&Packet::new(A_OPEN, 3, 0, &b"shell:fail\0"[..]).encode())
             .unwrap();
         daemon.poll(&dev).unwrap();
-        let replies = decode_all(host.recv());
+        let replies = decode_all(&host);
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].command, A_CLSE);
     }
@@ -378,11 +382,11 @@ mod tests {
         assert!(daemon.is_online());
         daemon.reset();
         assert!(!daemon.is_online());
-        host.recv();
+        decode_all(&host);
         host.send(&Packet::new(A_OPEN, 9, 0, &b"shell:id\0"[..]).encode())
             .unwrap();
         daemon.poll(&dev).unwrap();
-        let replies = decode_all(host.recv());
+        let replies = decode_all(&host);
         assert_eq!(replies[0].command, A_CLSE, "must re-handshake after reset");
     }
 }

@@ -16,8 +16,8 @@ use crate::daemon::{AdbDaemon, DaemonError};
 use crate::services::DeviceServices;
 use crate::transport::{duplex_with_profile, TransportEnd, TransportError, TransportKind};
 use crate::wire::{
-    Packet, WireError, ADB_VERSION, AUTH_RSAPUBLICKEY, AUTH_SIGNATURE, AUTH_TOKEN, A_AUTH, A_CLSE,
-    A_CNXN, A_OKAY, A_OPEN, A_WRTE, MAX_PAYLOAD,
+    encode_frame, Packet, WireError, ADB_VERSION, AUTH_RSAPUBLICKEY, AUTH_SIGNATURE, AUTH_TOKEN,
+    A_AUTH, A_CLSE, A_CNXN, A_OKAY, A_OPEN, A_WRTE, MAX_PAYLOAD,
 };
 use batterylab_net::LinkProfile;
 
@@ -90,9 +90,19 @@ enum StreamPhase {
     Open { got: Vec<u8> },
 }
 
+/// The one-shot stream in flight.
+#[derive(Debug)]
+struct Stream {
+    id: u32,
+    /// The `OPEN` payload as sent: the service name and its NUL.
+    request: String,
+    phase: StreamPhase,
+}
+
 /// Pre-resolved telemetry handles for the framing layer (`adb.*`).
-/// Bound once at construction; every frame costs two relaxed atomic
-/// RMWs per direction.
+/// Unregistered until [`AdbHostClient::set_telemetry`] binds them to a
+/// registry; every frame costs two relaxed atomic RMWs per direction.
+#[derive(Default)]
 struct AdbTelemetry {
     frames_tx: Counter,
     frames_rx: Counter,
@@ -118,9 +128,11 @@ pub struct AdbHostClient {
     transport: TransportEnd,
     key: AdbKey,
     rx: Vec<u8>,
+    /// Each outgoing frame is encoded here, reusing one allocation.
+    tx: Vec<u8>,
     banner: Option<String>,
     auth: AuthPhase,
-    stream: Option<(u32, String, StreamPhase)>,
+    stream: Option<Stream>,
     next_stream_id: u32,
     telemetry: AdbTelemetry,
 }
@@ -132,11 +144,12 @@ impl AdbHostClient {
             transport,
             key,
             rx: Vec::new(),
+            tx: Vec::new(),
             banner: None,
             auth: AuthPhase::Fresh,
             stream: None,
             next_stream_id: 100,
-            telemetry: AdbTelemetry::bind(&Registry::new()),
+            telemetry: AdbTelemetry::default(),
         }
     }
 
@@ -146,11 +159,18 @@ impl AdbHostClient {
     }
 
     /// Encode and send one frame, counting it.
-    fn send_packet(&mut self, packet: Packet) -> Result<(), HostError> {
-        let encoded = packet.encode();
+    fn send_frame(
+        &mut self,
+        command: u32,
+        arg0: u32,
+        arg1: u32,
+        payload: &[u8],
+    ) -> Result<(), HostError> {
+        self.tx.clear();
+        encode_frame(&mut self.tx, command, arg0, arg1, payload);
         self.telemetry.frames_tx.inc();
-        self.telemetry.bytes_tx.add(encoded.len() as u64);
-        self.transport.send(&encoded)?;
+        self.telemetry.bytes_tx.add(self.tx.len() as u64);
+        self.transport.send(&self.tx)?;
         Ok(())
     }
 
@@ -173,13 +193,7 @@ impl AdbHostClient {
     pub fn start_connect(&mut self) -> Result<(), HostError> {
         self.banner = None;
         self.auth = AuthPhase::Fresh;
-        self.send_packet(Packet::new(
-            A_CNXN,
-            ADB_VERSION,
-            MAX_PAYLOAD,
-            &b"host::batterylab\0"[..],
-        ))?;
-        Ok(())
+        self.send_frame(A_CNXN, ADB_VERSION, MAX_PAYLOAD, b"host::batterylab\0")
     }
 
     /// Open a one-shot service stream.
@@ -189,19 +203,23 @@ impl AdbHostClient {
         }
         let id = self.next_stream_id;
         self.next_stream_id += 1;
-        let mut payload = service.as_bytes().to_vec();
-        payload.push(0);
-        self.send_packet(Packet::new(A_OPEN, id, 0, payload))?;
-        self.stream = Some((id, service.to_string(), StreamPhase::AwaitingOkay));
+        let mut request = String::with_capacity(service.len() + 1);
+        request.push_str(service);
+        request.push('\0');
+        self.send_frame(A_OPEN, id, 0, request.as_bytes())?;
+        self.stream = Some(Stream {
+            id,
+            request,
+            phase: StreamPhase::AwaitingOkay,
+        });
         Ok(())
     }
 
     /// Drain the transport and advance the state machine. Returns the
     /// completed service output when a stream finished this call.
     pub fn process(&mut self) -> Result<Option<Vec<u8>>, HostError> {
-        let bytes = self.transport.recv();
-        self.telemetry.bytes_rx.add(bytes.len() as u64);
-        self.rx.extend_from_slice(&bytes);
+        let received = self.transport.recv_into(&mut self.rx);
+        self.telemetry.bytes_rx.add(received as u64);
         let mut finished = None;
         while let Some(packet) = Packet::decode(&mut self.rx)? {
             self.telemetry.frames_rx.inc();
@@ -218,20 +236,20 @@ impl AdbHostClient {
     fn handle(&mut self, packet: Packet) -> Result<Option<Vec<u8>>, HostError> {
         match packet.command {
             A_CNXN => {
-                self.banner = Some(packet.text());
+                self.banner = Some(packet.text().into_owned());
                 Ok(None)
             }
             A_AUTH if packet.arg0 == AUTH_TOKEN => {
                 match self.auth {
                     AuthPhase::Fresh => {
                         let sig = self.key.sign(&packet.payload);
-                        self.send_packet(Packet::new(A_AUTH, AUTH_SIGNATURE, 0, sig))?;
+                        self.send_frame(A_AUTH, AUTH_SIGNATURE, 0, &sig)?;
                         self.auth = AuthPhase::SentSignature;
                     }
                     AuthPhase::SentSignature => {
                         // Signature bounced: offer our public key.
                         let blob = self.key.public_blob();
-                        self.send_packet(Packet::new(A_AUTH, AUTH_RSAPUBLICKEY, 0, blob))?;
+                        self.send_frame(A_AUTH, AUTH_RSAPUBLICKEY, 0, &blob)?;
                         self.auth = AuthPhase::SentPublicKey;
                     }
                     AuthPhase::SentPublicKey => {
@@ -242,10 +260,10 @@ impl AdbHostClient {
                 Ok(None)
             }
             A_OKAY => {
-                if let Some((id, _, phase)) = &mut self.stream {
-                    if packet.arg1 == *id {
-                        if let StreamPhase::AwaitingOkay = phase {
-                            *phase = StreamPhase::Open { got: Vec::new() };
+                if let Some(stream) = &mut self.stream {
+                    if packet.arg1 == stream.id {
+                        if let StreamPhase::AwaitingOkay = stream.phase {
+                            stream.phase = StreamPhase::Open { got: Vec::new() };
                         }
                     }
                 }
@@ -253,36 +271,50 @@ impl AdbHostClient {
             }
             A_WRTE => {
                 let mut ack = None;
-                if let Some((id, _, phase)) = &mut self.stream {
-                    if packet.arg1 == *id {
-                        if let StreamPhase::Open { got } = phase {
-                            got.extend_from_slice(&packet.payload);
-                            ack = Some(*id);
+                if let Some(stream) = &mut self.stream {
+                    if packet.arg1 == stream.id {
+                        if let StreamPhase::Open { got } = &mut stream.phase {
+                            // The first write's payload becomes the output.
+                            if got.is_empty() {
+                                *got = packet.payload;
+                            } else {
+                                got.extend_from_slice(&packet.payload);
+                            }
+                            ack = Some(stream.id);
                         }
                     }
                 }
                 if let Some(id) = ack {
                     // Ack the write so the daemon can keep streaming.
-                    self.send_packet(Packet::new(A_OKAY, id, packet.arg0, Vec::new()))?;
+                    self.send_frame(A_OKAY, id, packet.arg0, &[])?;
                 }
                 Ok(None)
             }
             A_CLSE => {
-                let Some((id, service, phase)) = self.stream.take() else {
+                let Some(mut stream) = self.stream.take() else {
                     return Ok(None);
                 };
-                if packet.arg1 != id {
-                    self.stream = Some((id, service, phase));
+                if packet.arg1 != stream.id {
+                    self.stream = Some(stream);
                     return Ok(None);
                 }
-                match phase {
+                match stream.phase {
                     StreamPhase::Open { got } => Ok(Some(got)),
-                    StreamPhase::AwaitingOkay => Err(HostError::ServiceRefused(service)),
+                    StreamPhase::AwaitingOkay => {
+                        stream.request.pop(); // the NUL
+                        Err(HostError::ServiceRefused(stream.request))
+                    }
                 }
             }
             _ => Ok(None),
         }
     }
+}
+
+/// Service output as text, without a copy unless it is invalid UTF-8,
+/// which is replaced lossily.
+fn into_text(out: Vec<u8>) -> String {
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// A synchronous host↔daemon pairing over an in-memory duplex — the shape
@@ -435,8 +467,7 @@ impl<S: DeviceServices> AdbLink<S> {
 
     /// `adb shell <cmd>`.
     pub fn shell(&mut self, cmd: &str) -> Result<String, HostError> {
-        let out = self.execute(&format!("shell:{cmd}"))?;
-        Ok(String::from_utf8_lossy(&out).into_owned())
+        self.execute(&format!("shell:{cmd}")).map(into_text)
     }
 
     /// `adb logcat -d`.
@@ -446,12 +477,13 @@ impl<S: DeviceServices> AdbLink<S> {
 
     /// `adb shell dumpsys <service>`.
     pub fn dumpsys(&mut self, service: &str) -> Result<String, HostError> {
-        self.shell(&format!("dumpsys {service}"))
+        self.execute(&format!("shell:dumpsys {service}"))
+            .map(into_text)
     }
 
     /// `adb shell input tap x y`.
     pub fn input_tap(&mut self, x: u32, y: u32) -> Result<(), HostError> {
-        self.shell(&format!("input tap {x} {y}")).map(drop)
+        self.execute(&format!("shell:input tap {x} {y}")).map(drop)
     }
 
     /// `adb shell input swipe` (scrolls in the paper's workload).
@@ -463,28 +495,31 @@ impl<S: DeviceServices> AdbLink<S> {
         y2: u32,
         ms: u32,
     ) -> Result<(), HostError> {
-        self.shell(&format!("input swipe {x1} {y1} {x2} {y2} {ms}"))
+        self.execute(&format!("shell:input swipe {x1} {y1} {x2} {y2} {ms}"))
             .map(drop)
     }
 
     /// `adb shell input keyevent <code>`.
     pub fn input_keyevent(&mut self, code: u32) -> Result<(), HostError> {
-        self.shell(&format!("input keyevent {code}")).map(drop)
+        self.execute(&format!("shell:input keyevent {code}"))
+            .map(drop)
     }
 
     /// `adb shell am start` an activity.
     pub fn start_activity(&mut self, component: &str) -> Result<(), HostError> {
-        self.shell(&format!("am start -n {component}")).map(drop)
+        self.execute(&format!("shell:am start -n {component}"))
+            .map(drop)
     }
 
     /// `adb shell am force-stop`.
     pub fn force_stop(&mut self, package: &str) -> Result<(), HostError> {
-        self.shell(&format!("am force-stop {package}")).map(drop)
+        self.execute(&format!("shell:am force-stop {package}"))
+            .map(drop)
     }
 
     /// `adb shell pm clear` (the workload's "clean browser state" step).
     pub fn pm_clear(&mut self, package: &str) -> Result<(), HostError> {
-        self.shell(&format!("pm clear {package}")).map(drop)
+        self.execute(&format!("shell:pm clear {package}")).map(drop)
     }
 }
 
@@ -632,6 +667,31 @@ mod tests {
         assert!(report.counter("adb.frames_rx") >= 4);
         assert!(report.counter("adb.bytes_tx") > 0);
         assert!(report.histogram("adb.frame_payload_bytes").unwrap().count > 0);
+    }
+
+    #[test]
+    fn shell_replaces_invalid_utf8() {
+        struct Binary;
+        impl DeviceServices for Binary {
+            fn identity(&self) -> String {
+                "device::bin;".into()
+            }
+            fn auth_required(&self) -> bool {
+                false
+            }
+            fn is_key_trusted(&self, _: &str) -> bool {
+                false
+            }
+            fn offer_key(&mut self, _: &str) -> bool {
+                true
+            }
+            fn exec(&mut self, _: &str) -> Result<Vec<u8>, String> {
+                Ok(b"ok\xff\n".to_vec())
+            }
+        }
+        let mut l = AdbLink::new(Binary, TransportKind::WiFi, AdbKey::generate("h", 3));
+        l.connect().unwrap();
+        assert_eq!(l.shell("cat blob").unwrap(), "ok\u{fffd}\n");
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! connected state). Higher layers read those to apply timing and energy
 //! costs.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use batterylab_net::LinkProfile;
@@ -68,8 +67,8 @@ impl std::fmt::Display for TransportError {
 impl std::error::Error for TransportError {}
 
 struct Shared {
-    a_to_b: VecDeque<u8>,
-    b_to_a: VecDeque<u8>,
+    a_to_b: Vec<u8>,
+    b_to_a: Vec<u8>,
     connected: bool,
     a_sent: u64,
     b_sent: u64,
@@ -95,8 +94,8 @@ pub fn duplex_with_profile(
     profile: LinkProfile,
 ) -> (TransportEnd, TransportEnd) {
     let shared = Arc::new(Mutex::new(Shared {
-        a_to_b: VecDeque::new(),
-        b_to_a: VecDeque::new(),
+        a_to_b: Vec::new(),
+        b_to_a: Vec::new(),
         connected: true,
         a_sent: 0,
         b_sent: 0,
@@ -135,26 +134,36 @@ impl TransportEnd {
             return Err(TransportError::Disconnected);
         }
         if self.is_a {
-            s.a_to_b.extend(data);
+            s.a_to_b.extend_from_slice(data);
             s.a_sent += data.len() as u64;
         } else {
-            s.b_to_a.extend(data);
+            s.b_to_a.extend_from_slice(data);
             s.b_sent += data.len() as u64;
         }
         Ok(())
     }
 
-    /// Drain everything the peer has sent so far. Empty vec when nothing
-    /// is pending. Receiving still works after disconnection (bytes in
-    /// flight are delivered), matching socket semantics.
-    pub fn recv(&self) -> Vec<u8> {
+    /// Append everything the peer has sent so far to `buf` and return
+    /// how many bytes that was (0 when nothing is pending). An empty `buf`
+    /// trades allocations with the queue instead of copying, so a caller
+    /// that drains its buffer between calls allocates nothing in steady
+    /// state. Receiving still works after disconnection (bytes in flight
+    /// are delivered), matching socket semantics.
+    pub fn recv_into(&self, buf: &mut Vec<u8>) -> usize {
         let mut s = self.shared.lock();
         let q = if self.is_a {
             &mut s.b_to_a
         } else {
             &mut s.a_to_b
         };
-        q.drain(..).collect()
+        let n = q.len();
+        if buf.is_empty() {
+            std::mem::swap(buf, q);
+        } else {
+            buf.extend_from_slice(q);
+            q.clear();
+        }
+        n
     }
 
     /// Bytes this end has sent.
@@ -199,14 +208,38 @@ impl TransportEnd {
 mod tests {
     use super::*;
 
+    fn recv(end: &TransportEnd) -> Vec<u8> {
+        let mut buf = Vec::new();
+        end.recv_into(&mut buf);
+        buf
+    }
+
     #[test]
     fn bytes_flow_both_ways() {
         let (a, b) = duplex(TransportKind::WiFi);
         a.send(b"ping").unwrap();
-        assert_eq!(b.recv(), b"ping");
+        assert_eq!(recv(&b), b"ping");
         b.send(b"pong").unwrap();
-        assert_eq!(a.recv(), b"pong");
-        assert_eq!(a.recv(), Vec::<u8>::new());
+        assert_eq!(recv(&a), b"pong");
+        assert_eq!(recv(&a), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn recv_appends_to_pending_bytes() {
+        let (a, b) = duplex(TransportKind::WiFi);
+        let mut buf = Vec::new();
+        a.send(b"par").unwrap();
+        assert_eq!(b.recv_into(&mut buf), 3);
+        a.send(b"tial").unwrap();
+        assert_eq!(b.recv_into(&mut buf), 4);
+        assert_eq!(buf, b"partial");
+        assert_eq!(b.recv_into(&mut buf), 0);
+        assert_eq!(buf, b"partial");
+        // The queue kept no bytes: a drained buffer receives only new ones.
+        buf.clear();
+        a.send(b"next").unwrap();
+        assert_eq!(b.recv_into(&mut buf), 4);
+        assert_eq!(buf, b"next");
     }
 
     #[test]
@@ -228,7 +261,7 @@ mod tests {
         b.disconnect();
         assert_eq!(a.send(b"more"), Err(TransportError::Disconnected));
         // In-flight data still drains.
-        assert_eq!(b.recv(), b"in flight");
+        assert_eq!(recv(&b), b"in flight");
         assert!(!a.is_connected());
         a.reconnect();
         assert!(a.send(b"back").is_ok());

@@ -18,6 +18,8 @@
 //! that `magic` matches and the payload byte-sum verifies), following the
 //! smoltcp school: parse defensively, never panic on wire input.
 
+use std::borrow::Cow;
+
 /// `CNXN` — connection handshake.
 pub const A_CNXN: u32 = 0x4e58_4e43;
 /// `AUTH` — authentication exchange.
@@ -119,6 +121,30 @@ fn known_command(c: u32) -> bool {
     )
 }
 
+/// Append one frame (header + `payload`) to `out`.
+///
+/// # Panics
+///
+/// If `payload` exceeds [`MAX_PAYLOAD`], as [`Packet::new`] does.
+pub fn encode_frame(out: &mut Vec<u8>, command: u32, arg0: u32, arg1: u32, payload: &[u8]) {
+    assert!(
+        payload.len() <= MAX_PAYLOAD as usize,
+        "payload exceeds MAX_PAYLOAD"
+    );
+    out.reserve(HEADER_LEN + payload.len());
+    for word in [
+        command,
+        arg0,
+        arg1,
+        payload.len() as u32,
+        checksum(payload),
+        command ^ 0xffff_ffff,
+    ] {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.extend_from_slice(payload);
+}
+
 impl Packet {
     /// Build a packet.
     pub fn new(command: u32, arg0: u32, arg1: u32, payload: impl Into<Vec<u8>>) -> Self {
@@ -135,31 +161,23 @@ impl Packet {
         }
     }
 
-    /// Payload as UTF-8 (lossy), without a trailing NUL if present —
-    /// handy for the ASCII bodies of CNXN/OPEN.
-    pub fn text(&self) -> String {
+    /// Payload as UTF-8 without a trailing NUL if present — handy for
+    /// the ASCII bodies of CNXN/OPEN. Borrows the payload unless it is
+    /// invalid UTF-8, which is replaced lossily.
+    pub fn text(&self) -> Cow<'_, str> {
         let raw: &[u8] = match self.payload.split_last() {
             Some((0, rest)) => rest,
             _ => &self.payload,
         };
-        String::from_utf8_lossy(raw).into_owned()
+        String::from_utf8_lossy(raw)
     }
 
-    /// Serialise to wire bytes (header + payload).
+    /// Serialise to fresh wire bytes (tests and one-off frames; the host
+    /// and daemon encode through [`encode_frame`] into reused buffers).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        for word in [
-            self.command,
-            self.arg0,
-            self.arg1,
-            self.payload.len() as u32,
-            checksum(&self.payload),
-            self.command ^ 0xffff_ffff,
-        ] {
-            buf.extend_from_slice(&word.to_le_bytes());
-        }
-        buf.extend_from_slice(&self.payload);
-        buf
+        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        encode_frame(&mut out, self.command, self.arg0, self.arg1, &self.payload);
+        out
     }
 
     /// Try to decode one packet from the front of `buf`.
@@ -246,6 +264,23 @@ mod tests {
             Packet::new(A_OPEN, 1, 0, b"shell:ls\0").encode(),
             b"OPEN\x01\0\0\0\0\0\0\0\x09\0\0\0\x31\x03\0\0\xb0\xaf\xba\xb1shell:ls\0"
         );
+    }
+
+    #[test]
+    fn encode_frame_appends() {
+        let a = Packet::new(A_OKAY, 1, 2, Vec::new());
+        let b = Packet::new(A_WRTE, 1, 2, &b"data"[..]);
+        let mut out = a.encode();
+        encode_frame(&mut out, b.command, b.arg0, b.arg1, &b.payload);
+        assert_eq!(out, [a.encode(), b.encode()].concat());
+    }
+
+    #[test]
+    fn text_borrows_valid_utf8() {
+        let p = Packet::new(A_OPEN, 0, 0, &b"shell:id\0"[..]);
+        assert!(matches!(p.text(), Cow::Borrowed("shell:id")));
+        let q = Packet::new(A_OPEN, 0, 0, &b"bad\xff\0"[..]);
+        assert_eq!(q.text(), "bad\u{fffd}");
     }
 
     #[test]

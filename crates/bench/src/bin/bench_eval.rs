@@ -2,9 +2,9 @@
 //! the machine's full parallelism, per target. Each target runs as
 //! [`TRIALS`] interleaved (serial, parallel) pairs; the table and the
 //! JSON report each cell's median and interquartile range, with the host
-//! core count. Two further tables time the Monsoon sampler's two paths
-//! and the telemetry overhead budget. The JSON (`BENCH_eval.json`) is
-//! written only with `--out`.
+//! core count. Further tables time the Monsoon sampler's two paths, the
+//! telemetry overhead budget and a job's automation session. The JSON
+//! (`BENCH_eval.json`) is written only with `--out`.
 //!
 //! ```sh
 //! cargo run --release -p batterylab-bench --bin bench_eval
@@ -19,6 +19,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use batterylab::adb::{AdbKey, AdbLink, MockServices, TransportKind};
+use batterylab::automation::{AdbBackend, AutomationBackend, Script};
+use batterylab::device::boot_j7_duo;
 use batterylab::eval::{par, run_target, EvalConfig, ALL_TARGETS};
 use batterylab::power::{Calibration, ConstantLoad, Monsoon, TraceLoad, MONSOON_RATE_HZ};
 use batterylab::sim::{SimRng, SimTime, StepSignal};
@@ -245,6 +247,83 @@ fn telemetry_overhead() -> serde_json::Value {
     })
 }
 
+/// Sessions per timed trial of the automation-session cell, enough to
+/// make a trial milliseconds long.
+const SESSIONS: usize = 500;
+
+/// A measured job's automation session (DESIGN §4d), as `run_experiment`
+/// drives it over ADB-WiFi: a fresh `AdbBackend::connect` to a booted J7
+/// Duo (handshake and `logcat -c`), `node_lifetime`'s 2-scroll browser
+/// workload, and `logcat -d`. Each trial boots a fresh device, and the
+/// key it trusts on first contact is registered before timing, as on a
+/// node past its first job. The sessions run as [`TRIALS`] interleaved
+/// pairs against the same commands over one channel kept open, so the
+/// per-pair difference is what opening the channel costs.
+fn automation_session(seed: u64) -> serde_json::Value {
+    const PACKAGE: &str = "com.brave.browser";
+    let script = Script::browser_workload(PACKAGE, &["https://news.example"], 2);
+    let key = AdbKey::generate("bench", 1);
+    let mut fresh_us = [0.0; TRIALS];
+    let mut open_us = [0.0; TRIALS];
+    let mut connect_us = [0.0; TRIALS];
+    for trial in 0..TRIALS {
+        let device = boot_j7_duo(&SimRng::new(seed).derive("bench"), "j7duo-0001");
+        device.install_package(PACKAGE);
+        let mut open = AdbBackend::connect(device.clone(), TransportKind::WiFi, key.clone())
+            .expect("first contact");
+        // Alternate which side runs first so neither always runs warm.
+        for fresh in [trial % 2 == 1, trial % 2 == 0] {
+            let ms = timed(|| {
+                for _ in 0..SESSIONS {
+                    if fresh {
+                        let mut session =
+                            AdbBackend::connect(device.clone(), TransportKind::WiFi, key.clone())
+                                .unwrap();
+                        session.run_script(&script).unwrap();
+                        std::hint::black_box(session.link_mut().logcat().unwrap());
+                    } else {
+                        open.link_mut().shell("logcat -c").unwrap();
+                        open.run_script(&script).unwrap();
+                        std::hint::black_box(open.link_mut().logcat().unwrap());
+                    }
+                }
+            });
+            let per_session_us = ms * 1e3 / SESSIONS as f64;
+            if fresh {
+                fresh_us[trial] = per_session_us;
+            } else {
+                open_us[trial] = per_session_us;
+            }
+        }
+        connect_us[trial] = fresh_us[trial] - open_us[trial];
+    }
+    let (fresh, open, connect) = (spread(&fresh_us), spread(&open_us), spread(&connect_us));
+    println!(
+        "\n# automation session (per session, {SESSIONS} per trial; \
+         median ± IQR of {TRIALS} interleaved pairs)"
+    );
+    println!("{:<34} {:>16}", "operation", "wall");
+    let cell = |(median, iqr): (f64, f64)| format!("{median:.2} ± {iqr:.2}us");
+    println!("{:<34} {:>16}", "connect + script + logcat -d", cell(fresh));
+    println!(
+        "{:<34} {:>16}",
+        "open channel: script + logcat -c/-d",
+        cell(open)
+    );
+    println!(
+        "{:<34} {:>16}",
+        "opening the channel (difference)",
+        cell(connect)
+    );
+    let json = |(median, iqr): (f64, f64)| serde_json::json!({ "median": median, "iqr": iqr });
+    serde_json::json!({
+        "sessions": SESSIONS,
+        "session_us": json(fresh),
+        "open_channel_us": json(open),
+        "connect_us": json(connect),
+    })
+}
+
 /// Print one table row and return its JSON cell.
 fn row(name: &str, serial_ms: &[f64], parallel_ms: &[f64]) -> serde_json::Value {
     let (serial, parallel) = (spread(serial_ms), spread(parallel_ms));
@@ -323,6 +402,7 @@ fn main() {
 
     let sampler = sampler_throughput(seed);
     let overhead = telemetry_overhead();
+    let session = automation_session(seed);
 
     let Some(dir) = out else { return };
     let json = serde_json::json!({
@@ -333,6 +413,7 @@ fn main() {
         "available_parallelism": cores,
         "sampler": sampler,
         "telemetry_overhead": overhead,
+        "automation_session": session,
         "targets": targets,
         "total": total,
     });

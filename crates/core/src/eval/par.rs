@@ -48,11 +48,12 @@ pub fn run_seed(seed: u64, label: &str, index: usize) -> u64 {
 /// the results in descriptor order.
 ///
 /// `jobs == 1` (or a single descriptor) short-circuits to a plain
-/// serial loop on the caller's thread — no pool, no overhead. Short
-/// sweeps used to pay for that pool dearly: Table 2's eight
-/// sub-millisecond VPN runs clocked a 0.16× "speedup" from spawn
-/// latency alone. With more jobs, the caller's thread itself works as
-/// one of the pool (only `jobs - 1` threads are spawned); workers pull
+/// serial loop on the caller's thread — no pool, no overhead. With more
+/// jobs, the caller's thread itself works as one of the pool (only
+/// `jobs - 1` threads are spawned), but starting even one thread costs
+/// tens of microseconds, so a sweep whose runs finish faster than that
+/// should not come here: Table 2's five VPN runs (about 10 µs together)
+/// read 0.13× at 2 workers until they moved to a plain loop. Workers pull
 /// the next unclaimed index from a shared cursor, so long runs and
 /// short runs pack tightly; results are written into a slot per index
 /// and stitched back in order at the end. A panicking run propagates

@@ -19,6 +19,9 @@ use crate::state::DeviceSpec;
 /// measurements.
 const USB_MEASUREMENT_CORRUPTION: f64 = 0.12;
 
+/// Most words any shell command but `echo` takes (`input swipe` has 7).
+const MAX_WORDS: usize = 8;
+
 struct Inner {
     sim: DeviceSim,
     packages: Vec<String>,
@@ -114,21 +117,21 @@ impl AndroidDevice {
         inner.trusted_keys.clear();
         inner.sim.logcat_clear();
     }
+}
 
-    fn launch(&self, inner: &mut Inner, package: &str) -> Result<Vec<u8>, String> {
-        if !inner.packages.iter().any(|p| p == package) {
+impl Inner {
+    fn launch(&mut self, package: &str) -> Result<Vec<u8>, String> {
+        if !self.packages.iter().any(|p| p == package) {
             return Err(format!(
                 "Error: Activity not started, unknown package {package}"
             ));
         }
-        inner.foreground = Some(package.to_string());
-        inner.sim.set_screen(true);
+        self.foreground = Some(package.to_string());
+        self.sim.set_screen(true);
         // Cold-start cost: process spawn + first draw.
-        inner
-            .sim
+        self.sim
             .run_activity(SimDuration::from_millis(1200), 0.45, 0.7);
-        inner
-            .sim
+        self.sim
             .log("ActivityManager", &format!("Displayed {package}"));
         Ok(format!("Starting: Intent {{ cmp={package} }}\n").into_bytes())
     }
@@ -205,11 +208,26 @@ impl DeviceServices for AndroidDevice {
         let Some(cmd) = service.strip_prefix("shell:") else {
             return Err(format!("unknown service: {service}"));
         };
-        let this = self.clone();
+        // The words of `cmd`, parsed in place: no command but `echo`
+        // takes more than `MAX_WORDS`, and `echo` rereads `cmd`.
+        let mut words = [""; MAX_WORDS];
+        let mut count = 0;
+        let mut rest = cmd.split_whitespace();
+        for (slot, word) in words.iter_mut().zip(rest.by_ref()) {
+            *slot = word;
+            count += 1;
+        }
+        let args = if rest.next().is_some() && words[0] != "echo" {
+            &[][..]
+        } else {
+            &words[..count]
+        };
         let mut inner = self.inner.lock();
-        let args: Vec<&str> = cmd.split_whitespace().collect();
-        match args.as_slice() {
-            ["echo", rest @ ..] => Ok(format!("{}\n", rest.join(" ")).into_bytes()),
+        match args {
+            ["echo", ..] => {
+                let rest: Vec<&str> = cmd.split_whitespace().skip(1).collect();
+                Ok(format!("{}\n", rest.join(" ")).into_bytes())
+            }
 
             ["input", "tap", _x, _y] => {
                 inner
@@ -241,8 +259,7 @@ impl DeviceServices for AndroidDevice {
             }
 
             ["am", "start", "-n", component] => {
-                let package = component.split('/').next().unwrap_or(component).to_string();
-                this.launch(&mut inner, &package)
+                inner.launch(component.split('/').next().unwrap_or(component))
             }
             ["am", "force-stop", package] => {
                 if inner.foreground.as_deref() == Some(*package) {
@@ -378,6 +395,17 @@ mod tests {
         let mut d = dev();
         let out = d.exec("shell:echo hello world").unwrap();
         assert_eq!(out, b"hello world\n");
+        assert_eq!(d.exec("shell:echo").unwrap(), b"\n");
+        // Longer than any other command, and spacing collapses.
+        let out = d.exec("shell:echo  a b c d e f g h i j").unwrap();
+        assert_eq!(out, b"a b c d e f g h i j\n");
+    }
+
+    #[test]
+    fn overlong_commands_are_not_found() {
+        let mut d = dev();
+        let err = d.exec("shell:input swipe 1 2 3 4 5 6 7 8").unwrap_err();
+        assert!(err.contains("not found"), "{err}");
     }
 
     #[test]

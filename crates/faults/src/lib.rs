@@ -323,7 +323,8 @@ struct ArmedSpec {
 
 struct Inner {
     specs: Vec<ArmedSpec>,
-    registry: Registry,
+    /// Where fired faults are journaled; none until bound.
+    registry: Option<Registry>,
     injected: u64,
 }
 
@@ -374,7 +375,7 @@ impl FaultInjector {
         FaultInjector {
             inner: Arc::new(Mutex::new(Inner {
                 specs,
-                registry: Registry::new(),
+                registry: None,
                 injected: 0,
             })),
         }
@@ -389,7 +390,7 @@ impl FaultInjector {
     /// counter + `fault.injected` events).
     pub fn set_telemetry(&self, registry: &Registry) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.registry = registry.clone();
+        inner.registry = Some(registry.clone());
     }
 
     /// Whether the armed plan has any specs at all. Subsystems may use
@@ -444,13 +445,12 @@ impl FaultInjector {
         }
         if fired_any {
             inner.injected += events.len() as u64;
-            inner
-                .registry
-                .counter("faults.injected")
-                .add(events.len() as u64);
-            inner.registry.clock().advance_to(now.as_micros());
-            for detail in events {
-                inner.registry.event("fault.injected", detail);
+            if let Some(registry) = &inner.registry {
+                registry.counter("faults.injected").add(events.len() as u64);
+                registry.clock().advance_to(now.as_micros());
+                for detail in events {
+                    registry.event("fault.injected", detail);
+                }
             }
         }
         fired_any
