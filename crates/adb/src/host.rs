@@ -381,13 +381,7 @@ impl<S: DeviceServices> AdbLink<S> {
         self.fault_clock = self.fault_clock.max(now);
     }
 
-    /// Rebind this link (framing layer included) to a shared registry.
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.set_telemetry(registry);
-        self
-    }
-
-    /// In-place variant of [`Self::with_telemetry`].
+    /// Bind this link (framing layer included) to a shared registry.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.host.set_telemetry(registry);
         self.connects = registry.counter("adb.connects");
@@ -652,8 +646,8 @@ mod tests {
             services,
             TransportKind::WiFi,
             AdbKey::generate("test-host", 1),
-        )
-        .with_telemetry(&registry);
+        );
+        l.set_telemetry(&registry);
         l.connect().unwrap();
         l.shell("echo battery").unwrap();
         l.disconnect_transport();

@@ -119,6 +119,7 @@ struct ActiveMeasurement {
 /// prefix (`node1.controller.*`) so fleet-merged registries keep each
 /// node's controller metrics distinguishable; journal events and the
 /// clock go through the shared unscoped registry as before.
+#[derive(Default)]
 struct ControllerTelemetry {
     registry: Registry,
     measurements_started: Counter,
@@ -198,8 +199,6 @@ pub struct VantagePoint {
     /// Monsoon-polling load was on the Pi, for historical CPU sampling.
     past_measurements: Vec<(String, SimTime, SimTime)>,
     rng: SimRng,
-    /// Shared metrics registry every subsystem on this node reports into.
-    registry: Registry,
     telemetry: ControllerTelemetry,
     /// Platform fault plan, cascaded to every subsystem (and to ADB
     /// links / mirror sessions created later) under node-scoped sites.
@@ -208,15 +207,16 @@ pub struct VantagePoint {
 
 impl VantagePoint {
     /// Bring up a vantage point from `config` with the experiment seed.
+    /// It reports into a registry of its own until [`Self::set_telemetry`]
+    /// binds it to a shared one.
     pub fn new(config: VantageConfig, rng: SimRng) -> Self {
-        let registry = Registry::new();
-        let switch = CircuitSwitch::new(config.relay_channels).with_telemetry(&registry);
+        let switch = CircuitSwitch::new(config.relay_channels);
         let pins: Vec<usize> = (0..config.relay_channels).map(|i| 17 + i).collect();
         let board = RelayBoard::new(Arc::clone(&switch), pins).expect("valid pin map");
         let vpn = VpnClient::new(config.uplink);
-        VantagePoint {
+        let mut vp = VantagePoint {
             pi: PiModel::new(rng.derive("pi")),
-            monsoon: Monsoon::new(rng.derive("monsoon")).with_telemetry(&registry),
+            monsoon: Monsoon::new(rng.derive("monsoon")),
             socket: PowerSocket::new(),
             board,
             switch,
@@ -228,11 +228,12 @@ impl VantagePoint {
             active: None,
             past_measurements: Vec::new(),
             rng: rng.derive("vantage"),
-            telemetry: ControllerTelemetry::bind(&registry, &config.name),
-            registry,
+            telemetry: ControllerTelemetry::default(),
             config,
             faults: FaultInjector::disabled(),
-        }
+        };
+        vp.set_telemetry(&Registry::new());
+        vp
     }
 
     /// Arm every subsystem of this node against `injector`, with fault
@@ -258,16 +259,9 @@ impl VantagePoint {
         }
     }
 
-    /// Rebind this node — monsoon, relay switch, every ADB link and mirror
+    /// Bind this node — monsoon, relay switch, every ADB link and mirror
     /// session included — to a shared registry (fleet aggregation).
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.set_telemetry(registry);
-        self
-    }
-
-    /// In-place variant of [`Self::with_telemetry`].
     pub fn set_telemetry(&mut self, registry: &Registry) {
-        self.registry = registry.clone();
         self.telemetry = ControllerTelemetry::bind(registry, &self.config.name);
         self.monsoon.set_telemetry(registry);
         self.switch.set_telemetry(registry);
@@ -281,7 +275,7 @@ impl VantagePoint {
 
     /// The registry this node's subsystems report into.
     pub fn telemetry(&self) -> &Registry {
-        &self.registry
+        &self.telemetry.registry
     }
 
     /// Node name.
@@ -338,8 +332,8 @@ impl VantagePoint {
             self.pi.clear_source(&format!("vnc/{device_id}"));
             return Ok(false);
         }
-        let mut session = MirrorSession::new(device, EncoderConfig::default(), "batterylab")
-            .with_telemetry(&self.registry);
+        let mut session = MirrorSession::new(device, EncoderConfig::default(), "batterylab");
+        session.set_telemetry(&self.telemetry.registry);
         session.set_faults(
             &self.faults,
             &scoped_site(&self.config.name, site::MIRROR_ENCODER),
@@ -594,15 +588,13 @@ impl VantagePoint {
         let now = device.with_sim(|s| s.now());
         let key = self.adb_key.clone();
         self.telemetry.adb_commands.inc();
-        let registry = self.registry.clone();
-        let faults = self.faults.clone();
         let adb_site = scoped_site(&self.config.name, site::ADB_TRANSPORT);
         let link = match self.adb_links.entry(device_id.to_string()) {
             std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::btree_map::Entry::Vacant(e) => {
-                let mut link =
-                    AdbLink::new(device, TransportKind::WiFi, key).with_telemetry(&registry);
-                link.set_faults(&faults, &adb_site);
+                let mut link = AdbLink::new(device, TransportKind::WiFi, key);
+                link.set_telemetry(&self.telemetry.registry);
+                link.set_faults(&self.faults, &adb_site);
                 link.connect()?;
                 e.insert(link)
             }

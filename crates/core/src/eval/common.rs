@@ -2,11 +2,10 @@
 //! the evaluation configuration (paper-scale by default, reducible for
 //! benches and CI).
 
-use batterylab_adb::TransportKind;
-use batterylab_automation::AdbBackend;
 use batterylab_controller::{MeasurementReport, VantagePoint};
 use batterylab_net::Region;
 use batterylab_relay::ChannelRoute;
+use batterylab_server::open_automation;
 use batterylab_sim::SimDuration;
 use batterylab_workloads::{news_sites, BrowserProfile, BrowserRunner, Website};
 
@@ -123,13 +122,7 @@ pub fn measured_browser_run(
     }
     vp.start_monitor(serial).expect("armed");
     let device = vp.device_handle(serial).expect("device attached");
-    let registry = vp.telemetry().clone();
-    let mut backend =
-        AdbBackend::connect(device.clone(), TransportKind::WiFi, vp.adb_key().clone())
-            .expect("wifi adb");
-    // The workload channel reports into the node's registry like any
-    // link the controller itself opens.
-    backend.link_mut().set_telemetry(&registry);
+    let mut backend = open_automation(vp, device.clone()).expect("wifi adb");
     let mut runner = BrowserRunner::new(device.clone(), &mut backend, profile, region);
     // The §4.3 protocol turns Lite Pages off for comparability.
     runner.set_lite_pages(false);

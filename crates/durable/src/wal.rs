@@ -19,11 +19,13 @@ use crate::disk::{crc32, SimDisk};
 
 const FRAME_HEADER: usize = 8;
 
+/// `durable.*` append counters, unregistered until
+/// [`Wal::set_telemetry`] binds them.
 #[derive(Default)]
 struct WalTelemetry {
-    records: Option<Counter>,
-    bytes: Option<Counter>,
-    fsyncs: Option<Counter>,
+    records: Counter,
+    bytes: Counter,
+    fsyncs: Counter,
 }
 
 struct WalInner {
@@ -81,9 +83,9 @@ impl Wal {
     pub fn set_telemetry(&self, registry: &Registry) {
         let mut inner = self.lock();
         inner.telemetry = WalTelemetry {
-            records: Some(registry.counter("durable.wal_records")),
-            bytes: Some(registry.counter("durable.wal_bytes")),
-            fsyncs: Some(registry.counter("durable.wal_fsyncs")),
+            records: registry.counter("durable.wal_records"),
+            bytes: registry.counter("durable.wal_bytes"),
+            fsyncs: registry.counter("durable.wal_fsyncs"),
         };
     }
 
@@ -106,15 +108,9 @@ impl Wal {
         inner.disk.fsync();
         inner.records += 1;
         let index = inner.records;
-        if let Some(c) = &inner.telemetry.records {
-            c.inc();
-        }
-        if let Some(c) = &inner.telemetry.bytes {
-            c.add(frame.len() as u64);
-        }
-        if let Some(c) = &inner.telemetry.fsyncs {
-            c.inc();
-        }
+        inner.telemetry.records.inc();
+        inner.telemetry.bytes.add(frame.len() as u64);
+        inner.telemetry.fsyncs.inc();
         Some(index)
     }
 

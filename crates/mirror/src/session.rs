@@ -42,7 +42,9 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// Pre-resolved telemetry handles (`mirror.*` metrics).
+/// Pre-resolved telemetry handles (`mirror.*` metrics), unregistered
+/// until [`MirrorSession::set_telemetry`] binds them.
+#[derive(Default)]
 struct MirrorTelemetry {
     registry: Registry,
     sessions_started: Counter,
@@ -102,7 +104,7 @@ impl MirrorSession {
             device,
             uploaded: 0,
             started_at: None,
-            telemetry: MirrorTelemetry::bind(&Registry::new()),
+            telemetry: MirrorTelemetry::default(),
             faults: FaultInjector::disabled(),
             fault_site: site::MIRROR_ENCODER.to_string(),
         }
@@ -120,13 +122,7 @@ impl MirrorSession {
         self.capture.config().fps
     }
 
-    /// Rebind telemetry to a shared registry (`mirror.*` metrics).
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.set_telemetry(registry);
-        self
-    }
-
-    /// In-place variant of [`Self::with_telemetry`].
+    /// Bind telemetry to a shared registry (`mirror.*` metrics).
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = MirrorTelemetry::bind(registry);
     }
@@ -323,8 +319,8 @@ mod tests {
     fn telemetry_accounts_for_the_stream() {
         let registry = Registry::new();
         let d = boot_j7_duo(&SimRng::new(4), "mirror-tel");
-        let mut s = MirrorSession::new(d.clone(), EncoderConfig::default(), "blab")
-            .with_telemetry(&registry);
+        let mut s = MirrorSession::new(d.clone(), EncoderConfig::default(), "blab");
+        s.set_telemetry(&registry);
         s.start().unwrap();
         s.attach_viewer("blab").unwrap();
         assert!(s.attach_viewer("wrong").is_err());
@@ -353,8 +349,8 @@ mod tests {
         use batterylab_faults::FaultPlan;
         let registry = Registry::new();
         let d = boot_j7_duo(&SimRng::new(9), "mirror-stall");
-        let mut s = MirrorSession::new(d.clone(), EncoderConfig::default(), "blab")
-            .with_telemetry(&registry);
+        let mut s = MirrorSession::new(d.clone(), EncoderConfig::default(), "blab");
+        s.set_telemetry(&registry);
         let plan = FaultPlan::new().next_n(site::MIRROR_ENCODER, FaultKind::EncoderStall, 2);
         s.set_faults(&FaultInjector::new(&plan, 5), site::MIRROR_ENCODER);
         s.start().unwrap();
@@ -399,7 +395,8 @@ mod tests {
         for (viewers, uploaded) in [(0, 0), (1, 14_575_213), (2, 29_150_426)] {
             let registry = Registry::new();
             let d = boot_j7_duo(&SimRng::new(5), "mirror-pin");
-            let mut s = MirrorSession::new(d.clone(), config, "blab").with_telemetry(&registry);
+            let mut s = MirrorSession::new(d.clone(), config, "blab");
+            s.set_telemetry(&registry);
             s.start().unwrap();
             for _ in 0..viewers {
                 s.attach_viewer("blab").unwrap();

@@ -206,8 +206,10 @@ fn round_half_away(x: f64) -> f64 {
     r.copysign(x)
 }
 
-/// Pre-resolved telemetry handles. Bound once at construction so the
-/// sampling loop never touches the registry lock.
+/// Pre-resolved telemetry handles, unregistered until
+/// [`Monsoon::set_telemetry`] binds them, so the sampling loop never
+/// touches the registry lock.
+#[derive(Default)]
 struct MonsoonTelemetry {
     registry: Registry,
     samples: Counter,
@@ -381,7 +383,7 @@ impl Monsoon {
             calibration: Calibration::default(),
             rng,
             total_samples: 0,
-            telemetry: MonsoonTelemetry::bind(&Registry::new()),
+            telemetry: MonsoonTelemetry::default(),
             faults: FaultInjector::disabled(),
             fault_site: batterylab_faults::site::POWER_METER.to_string(),
             noise: Vec::with_capacity(SAMPLE_CHUNK as usize),
@@ -395,13 +397,7 @@ impl Monsoon {
         self
     }
 
-    /// Rebind telemetry to a shared registry (`power.*` metrics).
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.set_telemetry(registry);
-        self
-    }
-
-    /// In-place variant of [`Self::with_telemetry`].
+    /// Bind telemetry to a shared registry (`power.*` metrics).
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = MonsoonTelemetry::bind(registry);
     }
@@ -874,7 +870,8 @@ mod tests {
     #[test]
     fn telemetry_counts_samples_and_trips() {
         let registry = Registry::new();
-        let mut m = Monsoon::new(SimRng::new(11).derive("monsoon")).with_telemetry(&registry);
+        let mut m = Monsoon::new(SimRng::new(11).derive("monsoon"));
+        m.set_telemetry(&registry);
         m.set_powered(true);
         m.set_voltage(4.0).unwrap();
         m.enable_vout().unwrap();
@@ -913,7 +910,8 @@ mod tests {
             }
         }
         let registry = Registry::new();
-        let mut m = Monsoon::new(SimRng::new(12).derive("monsoon")).with_telemetry(&registry);
+        let mut m = Monsoon::new(SimRng::new(12).derive("monsoon"));
+        m.set_telemetry(&registry);
         m.set_powered(true);
         m.set_voltage(4.0).unwrap();
         m.enable_vout().unwrap();

@@ -67,7 +67,9 @@ struct Channel {
 
 /// Pre-resolved telemetry handles (`relay.*` metrics). Switching is a
 /// per-measurement operation, not a hot loop, so these live behind the
-/// same lock as the channel state.
+/// same lock as the channel state. Unregistered until
+/// [`CircuitSwitch::set_telemetry`] binds them.
+#[derive(Default)]
 struct RelayTelemetry {
     registry: Registry,
     bypass_engaged: Counter,
@@ -118,18 +120,12 @@ impl CircuitSwitch {
                     })
                     .collect(),
                 contact_ohms: 0.05,
-                telemetry: RelayTelemetry::bind(&Registry::new()),
+                telemetry: RelayTelemetry::default(),
             }),
         })
     }
 
-    /// Rebind telemetry to a shared registry (`relay.*` metrics).
-    pub fn with_telemetry(self: Arc<Self>, registry: &Registry) -> Arc<Self> {
-        self.set_telemetry(registry);
-        self
-    }
-
-    /// In-place variant of [`Self::with_telemetry`].
+    /// Bind telemetry to a shared registry (`relay.*` metrics).
     pub fn set_telemetry(&self, registry: &Registry) {
         self.inner.write().telemetry = RelayTelemetry::bind(registry);
     }
@@ -436,7 +432,8 @@ mod tests {
     #[test]
     fn telemetry_tracks_switching() {
         let registry = Registry::new();
-        let sw = CircuitSwitch::new(2).with_telemetry(&registry);
+        let sw = CircuitSwitch::new(2);
+        sw.set_telemetry(&registry);
         sw.attach(0, load(100.0)).unwrap();
         sw.engage_bypass(0, SimTime::from_secs(1)).unwrap();
         assert_eq!(registry.snapshot().gauges["relay.bypass_active"], 1);

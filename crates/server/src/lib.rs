@@ -42,5 +42,5 @@ pub use scheduler::{Scheduler, DEFAULT_RETENTION};
 pub use slots::{Slot, SlotCalendar, SlotError};
 pub use ssh::{CommandHandler, SshClient, SshError, SshServer, SshSession};
 pub use supervise::{BreakerState, CircuitBreaker, RetryPolicy, Supervisor};
-pub use vantage_exec::{run_experiment, JobOutcome};
+pub use vantage_exec::{open_automation, run_experiment, JobOutcome};
 pub use wal::{ChargeRecord, WalRecord};

@@ -28,7 +28,9 @@ pub const DEFAULT_RETENTION: SimDuration = SimDuration::from_secs(7 * 24 * 3600)
 /// Controller CPU threshold for `require_low_cpu` jobs.
 const LOW_CPU_THRESHOLD: f64 = 0.5;
 
-/// Pre-resolved telemetry handles for the queue (`scheduler.*`).
+/// Pre-resolved telemetry handles for the queue (`scheduler.*`),
+/// unregistered until [`Scheduler::set_telemetry`] binds them.
+#[derive(Default)]
 struct SchedulerTelemetry {
     registry: Registry,
     jobs_submitted: Counter,
@@ -71,7 +73,7 @@ impl Scheduler {
             next_id: 1,
             retention: DEFAULT_RETENTION,
             slots: SlotCalendar::new(),
-            telemetry: SchedulerTelemetry::bind(&Registry::new()),
+            telemetry: SchedulerTelemetry::default(),
             supervisor: Supervisor::new(0),
         }
     }
@@ -81,7 +83,7 @@ impl Scheduler {
         &mut self.supervisor
     }
 
-    /// Rebind telemetry to a shared registry (`scheduler.*` metrics).
+    /// Bind telemetry to a shared registry (`scheduler.*` metrics).
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = SchedulerTelemetry::bind(registry);
         self.supervisor.set_telemetry(registry);

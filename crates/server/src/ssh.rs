@@ -97,7 +97,9 @@ impl<F: FnMut(&str) -> Result<String, String>> CommandHandler for F {
     }
 }
 
-/// Pre-resolved telemetry handles for the SSH substrate (`ssh.*`).
+/// Pre-resolved telemetry handles for the SSH substrate (`ssh.*`),
+/// unregistered until [`SshServer::set_telemetry`] binds them.
+#[derive(Default)]
 struct SshTelemetry {
     sessions: Counter,
     auth_failures: Counter,
@@ -143,7 +145,7 @@ impl SshServer {
             host_key: host_key.to_string(),
             authorized_keys,
             sessions_served: 0,
-            telemetry: SshTelemetry::bind(&Registry::new()),
+            telemetry: SshTelemetry::default(),
             faults: FaultInjector::disabled(),
             fault_site: site::SSH_SESSION.to_string(),
             fault_clock: SimTime::ZERO,
@@ -163,13 +165,7 @@ impl SshServer {
         self.fault_clock = self.fault_clock.max(now);
     }
 
-    /// Rebind telemetry to a shared registry (`ssh.*` metrics).
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.set_telemetry(registry);
-        self
-    }
-
-    /// In-place variant of [`Self::with_telemetry`].
+    /// Bind telemetry to a shared registry (`ssh.*` metrics).
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = SshTelemetry::bind(registry);
     }
@@ -379,7 +375,8 @@ mod tests {
     #[test]
     fn telemetry_counts_sessions_and_failures() {
         let registry = Registry::new();
-        let mut server = SshServer::new("hk:n", vec!["fp:s".to_string()]).with_telemetry(&registry);
+        let mut server = SshServer::new("hk:n", vec!["fp:s".to_string()]);
+        server.set_telemetry(&registry);
         let good = SshClient::new("fp:s");
         let bad = SshClient::new("fp:intruder");
         let mut mitm = SshClient::new("fp:s");
@@ -409,7 +406,8 @@ mod tests {
     fn injected_session_drop_fails_one_exec() {
         use batterylab_faults::FaultPlan;
         let registry = Registry::new();
-        let mut server = SshServer::new("hk:n", vec!["fp:s".to_string()]).with_telemetry(&registry);
+        let mut server = SshServer::new("hk:n", vec!["fp:s".to_string()]);
+        server.set_telemetry(&registry);
         let plan = FaultPlan::new().next_n(site::SSH_SESSION, FaultKind::SshSessionDrop, 1);
         server.set_faults(&FaultInjector::new(&plan, 11), site::SSH_SESSION);
         server.sync_fault_clock(SimTime::from_secs(5));

@@ -165,7 +165,7 @@ impl Supervisor {
             breaker_threshold: 3,
             breaker_open_for: SimDuration::from_secs(30),
             rng: SimRng::new(seed).derive("supervisor"),
-            registry: Registry::new(),
+            registry: Registry::default(),
             faults: FaultInjector::disabled(),
         }
     }

@@ -5,8 +5,9 @@
 //! (meter off) afterwards.
 
 use batterylab_adb::TransportKind;
-use batterylab_automation::{AdbBackend, AutomationBackend};
+use batterylab_automation::{AdbBackend, AutomationBackend, AutomationError};
 use batterylab_controller::{ControllerError, VantagePoint};
+use batterylab_device::AndroidDevice;
 use batterylab_sim::SimTime;
 
 use crate::jobs::{Artifact, ExperimentSpec};
@@ -23,6 +24,18 @@ pub struct JobOutcome {
 
 fn ctl(e: ControllerError) -> String {
     format!("controller: {e}")
+}
+
+/// Open `vp`'s automation channel to `device`: ADB over WiFi with the
+/// node's key, its traffic counted in the node's registry from the first
+/// service after the open.
+pub fn open_automation(
+    vp: &VantagePoint,
+    device: AndroidDevice,
+) -> Result<AdbBackend, AutomationError> {
+    let mut backend = AdbBackend::connect(device, TransportKind::WiFi, vp.adb_key().clone())?;
+    backend.link_mut().set_telemetry(vp.telemetry());
+    Ok(backend)
 }
 
 /// Run `spec` on `vp`. Leaves the power meter off afterwards regardless of
@@ -89,8 +102,7 @@ fn run_inner(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome,
     }
 
     let device = vp.device_handle(&spec.device).map_err(ctl)?;
-    let mut backend = AdbBackend::connect(device, TransportKind::WiFi, vp.adb_key().clone())
-        .map_err(|e| format!("automation: {e}"))?;
+    let mut backend = open_automation(vp, device).map_err(|e| format!("automation: {e}"))?;
     backend
         .run_script(&spec.script)
         .map_err(|e| format!("automation: {e}"))?;
@@ -241,8 +253,9 @@ mod tests {
             .content
             .contains("Displayed com.brave.browser"));
         assert_eq!(injector.injected(), 1);
-        // Only the controller's log link connects through the node's
-        // registry: once for the first job, once more after the reset.
+        // The controller's log link connects through the node's registry
+        // once for the first job and once more after the reset; each
+        // job's automation channel is bound only after it has connected.
         assert_eq!(vp.telemetry().snapshot().counter("adb.connects"), 2);
     }
 

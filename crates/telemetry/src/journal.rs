@@ -36,7 +36,8 @@ struct JournalState {
     dropped: u64,
 }
 
-/// A bounded, thread-safe event ring buffer.
+/// A bounded, thread-safe event ring buffer. The ring is allocated on
+/// the first push, so a journal nothing writes to costs no buffer.
 #[derive(Clone)]
 pub struct Journal {
     state: Arc<Mutex<JournalState>>,
@@ -54,7 +55,7 @@ impl Journal {
     pub fn with_capacity(capacity: usize) -> Self {
         Journal {
             state: Arc::new(Mutex::new(JournalState {
-                events: VecDeque::with_capacity(capacity.min(1024)),
+                events: VecDeque::new(),
                 dropped: 0,
             })),
             capacity: capacity.max(1),
@@ -67,6 +68,8 @@ impl Journal {
         if state.events.len() == self.capacity {
             state.events.pop_front();
             state.dropped += 1;
+        } else if state.events.capacity() == 0 {
+            state.events.reserve_exact(self.capacity.min(1024));
         }
         state.events.push_back(Event {
             at_micros,
@@ -129,15 +132,19 @@ mod tests {
 
     #[test]
     fn keeps_newest_when_full() {
-        let j = Journal::with_capacity(3);
-        for i in 0..5u64 {
-            j.push(i, "e", i.to_string());
+        for (j, capacity) in [
+            (Journal::with_capacity(3), 3u64),
+            (Journal::default(), 1024),
+        ] {
+            for i in 0..capacity + 2 {
+                j.push(i, "e", i.to_string());
+            }
+            assert_eq!(j.len() as u64, capacity);
+            assert_eq!(j.dropped(), 2);
+            let snap = j.snapshot();
+            assert_eq!(snap[0].at_micros, 2);
+            assert_eq!(snap[snap.len() - 1].at_micros, capacity + 1);
         }
-        assert_eq!(j.len(), 3);
-        assert_eq!(j.dropped(), 2);
-        let snap = j.snapshot();
-        assert_eq!(snap[0].at_micros, 2);
-        assert_eq!(snap[2].at_micros, 4);
     }
 
     #[test]

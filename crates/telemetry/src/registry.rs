@@ -1,11 +1,11 @@
 //! The metric registry and its serialisable snapshot.
 //!
-//! A [`Registry`] is a cheap clonable handle; every component of a
-//! vantage point holds one and resolves its metric handles *once* at
-//! construction time, so nothing on a hot path ever touches the
-//! registry lock. `snapshot()` freezes the whole platform's state into
-//! a [`Report`] with metrics ordered by name — the JSON it renders is
-//! identical across same-seed runs.
+//! A [`Registry`] is a cheap clonable handle. Every component starts on
+//! unregistered handles (`Default`) and resolves them *once*, when its
+//! `set_telemetry` binds it to a registry, so nothing on a hot path ever
+//! touches the registry lock. `snapshot()` freezes the whole platform's
+//! state into a [`Report`] with metrics ordered by name — the JSON it
+//! renders is identical across same-seed runs.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

@@ -24,9 +24,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 
 # ADB framing, ahead of the full suite so a framing change fails under
-# its own name: the wire-protocol property tests, and the pinned frame
-# and byte counts of a job's automation session (channel open, the
-# 2-scroll browser workload, `logcat -d`).
+# its own name: the wire-protocol property tests, the pinned frame and
+# byte counts of a job's automation session (channel open, the 2-scroll
+# browser workload, `logcat -d`), and the `adb.*` totals one measured
+# server job leaves in the platform's metrics.
 cargo test -q -p batterylab-tests --test wire_protocols --test adb_session_pin
 
 cargo test -q

@@ -7,6 +7,8 @@
 use batterylab::adb::{AdbKey, AdbLink, TransportKind};
 use batterylab::automation::{AdbBackend, AutomationBackend, Script};
 use batterylab::device::{boot_j7_duo, AndroidDevice};
+use batterylab::platform::Platform;
+use batterylab::server::{Constraints, ExperimentSpec, Payload};
 use batterylab::sim::SimRng;
 use batterylab::telemetry::Registry;
 
@@ -44,7 +46,8 @@ fn traffic(registry: &Registry) -> [u64; 6] {
 #[test]
 fn channel_open_traffic_is_pinned() {
     let registry = Registry::new();
-    let mut link = AdbLink::new(device(), TransportKind::WiFi, key()).with_telemetry(&registry);
+    let mut link = AdbLink::new(device(), TransportKind::WiFi, key());
+    link.set_telemetry(&registry);
     link.connect().unwrap();
     link.shell("logcat -c").unwrap();
     assert_eq!(traffic(&registry), [4, 5, 181, 270, 5, 150]);
@@ -68,5 +71,34 @@ fn automation_session_traffic_is_pinned() {
     assert_eq!(
         logcat,
         "2.100 I/ActivityManager: Displayed com.brave.browser\n"
+    );
+}
+
+/// A measured 2-scroll job submitted to the server counts its own
+/// automation channel in the platform's metrics: the script's nine
+/// services and eleven frames on the job's link, which is bound once it
+/// has opened, then the controller's link, which connects and runs
+/// `logcat -d` in five frames.
+#[test]
+fn server_job_counts_its_automation_channel() {
+    let (mut platform, _wal) = Platform::durable_testbed(77);
+    let spec = ExperimentSpec::measured(
+        platform.j7_serial(),
+        Script::browser_workload(PACKAGE, &["https://news.example"], 2),
+    );
+    let id = platform
+        .server
+        .submit_job(
+            platform.experimenter_token,
+            "pinned",
+            Constraints::default(),
+            Payload::Experiment(spec),
+        )
+        .unwrap();
+    assert_eq!(platform.server.tick(), Some(id));
+    let report = platform.metrics();
+    assert_eq!(
+        ["adb.services", "adb.frames_tx", "adb.bytes_rx"].map(|name| report.counter(name)),
+        [10, 16, 878]
     );
 }

@@ -215,8 +215,8 @@ fn transport_flap_increments_reconnect_counter() {
         SimRng::new(509).derive("d"),
         true,
     );
-    let mut link = AdbLink::new(device, TransportKind::WiFi, AdbKey::generate("h", 509))
-        .with_telemetry(&registry);
+    let mut link = AdbLink::new(device, TransportKind::WiFi, AdbKey::generate("h", 509));
+    link.set_telemetry(&registry);
     link.connect().unwrap();
     link.disconnect_transport();
     link.reconnect_transport();
@@ -281,8 +281,8 @@ fn ssh_and_viewer_auth_failures_are_counted() {
     use batterylab::server::{SshClient, SshServer};
     use batterylab::telemetry::Registry;
     let registry = Registry::new();
-    let mut sshd =
-        SshServer::new("hk:node", vec!["fp:trusted".to_string()]).with_telemetry(&registry);
+    let mut sshd = SshServer::new("hk:node", vec!["fp:trusted".to_string()]);
+    sshd.set_telemetry(&registry);
     let intruder = SshClient::new("fp:intruder");
     assert!(intruder.connect("node", &mut sshd).is_err());
     // A wrong noVNC password on a live mirror session, same registry.

@@ -31,6 +31,13 @@ fn powered(seed: u64, cal: Calibration) -> Monsoon {
     m
 }
 
+/// As [`powered`] with default calibration, reporting into `registry`.
+fn bound(seed: u64, registry: &Registry) -> Monsoon {
+    let mut m = powered(seed, Calibration::default());
+    m.set_telemetry(registry);
+    m
+}
+
 fn noise_free() -> Calibration {
     Calibration {
         gain: 1.0005,
@@ -305,7 +312,8 @@ fn meter_output_is_pinned() {
     // quantises readings at or below zero, and the clamp must make every
     // one of them +0.0, never -0.0.
     let registry = Registry::new();
-    let mut meter = Monsoon::new(SimRng::new(10).derive("monsoon")).with_telemetry(&registry);
+    let mut meter = Monsoon::new(SimRng::new(10).derive("monsoon"));
+    meter.set_telemetry(&registry);
     meter.set_powered(true);
     meter.set_voltage(4.0).unwrap();
     meter.enable_vout().unwrap();
@@ -328,8 +336,7 @@ fn meter_output_is_pinned() {
     let constant_pin = pinned(&constant, &registry);
 
     let registry = Registry::new();
-    let sparse = powered(1, Calibration::default())
-        .with_telemetry(&registry)
+    let sparse = bound(1, &registry)
         .sample_run_at_rate(&sparse_step_trace(), SimTime::ZERO, 10.0, 500.0)
         .unwrap();
     let sparse_pin = pinned(&sparse, &registry);
@@ -338,8 +345,7 @@ fn meter_output_is_pinned() {
     // blocks.
     let registry = Registry::new();
     let mut stream = CheckpointStream::new(700);
-    let sealed = powered(3, Calibration::default())
-        .with_telemetry(&registry)
+    let sealed = bound(3, &registry)
         .sample_run_checkpointed(
             &sparse_step_trace(),
             SimTime::ZERO,
@@ -432,8 +438,7 @@ fn meter_output_is_pinned() {
 #[test]
 fn straddling_readings_are_pinned() {
     let registry = Registry::new();
-    let run = powered(5, Calibration::default())
-        .with_telemetry(&registry)
+    let run = bound(5, &registry)
         .sample_run_at_rate(
             &ConstantLoad::new(130.9765, 4.0),
             SimTime::ZERO,
@@ -477,8 +482,7 @@ fn resumed_run_records_only_its_drawn_samples() {
         .unwrap();
     stream.segments.truncate(6);
     let registry = Registry::new();
-    let resumed = powered(3, Calibration::default())
-        .with_telemetry(&registry)
+    let resumed = bound(3, &registry)
         .sample_run_checkpointed(&load, SimTime::ZERO, 2.0, 5000.0, &mut stream)
         .unwrap();
     let drawn = &resumed.samples.values()[4200..];
@@ -511,8 +515,7 @@ fn tripped_run_records_the_samples_before_the_trip() {
     trace.set(SimTime::from_micros(61_300), 6900.0);
     let load = TraceLoad::new(trace, 4.0);
     let registry = Registry::new();
-    let err = powered(77, Calibration::default())
-        .with_telemetry(&registry)
+    let err = bound(77, &registry)
         .sample_run_at_rate(&load, SimTime::ZERO, 0.2, 5000.0)
         .unwrap_err();
     assert!(matches!(err, MonsoonError::OverCurrent { .. }), "{err:?}");
