@@ -3,8 +3,9 @@
 //! [`TRIALS`] interleaved (serial, parallel) pairs; the table and the
 //! JSON report each cell's median and interquartile range, with the host
 //! core count. Further tables time the Monsoon sampler's two paths, the
-//! telemetry overhead budget and a job's automation session. The JSON
-//! (`BENCH_eval.json`) is written only with `--out`.
+//! telemetry overhead budget and a job's automation session, and record
+//! a durable node's trace points, WAL bytes and recovery time as it
+//! ages. The JSON (`BENCH_eval.json`) is written only with `--out`.
 //!
 //! ```sh
 //! cargo run --release -p batterylab-bench --bin bench_eval
@@ -22,10 +23,13 @@ use batterylab::adb::{AdbKey, AdbLink, MockServices, TransportKind};
 use batterylab::automation::{AdbBackend, AutomationBackend, Script};
 use batterylab::device::boot_j7_duo;
 use batterylab::eval::{par, run_target, EvalConfig, ALL_TARGETS};
+use batterylab::platform::Platform;
 use batterylab::power::{Calibration, ConstantLoad, Monsoon, TraceLoad, MONSOON_RATE_HZ};
+use batterylab::server::{AccessServer, Constraints, ExperimentSpec, Payload};
 use batterylab::sim::{SimRng, SimTime, StepSignal};
 use batterylab::stats::Cdf;
 use batterylab::telemetry::Registry;
+use batterylab::workloads::BrowserProfile;
 
 /// Interleaved (serial, parallel) pairs per target.
 const TRIALS: usize = 5;
@@ -324,6 +328,92 @@ fn automation_session(seed: u64) -> serde_json::Value {
     })
 }
 
+/// Node ages, in jobs, at which the node-age cell records its state.
+const NODE_AGES: [usize; 2] = [250, 1000];
+
+/// Node age (DESIGN §4d): one `Platform::durable_testbed` node runs
+/// measured 2-scroll browser jobs one at a time. At each of
+/// [`NODE_AGES`] the cell records the change points the device's three
+/// traces hold, the WAL's durable bytes and the median and IQR of
+/// [`TRIALS`] `AccessServer::recover` timings from that WAL. Traces
+/// that hold a constant number of points show the node's memory stays
+/// bounded; WAL bytes and `recover` grow with age until the log is
+/// checkpointed.
+fn node_age(seed: u64) -> serde_json::Value {
+    let (mut platform, wal) = Platform::durable_testbed(seed);
+    let serial = platform.j7_serial();
+    let token = platform.experimenter_token;
+    let browsers = BrowserProfile::all_four();
+    println!(
+        "
+# node age (one durable node, measured 2-scroll jobs; \
+         recover median ± IQR of {TRIALS})"
+    );
+    println!(
+        "{:<6} {:>24} {:>10} {:>18}",
+        "jobs", "trace points (I/CPU/FC)", "WAL bytes", "recover"
+    );
+    let mut jobs = 0;
+    let mut cells = Vec::new();
+    for age in NODE_AGES {
+        for i in jobs..age {
+            let spec = ExperimentSpec::measured(
+                serial,
+                Script::browser_workload(
+                    &browsers[i % browsers.len()].package,
+                    &["https://news.example"],
+                    2,
+                ),
+            );
+            let id = platform
+                .server
+                .submit_job(
+                    token,
+                    &format!("job-{i}"),
+                    Constraints::default(),
+                    Payload::Experiment(spec),
+                )
+                .expect("job accepted");
+            assert_eq!(platform.server.tick(), Some(id), "job {i} ran");
+        }
+        jobs = age;
+        let points = platform.j7().with_sim(|s| {
+            [
+                s.current_trace().changes(),
+                s.cpu_trace().changes(),
+                s.frame_change_trace().changes(),
+            ]
+        });
+        let mut recover_ms = [0.0; TRIALS];
+        for ms in &mut recover_ms {
+            let mut recovered = None;
+            *ms = timed(|| recovered = Some(AccessServer::recover(&wal, &Registry::new())));
+            // Dropped untimed: `recover` returns the server it built.
+            drop(recovered.expect("timed").expect("the WAL recovers"));
+        }
+        let recover = spread(&recover_ms);
+        let [current, cpu, frame_change] = points;
+        println!(
+            "{:<6} {:>24} {:>10} {:>18}",
+            age,
+            format!("{current}/{cpu}/{frame_change}"),
+            wal.durable_len(),
+            format!("{:.2} ± {:.2}ms", recover.0, recover.1)
+        );
+        cells.push(serde_json::json!({
+            "jobs": age,
+            "trace_points": serde_json::json!({
+                "current": current,
+                "cpu": cpu,
+                "frame_change": frame_change,
+            }),
+            "wal_bytes": wal.durable_len(),
+            "recover_ms": serde_json::json!({ "median": recover.0, "iqr": recover.1 }),
+        }));
+    }
+    serde_json::Value::Array(cells)
+}
+
 /// Print one table row and return its JSON cell.
 fn row(name: &str, serial_ms: &[f64], parallel_ms: &[f64]) -> serde_json::Value {
     let (serial, parallel) = (spread(serial_ms), spread(parallel_ms));
@@ -403,6 +493,7 @@ fn main() {
     let sampler = sampler_throughput(seed);
     let overhead = telemetry_overhead();
     let session = automation_session(seed);
+    let age = node_age(seed);
 
     let Some(dir) = out else { return };
     let json = serde_json::json!({
@@ -414,6 +505,7 @@ fn main() {
         "sampler": sampler,
         "telemetry_overhead": overhead,
         "automation_session": session,
+        "node_age": age,
         "targets": targets,
         "total": total,
     });

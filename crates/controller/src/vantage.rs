@@ -354,6 +354,12 @@ impl VantagePoint {
         self.mirrors.contains_key(device_id)
     }
 
+    /// The device instant `device_id`'s mirror session reads from next,
+    /// if one is running.
+    pub fn mirror_read_from(&self, device_id: &str) -> Option<SimTime> {
+        self.mirrors.get(device_id).map(MirrorSession::read_from)
+    }
+
     /// Attach a viewer (noVNC browser tab) to a running mirror session.
     pub fn attach_viewer(
         &mut self,

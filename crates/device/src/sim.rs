@@ -139,6 +139,15 @@ impl DeviceSim {
         &self.frame_change
     }
 
+    /// Drop the history of all three traces before `t`, which becomes
+    /// their read floor (see [`StepSignal::release_before`]): reads from
+    /// `t` on are unchanged, reads below it panic.
+    pub fn release_traces_before(&mut self, t: SimTime) {
+        self.current.release_before(t);
+        self.cpu.release_before(t);
+        self.frame_change.release_before(t);
+    }
+
     /// Battery state.
     pub fn battery(&self) -> &Battery {
         &self.battery

@@ -9,9 +9,10 @@
 //! - [`SimDisk`]: an append-only simulated disk with explicit fsync
 //!   barriers and torn-write crash semantics.
 //! - [`Wal`]: a CRC-framed write-ahead log over that disk. The server
-//!   appends one record per state transition; [`Wal::replay`] truncates
-//!   any torn tail and hands back every surviving record so
-//!   `AccessServer::recover` can rebuild exact state from any prefix.
+//!   appends one record per state transition; [`Wal::replay_each`] hands
+//!   every surviving record to `AccessServer::recover` in place and
+//!   truncates any torn tail, so the server rebuilds exact state from any
+//!   prefix.
 //! - [`CheckpointStream`]: checksummed sealed segments of a long sample
 //!   run, so a resumed experiment salvages completed samples and
 //!   restarts at the last checkpoint boundary — with gap/overlap/CRC

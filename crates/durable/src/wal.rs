@@ -3,8 +3,9 @@
 //! Records are opaque payload bytes framed as
 //! `[len: u32 LE][crc32: u32 LE][payload]`. Every append is followed by
 //! an fsync barrier, so a record either survives a crash whole or not
-//! at all — except for a torn tail, which [`Wal::replay`] detects (short
-//! frame or CRC mismatch) and truncates before handing records back.
+//! at all — except for a torn tail, which [`Wal::replay_each`] detects
+//! (short frame or CRC mismatch) and truncates once it has walked every
+//! whole record.
 //!
 //! A `Wal` is a cheap clonable handle onto shared state: the access
 //! server and its scheduler both hold one and append to the same log.
@@ -145,23 +146,39 @@ impl Wal {
         self.lock().disk.durable_bytes().len()
     }
 
-    /// Parse the durable region into whole records, truncating any torn
-    /// tail (short frame or CRC mismatch) from the disk. Returns the
-    /// record payloads and the number of torn bytes discarded.
-    pub fn replay(&self) -> (Vec<Vec<u8>>, usize) {
+    /// Walk the durable region in place: hand every whole, CRC-clean
+    /// payload to `visit` in log order, straight from the disk, then
+    /// truncate any torn tail (short frame or CRC mismatch) and adopt the
+    /// surviving record count, so appends after recovery continue the
+    /// same sequence. Returns that count and the number of torn bytes
+    /// discarded.
+    ///
+    /// The log stays locked for the whole walk: `visit` must not call
+    /// back into this `Wal` or any clone of it.
+    pub fn replay_each(&self, mut visit: impl FnMut(&[u8])) -> (u64, usize) {
         let mut inner = self.lock();
         let bytes = inner.disk.durable_bytes();
         let total = bytes.len();
         let mut frames = Frames { bytes, end: 0 };
-        let records: Vec<Vec<u8>> = frames.by_ref().map(<[u8]>::to_vec).collect();
+        let mut records = 0;
+        for payload in frames.by_ref() {
+            visit(payload);
+            records += 1;
+        }
         let end = frames.end;
         if end < total {
             inner.disk.truncate_durable(end);
         }
-        // Reopening adopts the surviving record count so appends after
-        // recovery continue the same sequence.
-        inner.records = records.len() as u64;
+        inner.records = records;
         (records, total - end)
+    }
+
+    /// As [`Self::replay_each`], collecting a copy of every payload.
+    /// Returns the payloads and the number of torn bytes discarded.
+    pub fn replay(&self) -> (Vec<Vec<u8>>, usize) {
+        let mut records = Vec::new();
+        let (_, torn) = self.replay_each(|payload| records.push(payload.to_vec()));
+        (records, torn)
     }
 
     /// A new, independent log whose durable bytes are the first `k`
@@ -255,6 +272,39 @@ mod tests {
         let (records, torn) = wal.replay();
         assert_eq!(records.len(), 1);
         assert_eq!(torn, 0);
+    }
+
+    /// A multi-record log whose last frame is torn after `torn_keep`
+    /// bytes.
+    fn torn_log(torn_keep: usize) -> Wal {
+        let wal = Wal::new();
+        for record in [&b"alpha"[..], b"", b"gamma-gamma", b"d"] {
+            wal.append(record);
+        }
+        wal.append_unsynced(b"torn-record-payload");
+        wal.crash_disk(torn_keep);
+        wal
+    }
+
+    #[test]
+    fn in_place_walk_agrees_with_replay_at_every_tear() {
+        let torn_frame = FRAME_HEADER + b"torn-record-payload".len();
+        for torn_keep in 0..=torn_frame {
+            let (walked, copied) = (torn_log(torn_keep), torn_log(torn_keep));
+            let mut payloads = Vec::new();
+            let (records, torn) = walked.replay_each(|p| payloads.push(p.to_vec()));
+            let (replayed, replay_torn) = copied.replay();
+            assert_eq!(payloads, replayed, "torn_keep {torn_keep}");
+            assert_eq!(torn, replay_torn, "torn_keep {torn_keep}");
+            assert_eq!(records, replayed.len() as u64, "torn_keep {torn_keep}");
+            assert_eq!(walked.record_count(), copied.record_count());
+            assert_eq!(walked.durable_len(), copied.durable_len());
+            // A whole torn frame is a valid record; anything short of it
+            // is cut away.
+            let expected = if torn_keep == torn_frame { 5 } else { 4 };
+            assert_eq!(records, expected, "torn_keep {torn_keep}");
+            assert_eq!(torn, torn_keep % torn_frame, "torn_keep {torn_keep}");
+        }
     }
 
     #[test]

@@ -94,6 +94,12 @@ impl ScrcpyCapture {
         self.total_bytes
     }
 
+    /// The device instant the next [`Self::produce_until`] reads the
+    /// frame-change trace from.
+    pub(crate) fn produced_until(&self) -> SimTime {
+        self.produced_until
+    }
+
     /// Start capturing: arms the device encoder (which begins costing
     /// power/CPU) from the device's current instant.
     pub fn start(&mut self) -> Result<(), EncoderError> {

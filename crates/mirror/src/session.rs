@@ -228,6 +228,12 @@ impl MirrorSession {
         Ok(produced)
     }
 
+    /// The earliest device instant the session still reads: its next
+    /// pump reads the frame-change trace from here.
+    pub fn read_from(&self) -> SimTime {
+        self.capture.produced_until()
+    }
+
     /// Raw encoder bytes since session start.
     pub fn encoded_bytes(&self) -> u64 {
         self.capture.total_bytes()

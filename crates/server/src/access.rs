@@ -441,14 +441,15 @@ impl AccessServer {
 
     /// Rebuild a server from a write-ahead log after a crash.
     ///
-    /// Replays every whole record in `wal` (truncating any torn tail
-    /// first) through `apply`, the same transition code the live
-    /// operations run. Replay is **telemetry-silent** on the platform
-    /// side: the original operations already counted into the surviving
-    /// registry, so the recovered scheduler/supervisor run against
-    /// throwaway registries until the caller rebinds
-    /// [`AccessServer::set_telemetry`]. Recovery-side `durable.*` metrics
-    /// go to the separate `recovery_telemetry` registry instead.
+    /// Walks every whole record in `wal` in place (truncating any torn
+    /// tail) through `apply`, the same transition code the live
+    /// operations run; no payload is copied out of the log. Replay is
+    /// **telemetry-silent** on the platform side: the original
+    /// operations already counted into the surviving registry, so the
+    /// recovered scheduler/supervisor run against throwaway registries
+    /// until the caller rebinds [`AccessServer::set_telemetry`].
+    /// Recovery-side `durable.*` metrics go to the separate
+    /// `recovery_telemetry` registry instead.
     ///
     /// Sessions are deliberately not recovered — tokens are ephemeral by
     /// design and users re-authenticate after an outage.
@@ -456,36 +457,60 @@ impl AccessServer {
         wal: &Wal,
         recovery_telemetry: &batterylab_telemetry::Registry,
     ) -> Result<AccessServer, ServerError> {
-        let (payloads, torn) = wal.replay();
+        // `apply` never touches the log, so each record is decoded and
+        // applied as the walk reaches it, straight from the disk. After a
+        // failed record the walk goes on without applying, so the torn
+        // tail, the adopted count and the counters are those of a whole
+        // replay.
+        let mut replayed = Ok(None);
+        let (records, torn) = wal.replay_each(|payload| {
+            if let Ok(server) = &mut replayed {
+                if let Err(e) = Self::replay_record(server, payload, wal) {
+                    replayed = Err(e);
+                }
+            }
+        });
         recovery_telemetry.counter("durable.recoveries").inc();
         recovery_telemetry
             .counter("durable.replayed_records")
-            .add(payloads.len() as u64);
+            .add(records);
         recovery_telemetry
             .counter("durable.torn_bytes")
             .add(torn as u64);
-        let mut records = payloads.iter().map(|p| WalRecord::decode(p));
-        let public_ip = match records.next() {
-            Some(Ok(WalRecord::Booted { public_ip })) => public_ip,
-            Some(Ok(other)) => {
-                return Err(ServerError::Recovery(format!(
-                    "log does not start with Booted (found {other:?})"
-                )))
-            }
-            Some(Err(e)) => return Err(ServerError::Recovery(e)),
-            None => return Err(ServerError::Recovery("empty write-ahead log".to_string())),
-        };
-        // `apply` never appends, so the surviving log is adopted up front:
-        // later appends continue the same sequence.
-        let mut server = Self::with_state(public_ip, AuthService::empty(), wal.clone());
-        for record in records {
+        replayed?.ok_or_else(|| ServerError::Recovery("empty write-ahead log".to_string()))
+    }
+
+    /// Replay one logged payload onto `server`: the log's `Booted` record
+    /// creates it, every later record goes through `apply`.
+    fn replay_record(
+        server: &mut Option<AccessServer>,
+        payload: &[u8],
+        wal: &Wal,
+    ) -> Result<(), ServerError> {
+        let record = WalRecord::decode(payload).map_err(ServerError::Recovery)?;
+        match server {
             // A custom payload's closure died with the server; `apply`
             // falls back to the logged spec.
-            server
-                .apply(record.map_err(ServerError::Recovery)?, None)
-                .map_err(|e| ServerError::Recovery(format!("replay failed: {e}")))?;
+            Some(server) => server
+                .apply(record, None)
+                .map(drop)
+                .map_err(|e| ServerError::Recovery(format!("replay failed: {e}"))),
+            None => match record {
+                // `apply` never appends, so the surviving log is adopted
+                // up front: later appends continue the same sequence.
+                WalRecord::Booted { public_ip } => {
+                    *server = Some(Self::with_state(
+                        public_ip,
+                        AuthService::empty(),
+                        wal.clone(),
+                    ));
+                    Ok(())
+                }
+                other => Err(ServerError::Recovery(format!(
+                    "log does not start with Booted (found {other:?})"
+                ))),
+            },
         }
-        Ok(server)
     }
 
     /// Commit one decided transition: apply it, then make it durable. The

@@ -40,6 +40,8 @@ pub fn open_automation(
 
 /// Run `spec` on `vp`. Leaves the power meter off afterwards regardless of
 /// outcome (the safety discipline the paper's maintenance jobs enforce).
+/// A successful job releases its device's trace history behind its window
+/// (DESIGN §4d), so reads of earlier instants on that device panic.
 pub fn run_experiment(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome, String> {
     let result = run_inner(vp, spec);
     if result.is_err() {
@@ -102,7 +104,10 @@ fn run_inner(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome,
     }
 
     let device = vp.device_handle(&spec.device).map_err(ctl)?;
-    let mut backend = open_automation(vp, device).map_err(|e| format!("automation: {e}"))?;
+    // The job's window: the measurement's start, else the script's.
+    let mut window_start = device.with_sim(|s| s.now());
+    let mut backend =
+        open_automation(vp, device.clone()).map_err(|e| format!("automation: {e}"))?;
     backend
         .run_script(&spec.script)
         .map_err(|e| format!("automation: {e}"))?;
@@ -123,7 +128,7 @@ fn run_inner(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome,
     let finished_at;
     if spec.measure {
         let report = vp.stop_monitor_at_rate(spec.sample_rate_hz).map_err(ctl)?;
-        finished_at = report.window.1;
+        (window_start, finished_at) = report.window;
         summary["discharge_mah"] = serde_json::json!(report.mah());
         summary["mean_ma"] = serde_json::json!(report.mean_ma());
         summary["duration_s"] =
@@ -142,7 +147,6 @@ fn run_inner(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome,
         // Return the device to its battery.
         vp.batt_switch(&spec.device).map_err(ctl)?;
     } else {
-        let device = vp.device_handle(&spec.device).map_err(ctl)?;
         finished_at = device.with_sim(|s| s.now());
     }
 
@@ -162,6 +166,15 @@ fn run_inner(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome,
     if vp.vpn_location().is_some() {
         vp.disconnect_vpn().map_err(ctl)?;
     }
+
+    // 7. Release the device's trace history before the earliest instant
+    // a live reader can still ask for: this job's window, or a mirror
+    // session the job left running. Later jobs read from their own
+    // windows on, so the traces hold about one job's change points.
+    let floor = vp
+        .mirror_read_from(&spec.device)
+        .map_or(window_start, |t| t.min(window_start));
+    device.with_sim(|s| s.release_traces_before(floor));
 
     Ok(JobOutcome {
         summary,
@@ -235,6 +248,51 @@ mod tests {
         let outcome = run_experiment(&mut vp, &s).unwrap();
         assert!(outcome.summary["mirror_upload_bytes"].is_number());
         assert!(!vp.is_mirroring("exec-dev"));
+    }
+
+    #[test]
+    fn job_releases_device_traces_behind_its_window() {
+        let mut vp = vantage();
+        let device = vp.device_handle("exec-dev").unwrap();
+        device.with_sim(|s| s.idle(batterylab_sim::SimDuration::from_secs(30)));
+        let job_start = device.with_sim(|s| s.now());
+        run_experiment(&mut vp, &spec()).unwrap();
+        let floors = device.with_sim(|s| {
+            [s.current_trace(), s.cpu_trace(), s.frame_change_trace()].map(|t| t.floor())
+        });
+        assert!(floors[0] >= job_start, "released up to the job's window");
+        assert!(floors.iter().all(|&f| f == floors[0]), "{floors:?}");
+        // A second job keeps about one job's change points, not two.
+        let one = device.with_sim(|s| s.current_trace().changes());
+        run_experiment(&mut vp, &spec()).unwrap();
+        let two = device.with_sim(|s| s.current_trace().changes());
+        assert!(
+            two < one + one / 2,
+            "{two} points after two jobs, {one} after one"
+        );
+    }
+
+    #[test]
+    fn running_mirror_session_keeps_the_history_it_has_not_read() {
+        let mut vp = vantage();
+        let device = vp.device_handle("exec-dev").unwrap();
+        // Mirroring started outside the job, which neither uses nor stops
+        // it; the session has not been pumped since well before the job.
+        assert!(vp.device_mirroring("exec-dev").unwrap());
+        let read_from = vp.mirror_read_from("exec-dev").unwrap();
+        device.with_sim(|s| s.idle(batterylab_sim::SimDuration::from_secs(5)));
+        run_experiment(&mut vp, &spec()).unwrap();
+        assert!(vp.is_mirroring("exec-dev"));
+        assert_eq!(
+            device.with_sim(|s| s.frame_change_trace().floor()),
+            read_from
+        );
+        // The session's next pump reads from where it stopped.
+        assert!(vp.pump_mirrors().unwrap() > 0);
+        assert!(vp.mirror_read_from("exec-dev").unwrap() > read_from);
+        run_experiment(&mut vp, &spec()).unwrap();
+        let floor = device.with_sim(|s| s.frame_change_trace().floor());
+        assert!(floor > read_from, "released up to the pumped session");
     }
 
     #[test]

@@ -67,6 +67,55 @@ mod proptests {
             prop_assert!((got - expected).abs() < 1e-9 * (1.0 + expected.abs()));
         }
 
+        /// Random `set`/`release_before` sequences against an unreleased
+        /// copy: after every step, each read at or after the floor is
+        /// bit-identical to the copy's. (Reads below it panic; the
+        /// `series` unit tests pin that.)
+        #[test]
+        fn released_reads_match_the_unreleased_copy(
+            ops in proptest::collection::vec((0u64..5, 0u64..400, 0usize..4), 1..60),
+            probes in proptest::collection::vec(0u64..1_500, 4..12),
+        ) {
+            const VALUES: [f64; 4] = [0.0, 1.5, -2.25, 1.5e-3];
+            let mut released = StepSignal::new(1.0);
+            let mut copy = StepSignal::new(1.0);
+            let mut now = 0u64;
+            for (kind, dt, v) in ops {
+                if kind == 0 {
+                    // Release up to a few steps back, as a job's window
+                    // lies behind the device's clock.
+                    released.release_before(SimTime::from_micros(now.saturating_sub(3 * dt)));
+                } else {
+                    // A set at the previous instant overwrites it; equal
+                    // values dedupe.
+                    let at = if kind == 1 { now } else { now + dt };
+                    released.set(SimTime::from_micros(at), VALUES[v]);
+                    copy.set(SimTime::from_micros(at), VALUES[v]);
+                    now = at;
+                }
+                let floor = released.floor().as_micros();
+                let mut cursor = released.cursor_at(released.floor());
+                let mut reference = copy.cursor_at(released.floor());
+                let mut queries: Vec<u64> = probes.iter().map(|p| floor + p).collect();
+                queries.sort_unstable();
+                for &q in &queries {
+                    let q = SimTime::from_micros(q);
+                    prop_assert_eq!(released.at(q).to_bits(), copy.at(q).to_bits());
+                    let (a, b) = (released.segment_at(q), copy.segment_at(q));
+                    prop_assert_eq!((a.0.to_bits(), a.1), (b.0.to_bits(), b.1));
+                    let (a, b) = (cursor.segment(q), reference.segment(q));
+                    prop_assert_eq!((a.0.to_bits(), a.1), (b.0.to_bits(), b.1));
+                    let from = released.floor();
+                    prop_assert_eq!(
+                        released.integral(from, q).to_bits(),
+                        copy.integral(from, q).to_bits()
+                    );
+                    prop_assert_eq!(released.mean(from, q).to_bits(), copy.mean(from, q).to_bits());
+                }
+                prop_assert_eq!(released.last().to_bits(), copy.last().to_bits());
+            }
+        }
+
         #[test]
         fn step_at_matches_last_set_before(points in proptest::collection::vec((1u64..10_000, -5.0f64..5.0), 1..30), query in 0u64..20_000) {
             let mut sig = StepSignal::new(1.5);

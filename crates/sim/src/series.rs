@@ -75,10 +75,19 @@ impl UniformSeries {
 ///
 /// Integration is exact, which is what makes the power accounting in
 /// `batterylab-power` trustworthy regardless of the sampling rate.
+///
+/// A long-lived signal can drop its history with
+/// [`Self::release_before`]. The release instant becomes the signal's
+/// *floor*: every read at or after it is bit-identical to the unreleased
+/// signal's, and every read below it panics rather than answer from the
+/// first kept step.
 #[derive(Clone, Debug)]
 pub struct StepSignal {
-    // (since, value); `points` is non-empty and time-ordered.
+    // (since, value); `points` is non-empty and time-ordered, and its
+    // first point is the step in effect at `floor`.
     points: Vec<(SimTime, f64)>,
+    // Earliest instant a read may ask for.
+    floor: SimTime,
 }
 
 impl StepSignal {
@@ -86,6 +95,7 @@ impl StepSignal {
     pub fn new(initial: f64) -> Self {
         StepSignal {
             points: vec![(SimTime::ZERO, initial)],
+            floor: SimTime::ZERO,
         }
     }
 
@@ -112,6 +122,34 @@ impl StepSignal {
         }
     }
 
+    /// Drop the change points before the step in effect at `t` and make
+    /// `t` the floor: reads from `t` on answer exactly as before, reads
+    /// below it panic. The floor never moves back; releasing below it is
+    /// a no-op.
+    pub fn release_before(&mut self, t: SimTime) {
+        if t <= self.floor {
+            return;
+        }
+        let i = self.index_at(t);
+        self.points.drain(..i);
+        self.floor = t;
+    }
+
+    /// The earliest instant a read may ask for (`t = 0` until a release).
+    pub fn floor(&self) -> SimTime {
+        self.floor
+    }
+
+    /// Panic unless `t` is at or after the floor.
+    #[track_caller]
+    fn check_floor(&self, t: SimTime) {
+        assert!(
+            t >= self.floor,
+            "StepSignal read at {t:?} is below its release floor {:?}",
+            self.floor
+        );
+    }
+
     /// Index of the step in effect at `t`.
     fn index_at(&self, t: SimTime) -> usize {
         match self.points.binary_search_by(|&(pt, _)| pt.cmp(&t)) {
@@ -122,14 +160,18 @@ impl StepSignal {
     }
 
     /// Value at instant `t` (the step in effect at `t`).
+    #[track_caller]
     pub fn at(&self, t: SimTime) -> f64 {
+        self.check_floor(t);
         self.points[self.index_at(t)].1
     }
 
     /// The constant segment containing `t`: its value and its exclusive
     /// end (the instant of the next change, [`SimTime::MAX`] on the
     /// final step). The value is bit-identical to [`Self::at`].
+    #[track_caller]
     pub fn segment_at(&self, t: SimTime) -> (f64, SimTime) {
+        self.check_floor(t);
         let i = self.index_at(t);
         let end = self
             .points
@@ -145,6 +187,7 @@ impl StepSignal {
     /// the cursor over per-query [`Self::at`]: a full pass over `n`
     /// queries against a signal with `m` change points costs `O(n + m)`
     /// instead of `O(n log m)`.
+    #[track_caller]
     pub fn cursor(&self) -> StepCursor<'_> {
         self.cursor_at(SimTime::ZERO)
     }
@@ -153,7 +196,9 @@ impl StepSignal {
     /// effect at `from`. A sweep that starts late in a long signal then
     /// costs `O(log m)` to seat instead of a scan over every earlier
     /// change point.
+    #[track_caller]
     pub fn cursor_at(&self, from: SimTime) -> StepCursor<'_> {
+        self.check_floor(from);
         StepCursor {
             signal: self,
             index: self.index_at(from),
@@ -166,7 +211,9 @@ impl StepSignal {
     }
 
     /// Exact integral over `[from, to)` in `value·seconds`.
+    #[track_caller]
     pub fn integral(&self, from: SimTime, to: SimTime) -> f64 {
+        self.check_floor(from);
         if to <= from {
             return 0.0;
         }
@@ -190,6 +237,7 @@ impl StepSignal {
     }
 
     /// Mean value over `[from, to)`.
+    #[track_caller]
     pub fn mean(&self, from: SimTime, to: SimTime) -> f64 {
         let span = (to - from).as_secs_f64();
         if span <= 0.0 {
@@ -198,7 +246,8 @@ impl StepSignal {
         self.integral(from, to) / span
     }
 
-    /// Number of recorded change points (including the initial value).
+    /// Number of kept change points (including the step in effect at the
+    /// floor).
     pub fn changes(&self) -> usize {
         self.points.len()
     }
@@ -218,7 +267,9 @@ pub struct StepCursor<'a> {
 impl StepCursor<'_> {
     /// The segment containing `t`: `(value, exclusive_end)`, exactly as
     /// [`StepSignal::segment_at`] returns it.
+    #[track_caller]
     pub fn segment(&mut self, t: SimTime) -> (f64, SimTime) {
+        self.signal.check_floor(t);
         let points = &self.signal.points;
         if points[self.index].0 > t {
             // Backwards query: re-seat (monotone callers never hit this).
@@ -240,6 +291,7 @@ impl StepCursor<'_> {
     }
 
     /// Value at instant `t`; agrees with [`StepSignal::at`] bit-for-bit.
+    #[track_caller]
     pub fn at(&mut self, t: SimTime) -> f64 {
         self.segment(t).0
     }
@@ -347,6 +399,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A signal with steps at 1..=9 s, released before 5.5 s.
+    fn released() -> StepSignal {
+        let mut s = StepSignal::new(0.5);
+        for k in 1..10 {
+            s.set(t(k), k as f64);
+        }
+        s.release_before(SimTime::from_millis(5_500));
+        s
+    }
+
+    #[test]
+    fn release_keeps_the_step_in_effect_at_the_floor() {
+        let s = released();
+        assert_eq!(s.floor(), SimTime::from_millis(5_500));
+        assert_eq!(s.changes(), 5);
+        assert_eq!(s.at(SimTime::from_millis(5_500)), 5.0);
+        assert_eq!(s.segment_at(SimTime::from_millis(5_500)), (5.0, t(6)));
+        assert!((s.integral(SimTime::from_millis(5_500), t(7)) - 8.5).abs() < 1e-12);
+        // Releasing below the floor is a no-op.
+        let mut again = s.clone();
+        again.release_before(t(2));
+        assert_eq!(again.floor(), s.floor());
+        assert_eq!(again.changes(), s.changes());
+    }
+
+    #[test]
+    #[should_panic(expected = "below its release floor")]
+    fn at_below_the_floor_panics() {
+        released().at(t(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "below its release floor")]
+    fn segment_at_below_the_floor_panics() {
+        released().segment_at(t(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "below its release floor")]
+    fn cursor_below_the_floor_panics() {
+        released().cursor();
+    }
+
+    #[test]
+    #[should_panic(expected = "below its release floor")]
+    fn cursor_at_below_the_floor_panics() {
+        released().cursor_at(t(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "below its release floor")]
+    fn cursor_segment_below_the_floor_panics() {
+        let s = released();
+        let mut cursor = s.cursor_at(t(8));
+        cursor.segment(t(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "below its release floor")]
+    fn integral_below_the_floor_panics() {
+        released().integral(t(5), t(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "below its release floor")]
+    fn mean_below_the_floor_panics() {
+        released().mean(t(5), t(8));
     }
 
     #[test]

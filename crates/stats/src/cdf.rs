@@ -20,8 +20,11 @@ impl Cdf {
             samples.iter().all(|x| x.is_finite()),
             "Cdf requires finite samples"
         );
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable_by(f64::total_cmp);
+        let mut sorted = sorted_by_counting(samples).unwrap_or_else(|| {
+            let mut sorted = samples.to_vec();
+            sorted.sort_unstable_by(f64::total_cmp);
+            sorted
+        });
         // `total_cmp` puts -0.0 before +0.0, where a stable sort by value
         // keeps zeros in input order. Every other tie has identical bits,
         // so writing the input's zeros back in input order makes the
@@ -115,6 +118,64 @@ impl Cdf {
     pub fn sorted_samples(&self) -> &[f64] {
         &self.sorted
     }
+}
+
+/// Inputs at least this long try [`sorted_by_counting`] first.
+const COUNTING_MIN_LEN: usize = 8192;
+
+/// Most distinct values [`sorted_by_counting`] takes on; more fall back
+/// to the sort.
+const COUNTING_MAX_DISTINCT: usize = 4096;
+
+/// Open-addressing slots: twice the distinct cap keeps the table at most
+/// half full. A power of two, so probing wraps with a mask.
+const COUNTING_SLOTS: usize = 2 * COUNTING_MAX_DISTINCT;
+
+/// `samples` ordered by `total_cmp`, built by counting: each distinct bit
+/// pattern is counted in a small open-addressing table, only the distinct
+/// values are sorted, and each is repeated by its count. A quantised
+/// meter's readings take few distinct values (fig. 2's 150 000 readings
+/// take about 2 000), so this is exact and far cheaper than sorting them
+/// all. `None` when `samples` is short or takes too many distinct values.
+///
+/// `total_cmp` orders distinct bit patterns strictly and equal ones are
+/// the same value, so the result is bit-identical to the sort's.
+fn sorted_by_counting(samples: &[f64]) -> Option<Vec<f64>> {
+    if samples.len() < COUNTING_MIN_LEN {
+        return None;
+    }
+    let shift = 64 - COUNTING_SLOTS.trailing_zeros();
+    // (bits, count); a zero count marks an empty slot.
+    let mut table = vec![(0u64, 0usize); COUNTING_SLOTS];
+    let mut distinct = 0;
+    for &x in samples {
+        let bits = x.to_bits();
+        // Fibonacci hashing: the top bits of the product mix every bit.
+        let mut slot = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            let (key, count) = &mut table[slot];
+            if *count == 0 {
+                if distinct == COUNTING_MAX_DISTINCT {
+                    return None;
+                }
+                distinct += 1;
+                (*key, *count) = (bits, 1);
+                break;
+            }
+            if *key == bits {
+                *count += 1;
+                break;
+            }
+            slot = (slot + 1) & (COUNTING_SLOTS - 1);
+        }
+    }
+    table.retain(|&(_, count)| count > 0);
+    table.sort_unstable_by(|a, b| f64::from_bits(a.0).total_cmp(&f64::from_bits(b.0)));
+    let mut sorted = Vec::with_capacity(samples.len());
+    for (bits, count) in table {
+        sorted.resize(sorted.len() + count, f64::from_bits(bits));
+    }
+    Some(sorted)
 }
 
 #[cfg(test)]
@@ -212,5 +273,43 @@ mod tests {
         let c = Cdf::from_samples(&[4.2]);
         assert_eq!(c.median(), 4.2);
         assert_eq!(c.quantile(0.25), 4.2);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Sample `raw` from a palette of `palette` values: both signed zeros
+    /// and multiples of a 0.02 mA LSB on either side of zero.
+    fn value(raw: u64, palette: u64) -> f64 {
+        match raw % palette {
+            0 => 0.0,
+            1 => -0.0,
+            k => (k as f64 - (palette / 2) as f64) * 0.02,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Lengths span the counting threshold and palettes span the
+        /// distinct cap, so the sort, the counting construction and the
+        /// fallback after a full table all run.
+        #[test]
+        fn counting_matches_the_stable_sort_bit_for_bit(
+            palette in 2u64..6_000,
+            raw in prop::collection::vec(0u64..u64::MAX, 1..20_000),
+        ) {
+            let samples: Vec<f64> = raw.iter().map(|&r| value(r, palette)).collect();
+            let mut reference = samples.clone();
+            reference.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(Cdf::from_samples(&samples).sorted_samples()),
+                bits(&reference)
+            );
+        }
     }
 }

@@ -67,8 +67,9 @@ cargo run --release -q -p batterylab --bin blab -- checkpoint --seconds 20 --rat
 cargo test -q -p batterylab-tests --test durable_recovery
 
 # Bounded job path: on a node that has run 200 jobs, each job's logcat
-# artifact holds only its own lines and its `Completed` WAL record is as
-# long as the first job's.
+# artifact holds only its own lines, its `Completed` WAL record is as
+# long as the first job's, and the device traces hold about one job's
+# change points.
 cargo test -q -p batterylab-tests --test job_path_bounded
 
 # Committed artifacts match the code: paper-scale `eval all` must

@@ -1,7 +1,8 @@
 //! A node's job path stays bounded over its lifetime: each job's
 //! `logcat.txt` holds only that job's lines (the automation channel
 //! clears the device log when it connects), so the `Completed` WAL record
-//! that carries the artifacts has the same size at any node age.
+//! that carries the artifacts has the same size at any node age; and the
+//! device traces hold about one job's change points.
 
 use std::collections::BTreeMap;
 
@@ -98,4 +99,60 @@ fn job_path_stays_bounded_over_a_node_lifetime() {
         last.abs_diff(first) <= SIZE_SLACK,
         "last Completed payload {last} bytes vs first {first}"
     );
+}
+
+/// Change points the device's current, CPU and frame-change traces hold.
+fn trace_points(platform: &mut Platform) -> [usize; 3] {
+    platform.j7().with_sim(|s| {
+        [
+            s.current_trace().changes(),
+            s.cpu_trace().changes(),
+            s.frame_change_trace().changes(),
+        ]
+    })
+}
+
+/// A job's traces are released behind its window once it completes, so
+/// after the whole lifetime each device trace holds about one job's
+/// change points, not the node's history.
+#[test]
+fn device_traces_hold_about_one_job_after_a_node_lifetime() {
+    let (mut platform, _wal) = Platform::durable_testbed(77);
+    let serial = platform.j7_serial().to_string();
+    let browsers = BrowserProfile::all_four();
+    let token = platform.experimenter_token;
+    let mut one_job = [0; 3];
+    for i in 0..JOBS {
+        let package = &browsers[i % browsers.len()].package;
+        let spec = ExperimentSpec::measured(
+            &serial,
+            Script::browser_workload(package, &["https://news.example"], 2),
+        );
+        let id = platform
+            .server
+            .submit_job(
+                token,
+                &format!("job-{i}"),
+                Constraints::default(),
+                Payload::Experiment(spec),
+            )
+            .unwrap_or_else(|e| panic!("job {i} refused: {e}"));
+        assert_eq!(platform.server.tick(), Some(id));
+        if i < browsers.len() {
+            // One job of each browser sets the per-job scale.
+            for (scale, p) in one_job.iter_mut().zip(trace_points(&mut platform)) {
+                *scale = (*scale).max(p);
+            }
+        }
+    }
+    let points = trace_points(&mut platform);
+    for (trace, (points, one_job)) in ["current", "cpu", "frame change"]
+        .iter()
+        .zip(points.iter().zip(one_job))
+    {
+        assert!(
+            *points <= 2 * one_job,
+            "{trace} trace holds {points} change points after {JOBS} jobs; one job holds {one_job}"
+        );
+    }
 }
