@@ -43,16 +43,45 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Median and interquartile range of one cell's trials, milliseconds.
+/// Median and interquartile range of one cell's trials.
 fn spread(trials: &[f64]) -> (f64, f64) {
     let cdf = Cdf::from_samples(trials);
     (cdf.median(), cdf.quantile(0.75) - cdf.quantile(0.25))
+}
+
+/// A spread as `median ± iqr` text, `digits` decimals, then `unit`.
+fn text((median, iqr): (f64, f64), digits: usize, unit: &str) -> String {
+    format!("{median:.digits$} ± {iqr:.digits$}{unit}")
+}
+
+/// A spread as `{median, iqr}` JSON.
+fn json((median, iqr): (f64, f64)) -> serde_json::Value {
+    serde_json::json!({ "median": median, "iqr": iqr })
 }
 
 fn timed(mut run: impl FnMut()) -> f64 {
     let start = Instant::now();
     run();
     start.elapsed().as_secs_f64() * 1e3
+}
+
+/// [`TRIALS`] interleaved pairs: each pair starts from `setup()`, then
+/// measures `run(&mut state, side)` once per side (`false` is the side a
+/// cell names first), alternating which side runs first so neither
+/// always runs warm. Returns each side's trials, first-named side first.
+fn interleaved<S>(
+    mut setup: impl FnMut() -> S,
+    mut run: impl FnMut(&mut S, bool) -> f64,
+) -> [[f64; TRIALS]; 2] {
+    let pairs: [[f64; 2]; TRIALS] = std::array::from_fn(|trial| {
+        let mut state = setup();
+        let mut pair = [0.0; 2];
+        for side in [trial % 2 == 1, trial % 2 == 0] {
+            pair[usize::from(side)] = run(&mut state, side);
+        }
+        pair
+    });
+    [0, 1].map(|side| pairs.map(|pair| pair[side]))
 }
 
 /// Serial sampler throughput: a sparse step trace (a step every ~230 ms,
@@ -100,31 +129,26 @@ fn sampler_throughput(seed: u64) -> serde_json::Value {
         ..noisy
     };
     for (name, cal) in [("noise_free", noise_free), ("noisy", noisy)] {
-        let mut segmented = meter(cal);
-        let mut reference = meter(cal);
-        let mut reference_ms = [0.0; TRIALS];
-        let mut segmented_ms = [0.0; TRIALS];
-        for trial in 0..TRIALS {
-            reference_ms[trial] = timed(|| {
-                std::hint::black_box(
-                    reference
-                        .sample_run_reference_at_rate(
+        let mut meters = [meter(cal), meter(cal)];
+        let [reference_ms, segmented_ms] = interleaved(
+            || (),
+            |(), segmented| {
+                let m = &mut meters[usize::from(segmented)];
+                timed(|| {
+                    let run = if segmented {
+                        m.sample_run_at_rate(&load, SimTime::ZERO, duration_s, MONSOON_RATE_HZ)
+                    } else {
+                        m.sample_run_reference_at_rate(
                             &load,
                             SimTime::ZERO,
                             duration_s,
                             MONSOON_RATE_HZ,
                         )
-                        .unwrap(),
-                );
-            });
-            segmented_ms[trial] = timed(|| {
-                std::hint::black_box(
-                    segmented
-                        .sample_run_at_rate(&load, SimTime::ZERO, duration_s, MONSOON_RATE_HZ)
-                        .unwrap(),
-                );
-            });
-        }
+                    };
+                    std::hint::black_box(run.unwrap());
+                })
+            },
+        );
         let (reference, segmented) = (spread(&reference_ms), spread(&segmented_ms));
         let segmented_sps = samples as f64 / (segmented.0 / 1e3);
         let reference_sps = samples as f64 / (reference.0 / 1e3);
@@ -133,7 +157,7 @@ fn sampler_throughput(seed: u64) -> serde_json::Value {
             "{:<12} {:<22} {:>16} {:>12.0}/s {:>8}",
             name,
             "per-sample reference",
-            format!("{:.2} ± {:.2}ms", reference.0, reference.1),
+            text(reference, 2, "ms"),
             reference_sps,
             ""
         );
@@ -141,7 +165,7 @@ fn sampler_throughput(seed: u64) -> serde_json::Value {
             "{:<12} {:<22} {:>16} {:>12.0}/s {:>7.2}x",
             name,
             "segment-batched",
-            format!("{:.2} ± {:.2}ms", segmented.0, segmented.1),
+            text(segmented, 2, "ms"),
             segmented_sps,
             speedup
         );
@@ -150,8 +174,8 @@ fn sampler_throughput(seed: u64) -> serde_json::Value {
             serde_json::json!({
                 "samples": samples,
                 "rate_hz": MONSOON_RATE_HZ,
-                "reference_ms": serde_json::json!({ "median": reference.0, "iqr": reference.1 }),
-                "segmented_ms": serde_json::json!({ "median": segmented.0, "iqr": segmented.1 }),
+                "reference_ms": json(reference),
+                "segmented_ms": json(segmented),
                 "reference_samples_per_sec": reference_sps,
                 "segmented_samples_per_sec": segmented_sps,
                 "speedup": speedup,
@@ -166,38 +190,29 @@ fn sampler_throughput(seed: u64) -> serde_json::Value {
 /// (unbound, bound) pairs. The overhead is the median of the per-pair
 /// ratios, so host load that drifts between pairs cancels out.
 fn overhead_pair(name: &str, reps: usize, mut run: impl FnMut(bool)) -> serde_json::Value {
-    let mut unbound_ms = [0.0; TRIALS];
-    let mut bound_ms = [0.0; TRIALS];
-    let mut overhead_pct = [0.0; TRIALS];
-    for trial in 0..TRIALS {
-        // Alternate which side runs first so neither always runs warm.
-        for bound in [trial % 2 == 1, trial % 2 == 0] {
-            let ms = timed(|| (0..reps).for_each(|_| run(bound)));
-            if bound {
-                bound_ms[trial] = ms;
-            } else {
-                unbound_ms[trial] = ms;
-            }
-        }
-        overhead_pct[trial] = (bound_ms[trial] / unbound_ms[trial] - 1.0) * 100.0;
-    }
+    let [unbound_ms, bound_ms] = interleaved(
+        || (),
+        |(), bound| timed(|| (0..reps).for_each(|_| run(bound))),
+    );
+    let overhead_pct: Vec<f64> = (0..TRIALS)
+        .map(|trial| (bound_ms[trial] / unbound_ms[trial] - 1.0) * 100.0)
+        .collect();
     let (unbound, bound) = (spread(&unbound_ms), spread(&bound_ms));
     let overhead = spread(&overhead_pct);
     let within_budget = overhead.0 <= OVERHEAD_BUDGET_PCT;
-    let cell = |(median, iqr): (f64, f64)| format!("{median:.2} ± {iqr:.2}ms");
     println!(
         "{:<22} {:>18} {:>18} {:>14} {}",
         name,
-        cell(unbound),
-        cell(bound),
-        format!("{:+.1} ± {:.1}%", overhead.0, overhead.1),
+        text(unbound, 2, "ms"),
+        text(bound, 2, "ms"),
+        text(overhead, 1, "%"),
         if within_budget { "ok" } else { "BROKEN" }
     );
     serde_json::json!({
         "reps": reps,
-        "unbound_ms": serde_json::json!({ "median": unbound.0, "iqr": unbound.1 }),
-        "bound_ms": serde_json::json!({ "median": bound.0, "iqr": bound.1 }),
-        "overhead_pct": serde_json::json!({ "median": overhead.0, "iqr": overhead.1 }),
+        "unbound_ms": json(unbound),
+        "bound_ms": json(bound),
+        "overhead_pct": json(overhead),
         "within_budget": within_budget,
     })
 }
@@ -267,16 +282,15 @@ fn automation_session(seed: u64) -> serde_json::Value {
     const PACKAGE: &str = "com.brave.browser";
     let script = Script::browser_workload(PACKAGE, &["https://news.example"], 2);
     let key = AdbKey::generate("bench", 1);
-    let mut fresh_us = [0.0; TRIALS];
-    let mut open_us = [0.0; TRIALS];
-    let mut connect_us = [0.0; TRIALS];
-    for trial in 0..TRIALS {
-        let device = boot_j7_duo(&SimRng::new(seed).derive("bench"), "j7duo-0001");
-        device.install_package(PACKAGE);
-        let mut open = AdbBackend::connect(device.clone(), TransportKind::WiFi, key.clone())
-            .expect("first contact");
-        // Alternate which side runs first so neither always runs warm.
-        for fresh in [trial % 2 == 1, trial % 2 == 0] {
+    let [open_us, fresh_us] = interleaved(
+        || {
+            let device = boot_j7_duo(&SimRng::new(seed).derive("bench"), "j7duo-0001");
+            device.install_package(PACKAGE);
+            let open = AdbBackend::connect(device.clone(), TransportKind::WiFi, key.clone())
+                .expect("first contact");
+            (device, open)
+        },
+        |(device, open), fresh| {
             let ms = timed(|| {
                 for _ in 0..SESSIONS {
                     if fresh {
@@ -292,34 +306,23 @@ fn automation_session(seed: u64) -> serde_json::Value {
                     }
                 }
             });
-            let per_session_us = ms * 1e3 / SESSIONS as f64;
-            if fresh {
-                fresh_us[trial] = per_session_us;
-            } else {
-                open_us[trial] = per_session_us;
-            }
-        }
-        connect_us[trial] = fresh_us[trial] - open_us[trial];
-    }
+            ms * 1e3 / SESSIONS as f64
+        },
+    );
+    let connect_us: Vec<f64> = (0..TRIALS).map(|t| fresh_us[t] - open_us[t]).collect();
     let (fresh, open, connect) = (spread(&fresh_us), spread(&open_us), spread(&connect_us));
     println!(
         "\n# automation session (per session, {SESSIONS} per trial; \
          median ± IQR of {TRIALS} interleaved pairs)"
     );
     println!("{:<34} {:>16}", "operation", "wall");
-    let cell = |(median, iqr): (f64, f64)| format!("{median:.2} ± {iqr:.2}us");
-    println!("{:<34} {:>16}", "connect + script + logcat -d", cell(fresh));
-    println!(
-        "{:<34} {:>16}",
-        "open channel: script + logcat -c/-d",
-        cell(open)
-    );
-    println!(
-        "{:<34} {:>16}",
-        "opening the channel (difference)",
-        cell(connect)
-    );
-    let json = |(median, iqr): (f64, f64)| serde_json::json!({ "median": median, "iqr": iqr });
+    for (operation, spread) in [
+        ("connect + script + logcat -d", fresh),
+        ("open channel: script + logcat -c/-d", open),
+        ("opening the channel (difference)", connect),
+    ] {
+        println!("{:<34} {:>16}", operation, text(spread, 2, "us"));
+    }
     serde_json::json!({
         "sessions": SESSIONS,
         "session_us": json(fresh),
@@ -398,7 +401,7 @@ fn node_age(seed: u64) -> serde_json::Value {
             age,
             format!("{current}/{cpu}/{frame_change}"),
             wal.durable_len(),
-            format!("{:.2} ± {:.2}ms", recover.0, recover.1)
+            text(recover, 2, "ms")
         );
         cells.push(serde_json::json!({
             "jobs": age,
@@ -408,7 +411,7 @@ fn node_age(seed: u64) -> serde_json::Value {
                 "frame_change": frame_change,
             }),
             "wal_bytes": wal.durable_len(),
-            "recover_ms": serde_json::json!({ "median": recover.0, "iqr": recover.1 }),
+            "recover_ms": json(recover),
         }));
     }
     serde_json::Value::Array(cells)
@@ -418,18 +421,17 @@ fn node_age(seed: u64) -> serde_json::Value {
 fn row(name: &str, serial_ms: &[f64], parallel_ms: &[f64]) -> serde_json::Value {
     let (serial, parallel) = (spread(serial_ms), spread(parallel_ms));
     let speedup = serial.0 / parallel.0;
-    let cell = |(median, iqr): (f64, f64)| format!("{median:.1} ± {iqr:.1}ms");
     println!(
         "{:<10} {:>18} {:>18} {:>7.2}x",
         name,
-        cell(serial),
-        cell(parallel),
+        text(serial, 1, "ms"),
+        text(parallel, 1, "ms"),
         speedup
     );
     serde_json::json!({
         "target": name,
-        "serial_ms": serde_json::json!({ "median": serial.0, "iqr": serial.1 }),
-        "parallel_ms": serde_json::json!({ "median": parallel.0, "iqr": parallel.1 }),
+        "serial_ms": json(serial),
+        "parallel_ms": json(parallel),
         "speedup": speedup,
     })
 }
@@ -472,17 +474,21 @@ fn main() {
     let mut total_serial = [0.0; TRIALS];
     let mut total_parallel = [0.0; TRIALS];
     for target in ALL_TARGETS {
-        let mut serial_ms = [0.0; TRIALS];
-        let mut parallel_ms = [0.0; TRIALS];
+        // The pair's first run leaves its text for the second to match.
+        let [serial_ms, parallel_ms] = interleaved(
+            || None,
+            |first: &mut Option<String>, is_parallel| {
+                let config = if is_parallel { &parallel } else { &serial };
+                let mut text = String::new();
+                let ms = timed(|| text = run_target(target, config, None).unwrap());
+                match first.take() {
+                    Some(first) => assert_eq!(first, text, "{target}: output depends on --jobs"),
+                    None => *first = Some(text),
+                }
+                ms
+            },
+        );
         for trial in 0..TRIALS {
-            let mut rendered = [String::new(), String::new()];
-            serial_ms[trial] = timed(|| rendered[0] = run_target(target, &serial, None).unwrap());
-            parallel_ms[trial] =
-                timed(|| rendered[1] = run_target(target, &parallel, None).unwrap());
-            assert_eq!(
-                rendered[0], rendered[1],
-                "{target}: output depends on --jobs"
-            );
             total_serial[trial] += serial_ms[trial];
             total_parallel[trial] += parallel_ms[trial];
         }

@@ -283,6 +283,63 @@ impl VantagePoint {
         &self.config.name
     }
 
+    /// The node's "now": its first device's clock (`ZERO` for a node
+    /// without devices).
+    pub fn now(&self) -> SimTime {
+        self.devices
+            .first()
+            .map_or(SimTime::ZERO, |d| d.with_sim(|s| s.now()))
+    }
+
+    /// Idle every device whose clock is behind `t` forward to `t`.
+    /// Returns whether any clock advanced.
+    pub fn idle_devices_until(&mut self, t: SimTime) -> bool {
+        let mut advanced = false;
+        for device in &self.devices {
+            device.with_sim(|s| {
+                let now = s.now();
+                if now < t {
+                    s.idle(t - now);
+                    advanced = true;
+                }
+            });
+        }
+        advanced
+    }
+
+    /// Idle every device `d` forward: the bench sitting idle. Returns the
+    /// latest device clock afterwards (`ZERO` without devices).
+    pub fn idle_devices(&mut self, d: SimDuration) -> SimTime {
+        self.devices.iter().fold(SimTime::ZERO, |latest, device| {
+            device.with_sim(|s| {
+                s.idle(d);
+                latest.max(s.now())
+            })
+        })
+    }
+
+    /// Release `device_id`'s history before the earliest instant a live
+    /// reader can still ask for: `from`, or where a running mirror
+    /// session reads next if that is earlier. The device's three traces
+    /// are released (DESIGN §4d) and its measurement windows that end by
+    /// then are dropped, so both hold about one job's worth.
+    pub fn release_history(&mut self, device_id: &str, from: SimTime) {
+        let floor = self
+            .mirror_read_from(device_id)
+            .map_or(from, |t| t.min(from));
+        if let Ok((_, device)) = self.device(device_id) {
+            device.with_sim(|s| s.release_traces_before(floor));
+        }
+        self.past_measurements
+            .retain(|(serial, _, to)| serial != device_id || *to > floor);
+    }
+
+    /// Measurement windows (completed or aborted) the node still keeps
+    /// for historical CPU sampling.
+    pub fn measurement_windows(&self) -> usize {
+        self.past_measurements.len()
+    }
+
     /// Attach a device to the next free relay channel and wire it to the
     /// WiFi AP. Returns the channel index.
     pub fn add_device(&mut self, device: AndroidDevice) -> usize {
@@ -377,7 +434,7 @@ impl VantagePoint {
     /// `power_monitor` — toggle the Monsoon's mains power through the WiFi
     /// socket. Returns the new socket state.
     pub fn power_monitor(&mut self) -> Result<SocketState, ControllerError> {
-        let now = self.any_device_now();
+        let now = self.now();
         let target = !self.socket.is_on();
         // The socket occasionally drops a command; retry like the real
         // controller scripts do.
@@ -638,7 +695,7 @@ impl VantagePoint {
     /// Bring up a VPN tunnel (the §4.3 location emulation) and repoint
     /// every device's network path through it.
     pub fn connect_vpn(&mut self, location: VpnLocation) -> Result<(), ControllerError> {
-        let now = self.any_device_now();
+        let now = self.now();
         let _ = self.vpn.disconnect();
         if let Err(e) = self.vpn.connect_at(location, now) {
             // The tunnel went down before the handshake finished; the
@@ -758,13 +815,6 @@ impl VantagePoint {
     /// A device handle by serial.
     pub fn device_handle(&self, serial: &str) -> Result<AndroidDevice, ControllerError> {
         Ok(self.device(serial)?.1.clone())
-    }
-
-    fn any_device_now(&self) -> SimTime {
-        self.devices
-            .first()
-            .map(|d| d.with_sim(|s| s.now()))
-            .unwrap_or(SimTime::ZERO)
     }
 }
 

@@ -11,11 +11,9 @@
 //! blab vpn --location japan --name chrome
 //! blab speedtest
 //! blab latency --trials 40
-//! blab eval --quick --jobs 4 --out results/
 //! ```
 
 use batterylab::eval::common::{measured_browser_run, EvalConfig};
-use batterylab::eval::{run_target, ALL_TARGETS};
 use batterylab::mirror::{colocated_path, LatencyProbe};
 use batterylab::net::{Region, VpnLocation};
 use batterylab::platform::Platform;
@@ -81,10 +79,6 @@ fn usage() -> ! {
                                            run a seeded measured workload and dump\n\
                                            the platform-wide telemetry snapshot\n\
                                            (--format prom: Prometheus text format)\n\
-           eval     [--quick] [--jobs N] [--out DIR] [--targets LIST]\n\
-                                           regenerate the paper's §4 figures/tables;\n\
-                                           --jobs 0 (default) uses every core — output\n\
-                                           is byte-identical for any job count\n\
            chaos    [--runs N] [--intensity X] [--jobs N] [--json]\n\
                                            soak experiment pipelines under a seeded\n\
                                            fault schedule (incl. server crashes) and\n\
@@ -98,7 +92,9 @@ fn usage() -> ! {
                                            sealed segments, resume it, and verify the\n\
                                            aggregates match the uninterrupted run\n\
          \n\
-         global: --seed N (default 42; eval: 20191113, or 2019 with --quick)"
+         global: --seed N (default 42)\n\
+         \n\
+         the paper's §4 figures and tables: the `eval` binary (eval --help)"
     );
     std::process::exit(2);
 }
@@ -293,50 +289,6 @@ fn main() {
                 println!("{}", report.to_json());
             } else {
                 print!("{}", report.render_text());
-            }
-        }
-
-        "eval" => {
-            // Without --seed, `eval`'s seeds (the paper seed; 2019 with
-            // --quick), so the output reproduces eval_output.txt.
-            let seed = args.get("seed").and_then(|v| v.parse().ok());
-            let mut config = if args.flag("quick") {
-                EvalConfig::quick(2019)
-            } else {
-                EvalConfig::default()
-            };
-            if let Some(s) = seed {
-                config.seed = s;
-            }
-            // 0 = every available core; the merge order is fixed by the
-            // descriptor list, so any job count produces the same bytes.
-            config.jobs = args.u64_or("jobs", 0) as usize;
-            let out = args.get("out").map(std::path::PathBuf::from);
-            let targets: Vec<&str> = match args.get("targets") {
-                Some(list) => list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|t| !t.is_empty())
-                    .collect(),
-                None => ALL_TARGETS.to_vec(),
-            };
-            if let Some(other) = targets.iter().find(|t| !ALL_TARGETS.contains(t)) {
-                eprintln!("eval: unknown target {other:?}");
-                std::process::exit(2);
-            }
-            eprintln!(
-                "eval: seed={} jobs={} ({})",
-                config.seed,
-                config.effective_jobs(),
-                if args.flag("quick") {
-                    "quick"
-                } else {
-                    "paper-scale"
-                }
-            );
-            for target in targets {
-                let text = run_target(target, &config, out.as_deref()).expect("write output");
-                println!("{text}");
             }
         }
 

@@ -3,9 +3,11 @@
 //! robustness invariants.
 //!
 //! Each soak run assembles its own [`Platform`], arms a
-//! [`FaultPlan::chaos`] schedule derived from `(seed, run index)`, and
-//! drains a small batch of experiment jobs through the supervised
-//! scheduler. Afterwards the harness asserts:
+//! [`FaultPlan::chaos`](batterylab_faults::FaultPlan::chaos) schedule
+//! derived from `(seed, run index)`, and drains a small batch of
+//! experiment jobs through the supervised scheduler (the scenario
+//! `crate::scenario` builds and drives for both robustness gates).
+//! Afterwards the harness asserts:
 //!
 //! 1. **No lost or duplicated jobs** — every submitted job reaches a
 //!    terminal build state exactly once and the queue is empty.
@@ -29,15 +31,14 @@
 //!
 //! `blab chaos --seed 42 --runs 4` runs the same harness from the CLI.
 
-use batterylab_durable::Wal;
-use batterylab_faults::{FaultInjector, FaultPlan};
-use batterylab_net::VpnLocation;
-use batterylab_server::{BuildState, Constraints, CreditLedger, ExperimentSpec, JobId, Payload};
-use batterylab_sim::{SimDuration, SimRng, SimTime};
+use batterylab_faults::FaultInjector;
+use batterylab_server::{BuildState, CreditLedger, JobId};
+use batterylab_sim::SimDuration;
 use batterylab_telemetry::{Registry, Report};
 
 use crate::eval::par;
 use crate::platform::Platform;
+use crate::scenario::Scenario;
 
 /// Parameters of one chaos soak.
 #[derive(Clone, Debug)]
@@ -145,22 +146,38 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
 
 /// One soak run: fresh platform, seeded fault schedule, a batch of
 /// experiment pipelines, invariant checks.
+///
+/// If the chaos schedule drew `ServerCrash` faults, the access server is
+/// killed and rebuilt from the write-ahead log that many times: once
+/// before any job has run (every submission is still queued, so recovery
+/// must requeue all of them verbatim), then at the start of drain rounds
+/// until the budget is spent. Each crash is journaled as
+/// `fault.server_crash`.
 fn soak_one(config: &ChaosConfig, index: usize) -> RunOutcome {
     let seed = par::run_seed(config.seed, "chaos", index);
-    let (mut platform, wal) = Platform::durable_testbed(seed);
-    let serial = platform.j7_serial().to_string();
+    let mut scenario = Scenario::new(seed, "chaos-plan", config.intensity);
+    let ids = scenario.submit_batch();
 
-    let mut plan_rng = SimRng::new(seed).derive("chaos-plan");
-    let plan = FaultPlan::chaos("node1", &mut plan_rng, config.intensity);
-    let injector = FaultInjector::new(&plan, seed);
-    injector.set_telemetry(&platform.registry);
-    platform.server.enable_billing();
-    platform.server.attach_faults(&injector);
+    let budget = u64::from(scenario.server_crashes);
+    let mut crashes = 0u64;
+    let mut server_crash = |scenario: &mut Scenario| {
+        if crashes < budget {
+            crashes += 1;
+            scenario.platform.registry.event(
+                "fault.server_crash",
+                format!("wal records {}", scenario.wal.record_count()),
+            );
+            scenario.crash();
+        }
+    };
+    server_crash(&mut scenario);
+    scenario.drive(&mut server_crash);
 
-    let ids = submit_batch(&mut platform, &serial);
-    let submitted = ids.len() as u64;
-    let crashes = drive_to_quiescence(&mut platform, &wal, &injector, plan.server_crashes());
-
+    let Scenario {
+        mut platform,
+        injector,
+        ..
+    } = scenario;
     let mut violations = Vec::new();
     let (succeeded, failed) = check_jobs(&mut platform, &ids, &mut violations);
     check_billing(&platform, &ids, &mut violations);
@@ -170,131 +187,12 @@ fn soak_one(config: &ChaosConfig, index: usize) -> RunOutcome {
     RunOutcome {
         registry: platform.registry.clone(),
         injected: injector.injected(),
-        submitted,
+        submitted: ids.len() as u64,
         succeeded,
         failed,
         crashes,
         violations,
     }
-}
-
-/// The job batch every run drains: a plain measured browser run, a
-/// mirrored one, and one behind a VPN exit — together they cross every
-/// injection point (socket, meter, relay, ADB, encoder, VPN, SSH).
-/// Shared with the crash-point sweep ([`crate::crashpoint`]).
-pub(crate) fn submit_batch(platform: &mut Platform, serial: &str) -> Vec<JobId> {
-    let token = platform.experimenter_token;
-    let retried = Constraints {
-        max_retries: 4,
-        ..Constraints::default()
-    };
-    let mut specs = Vec::new();
-    specs.push(ExperimentSpec::measured(
-        serial,
-        batterylab_automation::Script::browser_workload(
-            "com.brave.browser",
-            &["https://reuters.com"],
-            1,
-        ),
-    ));
-    let mut mirrored = ExperimentSpec::measured(
-        serial,
-        batterylab_automation::Script::browser_workload(
-            "com.android.chrome",
-            &["https://cnn.com"],
-            1,
-        ),
-    );
-    mirrored.mirroring = true;
-    specs.push(mirrored);
-    let mut tunnelled = ExperimentSpec::measured(
-        serial,
-        batterylab_automation::Script::browser_workload(
-            "org.mozilla.firefox",
-            &["https://bbc.co.uk"],
-            1,
-        ),
-    );
-    tunnelled.vpn = Some(VpnLocation::Japan);
-    specs.push(tunnelled);
-
-    specs
-        .into_iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            platform
-                .server
-                .submit_job(
-                    token,
-                    &format!("chaos-job-{i}"),
-                    retried.clone(),
-                    Payload::Experiment(spec),
-                )
-                .expect("submission is fault-free")
-        })
-        .collect()
-}
-
-/// Drain the queue to quiescence. Faults can trip a node's breaker or
-/// schedule retry backoff; between drain passes the bench idles forward
-/// and health probes run, so reboot windows pass and breakers half-open
-/// — exactly the supervised recovery path the platform ships.
-///
-/// If the chaos schedule drew `ServerCrash` faults, the first `crashes`
-/// drain rounds begin by killing the access server and rebuilding it
-/// from the write-ahead log: the in-memory scheduler, job table, ledger
-/// and directory are discarded and replayed, the surviving vantage
-/// points are re-adopted, and the fault injector is re-attached.
-/// Returns the number of crash/recovery cycles performed.
-fn drive_to_quiescence(
-    platform: &mut Platform,
-    wal: &Wal,
-    injector: &FaultInjector,
-    crashes: u32,
-) -> u64 {
-    let mut performed = 0u64;
-    let crash_once = |platform: &mut Platform, performed: &mut u64| {
-        *performed += 1;
-        platform.registry.event(
-            "fault.server_crash",
-            format!("wal records {}", wal.record_count()),
-        );
-        let recovery = Registry::new();
-        platform
-            .crash_and_recover(wal, &recovery)
-            .expect("recovery from a live WAL never fails");
-        platform.server.attach_faults(injector);
-    };
-    // The first crash lands before any job has run: every submission is
-    // still queued, so recovery must requeue all of them verbatim.
-    if crashes > 0 {
-        crash_once(platform, &mut performed);
-    }
-    platform.server.drain();
-    let mut rounds = 0;
-    while platform.server.queue_len() > 0 && rounds < 50 {
-        rounds += 1;
-        if performed < u64::from(crashes) {
-            crash_once(platform, &mut performed);
-        }
-        let mut latest = SimTime::ZERO;
-        for name in platform.server.node_names() {
-            let vp = platform.server.node_mut(&name).expect("enrolled");
-            for serial in vp.list_devices() {
-                if let Ok(device) = vp.device_handle(&serial) {
-                    device.with_sim(|s| {
-                        s.idle(SimDuration::from_secs(15));
-                        if s.now() > latest {
-                            latest = s.now();
-                        }
-                    });
-                }
-            }
-        }
-        platform.server.probe_nodes(latest);
-        platform.server.drain();
-    }
-    performed
 }
 
 /// Invariant 1: every job terminal exactly once, queue empty.
@@ -339,12 +237,7 @@ fn check_billing(platform: &Platform, ids: &[JobId], violations: &mut Vec<String
         violations.push("billing vanished mid-soak".to_string());
         return;
     };
-    let charged: f64 = ledger
-        .history()
-        .iter()
-        .filter(|e| e.amount < 0.0)
-        .map(|e| -e.amount)
-        .sum();
+    let charged = ledger.debited();
     let mut expected = 0.0;
     for id in ids {
         if let Ok(build) = platform.server.build(platform.experimenter_token, *id) {

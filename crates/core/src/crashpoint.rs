@@ -27,13 +27,11 @@
 use std::collections::BTreeMap;
 
 use batterylab_durable::Wal;
-use batterylab_faults::{FaultInjector, FaultPlan};
 use batterylab_server::{AccessServer, BuildState, CreditLedger, JobId, WalRecord};
-use batterylab_sim::{SimDuration, SimRng, SimTime};
+use batterylab_sim::SimDuration;
 use batterylab_telemetry::Registry;
 
-use crate::chaos;
-use crate::platform::Platform;
+use crate::scenario::Scenario;
 
 /// Parameters of one crash-point sweep.
 #[derive(Clone, Debug)]
@@ -134,66 +132,31 @@ pub fn sweep(config: &CrashPointConfig) -> CrashPointReport {
 /// server is killed and rebuilt from the WAL at every operation
 /// boundary; the final state must not depend on it.
 fn run_scenario(config: &CrashPointConfig, crash: bool) -> ScenarioOutcome {
-    let (mut platform, wal) = Platform::durable_testbed(config.seed);
-    let mut plan_rng = SimRng::new(config.seed).derive("crashpoint-plan");
-    let plan = FaultPlan::chaos("node1", &mut plan_rng, config.intensity);
-    let injector = FaultInjector::new(&plan, config.seed);
-    injector.set_telemetry(&platform.registry);
-    platform.server.enable_billing();
-    platform.server.attach_faults(&injector);
-
+    let mut scenario = Scenario::new(config.seed, "crashpoint-plan", config.intensity);
     let mut crashes = 0u64;
     // Unlike the chaos soak this emits no journal event: the whole point
     // is that the crashed run's telemetry stays byte-identical to the
-    // uninterrupted one, so recovery counters go to a throwaway registry.
-    let boundary = |platform: &mut Platform, crashes: &mut u64| {
-        if !crash {
-            return;
+    // uninterrupted one.
+    let mut boundary = |scenario: &mut Scenario| {
+        if crash {
+            crashes += 1;
+            scenario.crash();
         }
-        *crashes += 1;
-        let recovery = Registry::new();
-        platform
-            .crash_and_recover(&wal, &recovery)
-            .expect("recovery from a live WAL never fails");
-        platform.server.attach_faults(&injector);
     };
 
-    platform.server.set_node_owner("node1", "alice");
-    boundary(&mut platform, &mut crashes);
-
-    let serial = platform.j7_serial().to_string();
-    let ids = chaos::submit_batch(&mut platform, &serial);
-    boundary(&mut platform, &mut crashes);
-
-    platform.server.drain();
-    let mut rounds = 0;
-    let mut latest = SimTime::ZERO;
-    while platform.server.queue_len() > 0 && rounds < 50 {
-        rounds += 1;
-        boundary(&mut platform, &mut crashes);
-        for name in platform.server.node_names() {
-            let vp = platform.server.node_mut(&name).expect("enrolled");
-            for serial in vp.list_devices() {
-                if let Ok(device) = vp.device_handle(&serial) {
-                    device.with_sim(|s| {
-                        s.idle(SimDuration::from_secs(15));
-                        if s.now() > latest {
-                            latest = s.now();
-                        }
-                    });
-                }
-            }
-        }
-        platform.server.probe_nodes(latest);
-        platform.server.drain();
-    }
-
-    boundary(&mut platform, &mut crashes);
-    platform
+    scenario.platform.server.set_node_owner("node1", "alice");
+    boundary(&mut scenario);
+    let ids = scenario.submit_batch();
+    boundary(&mut scenario);
+    let latest = scenario.drive(&mut boundary);
+    boundary(&mut scenario);
+    scenario
+        .platform
         .server
         .run_maintenance(latest + SimDuration::from_secs(3600));
-    boundary(&mut platform, &mut crashes);
+    boundary(&mut scenario);
 
+    let Scenario { platform, wal, .. } = scenario;
     let token = platform.experimenter_token;
     let builds = ids
         .iter()
@@ -289,19 +252,7 @@ fn check_prefix(wal: &Wal, records: &[WalRecord], k: u64, violations: &mut Vec<S
     // match bit-for-bit.
     let norm = |x: f64| if x == 0.0 { 0.0 } else { x };
     let expected: f64 = norm(charges.iter().map(|d| CreditLedger::cost_of(*d)).sum());
-    let charged: f64 = norm(
-        server
-            .ledger()
-            .map(|ledger| {
-                ledger
-                    .history()
-                    .iter()
-                    .filter(|e| e.amount < 0.0)
-                    .map(|e| -e.amount)
-                    .sum()
-            })
-            .unwrap_or(0.0),
-    );
+    let charged = norm(server.ledger().map_or(0.0, CreditLedger::debited));
     if charged.to_bits() != expected.to_bits() {
         violations.push(format!(
             "prefix {k}: ledger charged {charged} credits, logged charges total {expected}"

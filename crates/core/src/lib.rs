@@ -40,6 +40,7 @@ pub mod chaos;
 pub mod crashpoint;
 pub mod eval;
 pub mod platform;
+mod scenario;
 
 /// Re-export: ADB implementation.
 pub use batterylab_adb as adb;

@@ -405,6 +405,17 @@ impl AccessServer {
         outcomes
     }
 
+    /// Idle every device on every node `d` forward: the bench sitting
+    /// idle between drain passes. Returns the latest device clock
+    /// afterwards, the instant to probe the nodes at.
+    pub fn idle_nodes(&mut self, d: SimDuration) -> SimTime {
+        let mut latest = SimTime::ZERO;
+        for vp in self.nodes.values_mut() {
+            latest = latest.max(vp.idle_devices(d));
+        }
+        latest
+    }
+
     /// Jobs still waiting in the queue.
     pub fn queue_len(&self) -> usize {
         self.scheduler.queue_len()

@@ -192,6 +192,16 @@ impl CreditLedger {
     pub fn history(&self) -> &[LedgerEntry] {
         &self.history
     }
+
+    /// Every credit debited so far (experiment charges and outgoing
+    /// transfers), summed in history order. An empty sum is `-0.0`.
+    pub fn debited(&self) -> f64 {
+        self.history
+            .iter()
+            .filter(|e| e.amount < 0.0)
+            .map(|e| -e.amount)
+            .sum()
+    }
 }
 
 #[cfg(test)]

@@ -10,15 +10,15 @@ use crate::vantage_exec::JobOutcome;
 /// Placement and run constraints, matched by the dispatcher: "the access
 /// server will dispatch queued jobs based on experimenter constraints,
 /// e.g., target device, connectivity, or network location, and BatteryLab
-/// constraints, e.g., one job at the time per device".
+/// constraints, e.g., one job at the time per device". A job's network
+/// location is its spec's VPN exit ([`ExperimentSpec::vpn`]), which the
+/// job sets up itself on whichever node runs it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Constraints {
     /// Required vantage point (`node1`), if any.
     pub node: Option<String>,
     /// Required device serial, if any.
     pub device: Option<String>,
-    /// Required (emulated) network location.
-    pub location: Option<VpnLocation>,
     /// Only start when the controller CPU is low (optional per §4.2).
     pub require_low_cpu: bool,
     /// Re-queue the job up to this many times after a failed run

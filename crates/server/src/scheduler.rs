@@ -1,8 +1,9 @@
 //! The build queue and dispatcher: Jenkins' scheduling core (§3.1).
 //!
-//! Dispatch honours experimenter constraints (target node/device,
-//! network location) and BatteryLab constraints (one job at a time per
-//! device; optionally only when the controller CPU is low).
+//! Dispatch honours experimenter constraints (target node/device) and
+//! BatteryLab constraints (one job at a time per device; optionally only
+//! when the controller CPU is low). A job's network location is not a
+//! placement constraint: its spec's VPN exit is set up by the job itself.
 //!
 //! The scheduler decides but never commits: [`Scheduler::submit`] and
 //! [`Scheduler::tick`] return the decided [`WalRecord`], and the access
@@ -242,7 +243,7 @@ impl Scheduler {
         // which only holds shared borrows of self).
         let node_nows: Vec<(String, SimTime)> = nodes
             .iter()
-            .map(|(name, vp)| (name.clone(), vp_now(vp)))
+            .map(|(name, vp)| (name.clone(), vp.now()))
             .collect();
         let available: BTreeSet<String> = node_nows
             .into_iter()
@@ -270,7 +271,7 @@ impl Scheduler {
             Payload::Experiment(spec) => run_experiment(vp, spec),
             Payload::Custom(f) => f(vp),
         };
-        let now = vp_now(vp);
+        let now = vp.now();
         let job = &self.queue[i];
         let terminal = |state, finished_at| BuildRecord {
             id: job.id,
@@ -392,19 +393,10 @@ impl Scheduler {
             (None, Some(b)) => b,
             (None, None) => return false,
         };
+        // Every node idles: no short-circuit past the first that moved.
         let mut advanced = false;
-        for vp in nodes.values() {
-            for serial in vp.list_devices() {
-                if let Ok(device) = vp.device_handle(&serial) {
-                    device.with_sim(|s| {
-                        let now = s.now();
-                        if now < nb {
-                            s.idle(nb - now);
-                            advanced = true;
-                        }
-                    });
-                }
-            }
+        for vp in nodes.values_mut() {
+            advanced |= vp.idle_devices_until(nb);
         }
         advanced
     }
@@ -436,15 +428,6 @@ impl Default for Scheduler {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// A node's "now": its first device's clock (`ZERO` for a node without
-/// devices).
-fn vp_now(vp: &VantagePoint) -> SimTime {
-    vp.list_devices()
-        .first()
-        .and_then(|serial| vp.device_handle(serial).ok())
-        .map_or(SimTime::ZERO, |d| d.with_sim(|s| s.now()))
 }
 
 #[cfg(test)]

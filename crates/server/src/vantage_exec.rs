@@ -40,8 +40,9 @@ pub fn open_automation(
 
 /// Run `spec` on `vp`. Leaves the power meter off afterwards regardless of
 /// outcome (the safety discipline the paper's maintenance jobs enforce).
-/// A successful job releases its device's trace history behind its window
-/// (DESIGN §4d), so reads of earlier instants on that device panic.
+/// A successful job releases its device's trace history and measurement
+/// windows behind its window (DESIGN §4d), so reads of earlier instants on
+/// that device panic.
 pub fn run_experiment(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome, String> {
     let result = run_inner(vp, spec);
     if result.is_err() {
@@ -167,14 +168,10 @@ fn run_inner(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome,
         vp.disconnect_vpn().map_err(ctl)?;
     }
 
-    // 7. Release the device's trace history before the earliest instant
-    // a live reader can still ask for: this job's window, or a mirror
-    // session the job left running. Later jobs read from their own
-    // windows on, so the traces hold about one job's change points.
-    let floor = vp
-        .mirror_read_from(&spec.device)
-        .map_or(window_start, |t| t.min(window_start));
-    device.with_sim(|s| s.release_traces_before(floor));
+    // 7. Release the device's history behind this job's window (or a
+    // mirror session the job left running). Later jobs read from their
+    // own windows on, so the node keeps about one job's history.
+    vp.release_history(&spec.device, window_start);
 
     Ok(JobOutcome {
         summary,
@@ -270,6 +267,19 @@ mod tests {
             two < one + one / 2,
             "{two} points after two jobs, {one} after one"
         );
+    }
+
+    #[test]
+    fn job_releases_measurement_windows_behind_its_window() {
+        let mut vp = vantage();
+        for _ in 0..20 {
+            run_experiment(&mut vp, &spec()).unwrap();
+            assert!(
+                vp.measurement_windows() <= 2,
+                "{}",
+                vp.measurement_windows()
+            );
+        }
     }
 
     #[test]

@@ -545,7 +545,6 @@ struct_codec!(ExperimentSpec {
 struct_codec!(Constraints {
     node,
     device,
-    location,
     require_low_cpu,
     max_retries
 });
@@ -879,7 +878,6 @@ mod tests {
                 constraints: Constraints {
                     node: Some("node1".into()),
                     device: Some("j7duo-0001".into()),
-                    location: Some(VpnLocation::California),
                     require_low_cpu: true,
                     max_retries: u32::MAX,
                 },

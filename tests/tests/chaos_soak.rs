@@ -110,3 +110,41 @@ fn faults_do_not_corrupt_energy_accounting() {
     assert_eq!(quiet.faults_injected, 0);
     assert_eq!(quiet.jobs_succeeded, quiet.jobs_submitted);
 }
+
+/// FNV-1a over `bytes`: a stable 64-bit digest for pinning output.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The soak `blab chaos --seed 42 --runs 4 --intensity 1.0` runs, pinned
+/// to literals: its merged report's digest and length, and its fault,
+/// crash and job counts. Any change to the order of RNG draws, fault
+/// checks, device idling, journal events or WAL records moves them, and
+/// so does any change to a WAL record's size (`durable.wal_bytes`).
+#[test]
+fn seed_42_soak_is_pinned() {
+    let report = run_chaos(&ChaosConfig {
+        seed: 42,
+        runs: 4,
+        intensity: 1.0,
+        jobs: 1,
+    });
+    assert!(report.passed(), "{:?}", report.violations);
+    let json = report.to_json();
+    assert_eq!(
+        (fnv1a(json.as_bytes()), json.len()),
+        (0xf262_e542_8b6e_a1c9, 18_286)
+    );
+    assert_eq!(
+        (
+            report.faults_injected,
+            report.server_crashes,
+            report.jobs_submitted,
+            report.jobs_succeeded,
+            report.jobs_failed
+        ),
+        (10, 1, 12, 12, 0)
+    );
+}

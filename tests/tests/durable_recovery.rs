@@ -3,6 +3,7 @@
 //! report instead of being integrated, and the access server recovers
 //! exactly from its write-ahead log — including a torn tail.
 
+use batterylab::crashpoint::{sweep, CrashPointConfig};
 use batterylab::durable::{CheckpointStream, GapKind};
 use batterylab::platform::Platform;
 use batterylab::power::{ConstantLoad, Monsoon};
@@ -233,5 +234,25 @@ fn torn_wal_tail_is_truncated_and_counted() {
         matches!(build.state, batterylab::server::BuildState::Succeeded),
         "post-recovery job must run: {:?}",
         build.state
+    );
+}
+
+/// The sweep `blab recover --seed 42 --intensity 0.8` runs, pinned to
+/// literals: the records its scenario writes, the prefixes it recovers
+/// and the crash/continue cycles of its continuation run.
+#[test]
+fn seed_42_sweep_is_pinned() {
+    let report = sweep(&CrashPointConfig {
+        seed: 42,
+        intensity: 0.8,
+    });
+    assert!(report.passed(), "{:#?}", report.violations);
+    assert_eq!(
+        (
+            report.wal_records,
+            report.prefixes_checked,
+            report.continuation_crashes
+        ),
+        (13, 14, 4)
     );
 }

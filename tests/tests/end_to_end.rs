@@ -155,10 +155,7 @@ fn vpn_constrained_job_runs_through_tunnel() {
         .submit_job(
             platform.experimenter_token,
             "tokyo-run",
-            Constraints {
-                location: Some(VpnLocation::Japan),
-                ..Default::default()
-            },
+            Constraints::default(),
             Payload::Experiment(spec),
         )
         .unwrap();
