@@ -332,7 +332,7 @@ fn automation_session(seed: u64) -> serde_json::Value {
 }
 
 /// Node ages, in jobs, at which the node-age cell records its state.
-const NODE_AGES: [usize; 2] = [250, 1000];
+const NODE_AGES: [usize; 3] = [250, 1000, 4000];
 
 /// Node age (DESIGN §4d): one `Platform::durable_testbed` node runs
 /// measured 2-scroll browser jobs one at a time. At each of
@@ -340,8 +340,11 @@ const NODE_AGES: [usize; 2] = [250, 1000];
 /// traces hold, the WAL's durable bytes and the median and IQR of
 /// [`TRIALS`] `AccessServer::recover` timings from that WAL. Traces
 /// that hold a constant number of points show the node's memory stays
-/// bounded; WAL bytes and `recover` grow with age until the log is
-/// checkpointed.
+/// bounded. The access server compacts its log into a snapshot of the
+/// live state (DESIGN §4c), so WAL bytes and `recover` grow with the
+/// builds the node keeps, not with every record since boot: between
+/// compactions the log holds at most the snapshot plus as many records
+/// again.
 fn node_age(seed: u64) -> serde_json::Value {
     let (mut platform, wal) = Platform::durable_testbed(seed);
     let serial = platform.j7_serial();

@@ -23,6 +23,15 @@
 //!
 //! `blab recover --seed 42` runs the sweep from the CLI and exits
 //! non-zero on any violation; `scripts/ci.sh` gates on it.
+//!
+//! [`compaction_sweep`] runs the same scenario with the log compacted at
+//! every operation boundary, crashing at each step of the compaction:
+//! with the new generation half-written (the old one must recover), just
+//! after the swap, and after a torn append to the new generation. Every
+//! prefix of each compacted generation, from the end of its snapshot on,
+//! must recover the same state as the matching prefix of the
+//! uninterrupted run's uncompacted log, and the run must end
+//! byte-identical to it.
 
 use std::collections::BTreeMap;
 
@@ -72,13 +81,56 @@ impl CrashPointReport {
     }
 }
 
+/// Outcome of a [`compaction_sweep`].
+#[derive(Clone, Debug)]
+pub struct CompactionReport {
+    /// Compactions the run performed, one per operation boundary.
+    pub compactions: u64,
+    /// Crash/recover cycles: three per compaction.
+    pub crashes: u64,
+    /// Compacted-generation prefixes recovered and compared with the
+    /// uncompacted log's.
+    pub prefixes_checked: u64,
+    /// Invariant violations (empty on a passing sweep).
+    pub violations: Vec<String>,
+}
+
+impl CompactionReport {
+    /// Whether every compaction step recovered exactly.
+    pub fn passed(&self) -> bool {
+        self.violations.is_empty()
+    }
+}
+
 /// Everything the comparison needs from one scenario execution.
 struct ScenarioOutcome {
     report_json: String,
     builds: Vec<String>,
     ledger: String,
     wal: Wal,
-    crashes: u64,
+}
+
+impl ScenarioOutcome {
+    /// Where this run's final state diverges from `baseline`'s.
+    fn divergences(&self, baseline: &ScenarioOutcome, violations: &mut Vec<String>) {
+        if self.report_json != baseline.report_json {
+            violations.push(
+                "telemetry report diverged between crashed and uninterrupted runs".to_string(),
+            );
+        }
+        if self.builds != baseline.builds {
+            violations.push(format!(
+                "build table diverged: {:?} vs {:?}",
+                self.builds, baseline.builds
+            ));
+        }
+        if self.ledger != baseline.ledger {
+            violations.push(format!(
+                "ledger history diverged: {} vs {}",
+                self.ledger, baseline.ledger
+            ));
+        }
+    }
 }
 
 /// Run the crash-point sweep described by `config`.
@@ -86,7 +138,7 @@ pub fn sweep(config: &CrashPointConfig) -> CrashPointReport {
     let mut violations = Vec::new();
 
     // Tier 0+1: uninterrupted baseline, then recover from every prefix.
-    let baseline = run_scenario(config, false);
+    let baseline = run_scenario(config, |_| {});
     let total = baseline.wal.record_count();
     let (raw, _) = baseline.wal.replay();
     let records: Vec<WalRecord> = raw
@@ -101,48 +153,178 @@ pub fn sweep(config: &CrashPointConfig) -> CrashPointReport {
         check_prefix(&baseline.wal, &records[..k as usize], k, &mut violations);
     }
 
-    // Tier 2: crash at every operation boundary and keep going.
-    let crashed = run_scenario(config, true);
-    if crashed.report_json != baseline.report_json {
-        violations
-            .push("telemetry report diverged between crashed and uninterrupted runs".to_string());
-    }
-    if crashed.builds != baseline.builds {
-        violations.push(format!(
-            "build table diverged: {:?} vs {:?}",
-            crashed.builds, baseline.builds
-        ));
-    }
-    if crashed.ledger != baseline.ledger {
-        violations.push(format!(
-            "ledger history diverged: {} vs {}",
-            crashed.ledger, baseline.ledger
-        ));
-    }
+    // Tier 2: crash at every operation boundary and keep going. Unlike
+    // the chaos soak this emits no journal event: the whole point is that
+    // the crashed run's telemetry stays byte-identical to the
+    // uninterrupted one.
+    let mut crashes = 0;
+    let crashed = run_scenario(config, |scenario| {
+        crashes += 1;
+        scenario.crash();
+    });
+    crashed.divergences(&baseline, &mut violations);
 
     CrashPointReport {
         wal_records: total,
         prefixes_checked: total + 1,
-        continuation_crashes: crashed.crashes,
+        continuation_crashes: crashes,
         violations,
     }
 }
 
-/// One chaos scenario on the durable testbed. With `crash` set, the
-/// server is killed and rebuilt from the WAL at every operation
-/// boundary; the final state must not depend on it.
-fn run_scenario(config: &CrashPointConfig, crash: bool) -> ScenarioOutcome {
-    let mut scenario = Scenario::new(config.seed, "crashpoint-plan", config.intensity);
-    let mut crashes = 0u64;
-    // Unlike the chaos soak this emits no journal event: the whole point
-    // is that the crashed run's telemetry stays byte-identical to the
-    // uninterrupted one.
-    let mut boundary = |scenario: &mut Scenario| {
-        if crash {
-            crashes += 1;
-            scenario.crash();
-        }
+/// Run the compaction sweep described by `config`: compact at every
+/// operation boundary, crash at each compaction step, and compare every
+/// compacted prefix and the final state with the uninterrupted,
+/// uncompacted run.
+pub fn compaction_sweep(config: &CrashPointConfig) -> CompactionReport {
+    let baseline = run_scenario(config, |_| {});
+    let mut tail = CompactedTail {
+        full: &baseline.wal,
+        full_at: 0,
+        snapshot: 0,
+        checked: None,
     };
+    let mut report = CompactionReport {
+        compactions: 0,
+        crashes: 0,
+        prefixes_checked: 0,
+        violations: Vec::new(),
+    };
+    let compacted = run_scenario(config, |scenario| {
+        tail.check(&scenario.wal, &mut report);
+        compact_crashing_at_every_step(scenario, &mut report);
+        tail = CompactedTail {
+            full_at: scenario
+                .platform
+                .registry
+                .counter("durable.wal_records")
+                .get(),
+            snapshot: scenario.wal.record_count(),
+            checked: None,
+            ..tail
+        };
+    });
+    tail.check(&compacted.wal, &mut report);
+    compacted.divergences(&baseline, &mut report.violations);
+    report
+}
+
+/// Compact `scenario`'s log, crashing the server at each step: after
+/// writing half a snapshot into a generation that never gets installed,
+/// just after the swap, and after a torn append to the new generation.
+fn compact_crashing_at_every_step(scenario: &mut Scenario, report: &mut CompactionReport) {
+    let generation = scenario.wal.generation();
+    let server = &scenario.platform.server;
+    let mut records = 0;
+    server.write_snapshot(|_| records += 1);
+    let mut next = scenario.wal.next_generation();
+    let mut written = 0;
+    server.write_snapshot(|payload| {
+        if written < records / 2 {
+            next.append(payload);
+        }
+        written += 1;
+    });
+    drop(next);
+    scenario.crash();
+    if scenario.wal.generation() != generation {
+        report
+            .violations
+            .push("a half-written generation replaced the log".to_string());
+    }
+
+    scenario.platform.server.compact();
+    report.compactions += 1;
+    scenario.crash();
+    if scenario.wal.generation() != generation + 1 {
+        report
+            .violations
+            .push(format!("compaction {} did not swap", report.compactions));
+    }
+
+    // Half a frame reaches the new generation before the power cut.
+    scenario.wal.append_unsynced(&[0x5A; 32]);
+    scenario.wal.crash_disk(20);
+    scenario.crash();
+    report.crashes += 3;
+}
+
+/// The records of a compacted generation past its snapshot, matched
+/// against the uncompacted log: the generation's first `snapshot`
+/// records stand for the log's first `full_at`.
+struct CompactedTail<'a> {
+    full: &'a Wal,
+    full_at: u64,
+    snapshot: u64,
+    /// Records past the snapshot already compared (`None`: not even
+    /// the snapshot itself).
+    checked: Option<u64>,
+}
+
+impl CompactedTail<'_> {
+    /// Recover every prefix of `wal` from the end of its snapshot on not
+    /// yet compared, and compare it with the matching prefix of the
+    /// uncompacted log. A no-op before the first compaction.
+    fn check(&mut self, wal: &Wal, report: &mut CompactionReport) {
+        if self.snapshot == 0 {
+            return;
+        }
+        let from = self.checked.map_or(0, |j| j + 1);
+        let tail = wal.record_count() - self.snapshot;
+        for j in from..=tail {
+            let compacted = recovered_state(&wal.prefix(self.snapshot + j));
+            let full = recovered_state(&self.full.prefix(self.full_at + j));
+            if compacted != full {
+                report.violations.push(format!(
+                    "compacted prefix {} recovers {compacted}, uncompacted prefix {} {full}",
+                    self.snapshot + j,
+                    self.full_at + j
+                ));
+            }
+            report.prefixes_checked += 1;
+        }
+        self.checked = Some(tail);
+    }
+}
+
+/// A server recovered from `wal`, rendered through its public surface:
+/// builds, queue length, ledger and node registry.
+fn recovered_state(wal: &Wal) -> String {
+    let mut server = match AccessServer::recover(wal, &Registry::new()) {
+        Ok(server) => server,
+        Err(e) => return format!("no server: {e}"),
+    };
+    let token = match server.login("admin", "bootstrap-pw", true) {
+        Ok(session) => session.token,
+        Err(e) => return format!("no admin: {e}"),
+    };
+    let builds: Vec<String> = (1..)
+        .map_while(|id| server.build(token, JobId(id)).ok())
+        .map(|build| format!("{build:?}"))
+        .collect();
+    let registry = server.registry();
+    let nodes: Vec<String> = registry
+        .names()
+        .iter()
+        .map(|name| format!("{:?}", registry.node(name)))
+        .collect();
+    format!(
+        "builds {builds:?} queue {} ledger {:?} nodes {nodes:?} cert {:?}",
+        server.queue_len(),
+        server.ledger(),
+        registry.certificate()
+    )
+}
+
+/// One chaos scenario on the durable testbed, with `boundary` run at
+/// every operation boundary: after the owner is recorded, after
+/// submission, before every drain round, before maintenance and at the
+/// end. The final state must not depend on what `boundary` does.
+fn run_scenario(
+    config: &CrashPointConfig,
+    mut boundary: impl FnMut(&mut Scenario),
+) -> ScenarioOutcome {
+    let mut scenario = Scenario::new(config.seed, "crashpoint-plan", config.intensity);
 
     scenario.platform.server.set_node_owner("node1", "alice");
     boundary(&mut scenario);
@@ -172,7 +354,6 @@ fn run_scenario(config: &CrashPointConfig, crash: bool) -> ScenarioOutcome {
         builds,
         ledger,
         wal,
-        crashes,
     }
 }
 
@@ -274,6 +455,17 @@ mod tests {
         assert!(report.wal_records > 10, "scenario too small to sweep");
         assert_eq!(report.prefixes_checked, report.wal_records + 1);
         assert!(report.continuation_crashes >= 4);
+    }
+
+    #[test]
+    fn compaction_sweep_holds_at_every_step() {
+        let report = compaction_sweep(&CrashPointConfig {
+            seed: 23,
+            intensity: 0.8,
+        });
+        assert!(report.passed(), "{:#?}", report.violations);
+        assert!(report.compactions >= 4, "{report:?}");
+        assert_eq!(report.crashes, 3 * report.compactions);
     }
 
     #[test]

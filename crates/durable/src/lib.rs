@@ -12,7 +12,8 @@
 //!   appends one record per state transition; [`Wal::replay_each`] hands
 //!   every surviving record to `AccessServer::recover` in place and
 //!   truncates any torn tail, so the server rebuilds exact state from any
-//!   prefix.
+//!   prefix. Compaction swaps in a new log generation
+//!   ([`NextGeneration`], [`Wal::install`]) atomically.
 //! - [`CheckpointStream`]: checksummed sealed segments of a long sample
 //!   run, so a resumed experiment salvages completed samples and
 //!   restarts at the last checkpoint boundary — with gap/overlap/CRC
@@ -27,4 +28,4 @@ mod wal;
 
 pub use checkpoint::{sample_crc, CheckpointStream, GapKind, GapReport, SealedSegment};
 pub use disk::{crc32, SimDisk};
-pub use wal::Wal;
+pub use wal::{NextGeneration, Wal};

@@ -11,6 +11,18 @@
 //! server and its scheduler both hold one and append to the same log.
 //! The *disk* survives a simulated server crash even though the server's
 //! memory does not, which is exactly the property recovery relies on.
+//!
+//! # Generations
+//!
+//! Compaction replaces the log wholesale: the caller writes a snapshot
+//! into a [`NextGeneration`] built aside, framed like any record, and
+//! [`Wal::install`] fsyncs it and swaps it in under the log's lock, so
+//! every clone sees the new generation at once. A crash before the swap
+//! leaves the old generation whole (the half-written one was never the
+//! log); a crash after it leaves the new one. Every read and append —
+//! [`Wal::replay_each`], [`Wal::prefix`], [`Wal::record_count`],
+//! [`Wal::durable_len`], [`Wal::crash_disk`] — acts on the current
+//! generation.
 
 use std::sync::{Arc, Mutex};
 
@@ -32,6 +44,7 @@ struct WalTelemetry {
 struct WalInner {
     disk: SimDisk,
     records: u64,
+    generation: u64,
     enabled: bool,
     telemetry: WalTelemetry,
 }
@@ -48,30 +61,39 @@ impl Default for Wal {
     }
 }
 
+/// Frame `payload` as `[len][crc32][payload]` onto `disk`'s unsynced
+/// tail.
+fn write_frame(disk: &mut SimDisk, payload: &[u8]) -> usize {
+    let mut header = [0; FRAME_HEADER];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    disk.write(&header);
+    disk.write(payload);
+    FRAME_HEADER + payload.len()
+}
+
 impl Wal {
-    /// A fresh, enabled log on an empty disk.
-    pub fn new() -> Self {
+    fn with_enabled(enabled: bool) -> Self {
         Wal {
             inner: Arc::new(Mutex::new(WalInner {
                 disk: SimDisk::new(),
                 records: 0,
-                enabled: true,
+                generation: 0,
+                enabled,
                 telemetry: WalTelemetry::default(),
             })),
         }
     }
 
+    /// A fresh, enabled log on an empty disk.
+    pub fn new() -> Self {
+        Self::with_enabled(true)
+    }
+
     /// A disabled log: appends are no-ops. This is the default wiring so
     /// components that never opted into durability pay nothing.
     pub fn disabled() -> Self {
-        Wal {
-            inner: Arc::new(Mutex::new(WalInner {
-                disk: SimDisk::new(),
-                records: 0,
-                enabled: false,
-                telemetry: WalTelemetry::default(),
-            })),
-        }
+        Self::with_enabled(false)
     }
 
     /// Whether appends actually persist.
@@ -101,16 +123,12 @@ impl Wal {
         if !inner.enabled {
             return None;
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        inner.disk.write(&frame);
+        let framed = write_frame(&mut inner.disk, payload);
         inner.disk.fsync();
         inner.records += 1;
         let index = inner.records;
         inner.telemetry.records.inc();
-        inner.telemetry.bytes.add(frame.len() as u64);
+        inner.telemetry.bytes.add(framed as u64);
         inner.telemetry.fsyncs.inc();
         Some(index)
     }
@@ -120,14 +138,37 @@ impl Wal {
     /// torn-write tests; the production path always uses [`Wal::append`].
     pub fn append_unsynced(&self, payload: &[u8]) {
         let mut inner = self.lock();
+        if inner.enabled {
+            write_frame(&mut inner.disk, payload);
+        }
+    }
+
+    /// An empty generation to write a snapshot into, aside from the log.
+    pub fn next_generation(&self) -> NextGeneration {
+        NextGeneration {
+            disk: SimDisk::new(),
+            records: 0,
+        }
+    }
+
+    /// Fsync `next` and make it the current generation in one step under
+    /// the lock, dropping the old one. Its frames are not appends: the
+    /// `durable.*` append counters do not count them. A no-op on a
+    /// disabled log.
+    pub fn install(&self, mut next: NextGeneration) {
+        let mut inner = self.lock();
         if !inner.enabled {
             return;
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        inner.disk.write(&frame);
+        next.disk.fsync();
+        inner.disk = next.disk;
+        inner.records = next.records;
+        inner.generation += 1;
+    }
+
+    /// Generations installed so far: 0 until the first compaction.
+    pub fn generation(&self) -> u64 {
+        self.lock().generation
     }
 
     /// Simulate a power loss on the backing disk: the unsynced tail is
@@ -136,12 +177,12 @@ impl Wal {
         self.lock().disk.crash(torn_keep);
     }
 
-    /// Records appended (and fsynced) so far.
+    /// Whole records in the current generation.
     pub fn record_count(&self) -> u64 {
         self.lock().records
     }
 
-    /// Total durable bytes on disk.
+    /// Durable bytes of the current generation.
     pub fn durable_len(&self) -> usize {
         self.lock().disk.durable_bytes().len()
     }
@@ -199,8 +240,26 @@ impl Wal {
             copy.disk.write(&frames.bytes[..frames.end]);
             copy.disk.fsync();
             copy.records = records as u64;
+            copy.generation = inner.generation;
         }
         out
+    }
+}
+
+/// A log generation being written aside: a snapshot's records, framed
+/// and CRC'd like any append but not yet synced, and invisible to the
+/// log until [`Wal::install`] swaps it in. Dropping it uninstalled is a
+/// crash mid-compaction: the log keeps its old generation.
+pub struct NextGeneration {
+    disk: SimDisk,
+    records: u64,
+}
+
+impl NextGeneration {
+    /// Frame `payload` onto the generation.
+    pub fn append(&mut self, payload: &[u8]) {
+        write_frame(&mut self.disk, payload);
+        self.records += 1;
     }
 }
 
@@ -360,6 +419,73 @@ mod tests {
         assert_eq!(p.replay(), (vec![b"first".to_vec()], 0));
         // The torn tail is still there for the source's own replay.
         assert_eq!(wal.replay().1, 10);
+    }
+
+    /// A two-record log with a compacted generation `["snap", "shot"]`
+    /// written aside, not yet installed.
+    fn log_and_next() -> (Wal, NextGeneration) {
+        let wal = Wal::new();
+        wal.append(b"one");
+        wal.append(b"two");
+        let mut next = wal.next_generation();
+        next.append(b"snap");
+        next.append(b"shot");
+        (wal, next)
+    }
+
+    #[test]
+    fn crash_before_the_swap_keeps_the_old_generation() {
+        let (wal, next) = log_and_next();
+        drop(next);
+        wal.crash_disk(0);
+        assert_eq!(wal.replay(), (vec![b"one".to_vec(), b"two".to_vec()], 0));
+        assert_eq!(wal.generation(), 0);
+    }
+
+    #[test]
+    fn install_swaps_the_generation_for_every_clone() {
+        let (wal, next) = log_and_next();
+        let clone = wal.clone();
+        wal.install(next);
+        wal.crash_disk(0);
+        assert_eq!(clone.generation(), 1);
+        assert_eq!(clone.record_count(), 2);
+        assert_eq!(clone.durable_len(), 2 * FRAME_HEADER + 8);
+        assert_eq!(
+            clone.replay(),
+            (vec![b"snap".to_vec(), b"shot".to_vec()], 0)
+        );
+        // Appends continue the new generation; a torn one is cut away.
+        clone.append(b"tail");
+        clone.append_unsynced(b"torn-record-payload");
+        clone.crash_disk(10);
+        let (records, torn) = wal.replay();
+        assert_eq!(
+            records,
+            vec![b"snap".to_vec(), b"shot".to_vec(), b"tail".to_vec()]
+        );
+        assert_eq!(torn, 10);
+        assert_eq!(wal.prefix(1).replay().0, vec![b"snap".to_vec()]);
+    }
+
+    #[test]
+    fn installed_frames_are_not_appends() {
+        let registry = Registry::new();
+        let (wal, next) = log_and_next();
+        wal.set_telemetry(&registry);
+        wal.install(next);
+        let report = registry.snapshot();
+        assert_eq!(report.counter("durable.wal_records"), 0);
+        assert_eq!(report.counter("durable.wal_bytes"), 0);
+    }
+
+    #[test]
+    fn disabled_wal_ignores_installs() {
+        let wal = Wal::disabled();
+        let mut next = wal.next_generation();
+        next.append(b"x");
+        wal.install(next);
+        assert_eq!((wal.generation(), wal.record_count()), (0, 0));
     }
 
     #[test]

@@ -15,8 +15,34 @@ use crate::maintenance::{self, MaintenanceReport};
 use crate::registry::{NodeRegistry, RegistryError, REQUIRED_PORTS};
 use crate::scheduler::Scheduler;
 use crate::ssh::SshClient;
-use crate::wal::WalRecord;
+use crate::supervise::BreakerState;
+use crate::wal::{SnapshotSink, WalRecord};
 use batterylab_sim::SimDuration;
+
+/// Records a log generation takes past its snapshot before `commit`
+/// compacts it, while the snapshot holds fewer builds than this.
+const COMPACTION_FLOOR: u64 = 512;
+
+/// The compaction trigger: records in the current generation past its
+/// snapshot's `SnapshotEnd` (all of them when the snapshot held only the
+/// boot state and wrote none), and the builds that snapshot holds. Live
+/// commits and replay count the same records, so a recovered server
+/// compacts where an uninterrupted one would.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Compaction {
+    since: u64,
+    builds: u64,
+}
+
+impl Compaction {
+    /// Compact once the records past the snapshot reach the builds in it
+    /// (at least [`COMPACTION_FLOOR`]): a geometric schedule, so each
+    /// record pays O(1) snapshot work amortised and the generation stays
+    /// within a small multiple of the live state.
+    fn due(&self) -> bool {
+        self.since >= COMPACTION_FLOOR.max(self.builds)
+    }
+}
 
 /// Access-server faults.
 #[derive(Debug)]
@@ -85,6 +111,8 @@ pub struct AccessServer {
     last_accrual: SimTime,
     /// Write-ahead log; disabled unless [`AccessServer::attach_wal`] ran.
     wal: Wal,
+    /// When `commit` next compacts the log.
+    compaction: Compaction,
 }
 
 impl AccessServer {
@@ -109,50 +137,164 @@ impl AccessServer {
             node_owners: BTreeMap::new(),
             last_accrual: SimTime::ZERO,
             wal,
+            compaction: Compaction::default(),
         }
     }
 
     /// Make the server crash-consistent: every state transition from here
-    /// on appends one fsynced record to `wal`, and the current state
-    /// (accounts, billing flag, enrolled nodes, node owners) is
-    /// snapshotted into the log first so `wal` alone is enough to rebuild
-    /// the server via [`AccessServer::recover`]. The snapshot is
-    /// append-only: the state it describes already exists.
+    /// on appends one fsynced record to `wal`, and the current state is
+    /// snapshotted into the log first (appended, not applied: it already
+    /// exists), so `wal` alone is enough to rebuild the server via
+    /// [`AccessServer::recover`]. A server that already ran jobs keeps
+    /// them.
     pub fn attach_wal(&mut self, wal: &Wal) {
         self.wal = wal.clone();
-        let mut snapshot = vec![WalRecord::Booted {
+        self.compaction = self.snapshot(|payload| {
+            wal.append(payload);
+        });
+    }
+
+    /// Compact the log: write the live state as a snapshot into a new log
+    /// generation and swap it in, so [`AccessServer::recover`] replays
+    /// the snapshot and the records after it instead of every record
+    /// since boot. Every commit runs this once the generation has grown
+    /// past its snapshot by as many records as the snapshot holds builds
+    /// (at least 512); live state does not change. A no-op without a log.
+    pub fn compact(&mut self) {
+        if !self.wal.is_enabled() {
+            return;
+        }
+        let mut next = self.wal.next_generation();
+        self.compaction = self.snapshot(|payload| next.append(payload));
+        self.wal.install(next);
+    }
+
+    /// Write the live state as snapshot records, one encoded payload per
+    /// `emit` call, in the order [`AccessServer::recover`] replays them.
+    /// [`AccessServer::attach_wal`] and [`AccessServer::compact`] write
+    /// their snapshots through this.
+    pub fn write_snapshot(&self, emit: impl FnMut(&[u8])) {
+        self.snapshot(emit);
+    }
+
+    /// The one snapshot writer. Boot state first, in the records that
+    /// created it: `Booted`, `UserAdded`…, `BillingEnabled`,
+    /// `NodeEnrolled`… and `NodeOwner`…. Then what no transition record
+    /// restores without side effects, each only where it differs from
+    /// what the boot records restore: the renewed certificate, node
+    /// health, the ledger, breakers, every build verbatim, the queue in
+    /// order and the slot calendar. A snapshot that wrote any of those
+    /// ends with `SnapshotEnd`. Encodes from borrowed state, one record
+    /// at a time. Returns the compaction trigger the written generation
+    /// starts from.
+    fn snapshot(&self, emit: impl FnMut(&[u8])) -> Compaction {
+        let mut sink = SnapshotSink::new(emit);
+        sink.record(&WalRecord::Booted {
             public_ip: self.public_ip.clone(),
-        }];
-        snapshot.extend(self.auth.accounts().map(|(name, password_hash, role)| {
-            WalRecord::UserAdded {
+        });
+        for (name, password_hash, role) in self.auth.accounts() {
+            sink.record(&WalRecord::UserAdded {
                 name: name.to_string(),
                 password_hash,
                 role,
-            }
-        }));
-        if self.billing.is_some() {
-            snapshot.push(WalRecord::BillingEnabled);
+            });
         }
-        snapshot.extend(self.registry.names().into_iter().map(|name| {
-            let rec = self.registry.node(&name).expect("listed node exists");
-            WalRecord::NodeEnrolled {
-                name,
-                ip: rec.ip.clone(),
-                host_key: rec.host_key.clone(),
+        if self.billing.is_some() {
+            sink.record(&WalRecord::BillingEnabled);
+        }
+        let nodes = self.registry.names();
+        for name in &nodes {
+            let node = self.registry.node(name).expect("listed node exists");
+            sink.record(&WalRecord::NodeEnrolled {
+                name: name.clone(),
+                ip: node.ip.clone(),
+                host_key: node.host_key.clone(),
                 open_ports: REQUIRED_PORTS.iter().map(|(p, _)| *p).collect(),
-                at: rec.enrolled_at,
+                at: node.enrolled_at,
+            });
+        }
+        for (node, owner) in &self.node_owners {
+            sink.record(&WalRecord::NodeOwner {
+                node: node.clone(),
+                owner: owner.clone(),
+            });
+        }
+        let boot = sink.records;
+
+        // What the boot records restore: the boot-time certificate,
+        // deployed at every node enrolled under it.
+        let fresh = NodeRegistry::new(SimTime::ZERO);
+        let cert = self.registry.certificate();
+        if cert != fresh.certificate() || self.registry.next_serial() != fresh.next_serial() {
+            sink.record(&WalRecord::Certificate {
+                cert: cert.clone(),
+                next_serial: self.registry.next_serial(),
+            });
+        }
+        for name in nodes {
+            let node = self.registry.node(&name).expect("listed node exists");
+            let enrolled = Some(fresh.certificate().serial);
+            if node.deployed_cert != enrolled || node.last_heartbeat.is_some() || !node.healthy {
+                sink.record(&WalRecord::NodeHealth {
+                    deployed_cert: node.deployed_cert,
+                    last_heartbeat: node.last_heartbeat,
+                    healthy: node.healthy,
+                    name,
+                });
             }
-        }));
-        snapshot.extend(
-            self.node_owners
-                .iter()
-                .map(|(node, owner)| WalRecord::NodeOwner {
+        }
+        if let Some(ledger) = self.billing.as_ref().filter(|l| !l.balances.is_empty()) {
+            sink.ledger(ledger);
+        }
+        for (node, breaker) in self.scheduler.supervisor().breakers() {
+            let (state, consecutive_failures, opened_at) = (
+                breaker.state(),
+                breaker.consecutive_failures(),
+                breaker.opened_at(),
+            );
+            if (state, consecutive_failures, opened_at) != (BreakerState::Closed, 0, SimTime::ZERO)
+            {
+                sink.record(&WalRecord::Breaker {
+                    node: node.to_string(),
+                    state,
+                    consecutive_failures,
+                    opened_at,
+                });
+            }
+        }
+        for build in self.scheduler.builds() {
+            sink.build(build);
+        }
+        for job in self.scheduler.queue() {
+            sink.queued(job);
+        }
+        for ((node, device), slots) in self.scheduler.slots().calendars() {
+            for slot in slots {
+                sink.record(&WalRecord::SlotReserved {
                     node: node.clone(),
-                    owner: owner.clone(),
-                }),
-        );
-        for record in snapshot {
-            self.wal.append(&record.encode());
+                    device: device.clone(),
+                    user: slot.user.clone(),
+                    from: slot.from,
+                    to: slot.to,
+                });
+            }
+        }
+
+        // A boot-only snapshot has nothing to end: the trigger counts its
+        // records too (unless there are enough of them to trip it).
+        let records = sink.records;
+        if records == boot && self.last_accrual == SimTime::ZERO && records < COMPACTION_FLOOR {
+            return Compaction {
+                since: records,
+                builds: 0,
+            };
+        }
+        sink.record(&WalRecord::SnapshotEnd {
+            last_accrual: self.last_accrual,
+        });
+        Compaction {
+            since: 0,
+            builds: self.scheduler.build_count(),
         }
     }
 
@@ -510,11 +652,9 @@ impl AccessServer {
                 // `apply` never appends, so the surviving log is adopted
                 // up front: later appends continue the same sequence.
                 WalRecord::Booted { public_ip } => {
-                    *server = Some(Self::with_state(
-                        public_ip,
-                        AuthService::empty(),
-                        wal.clone(),
-                    ));
+                    let mut booted = Self::with_state(public_ip, AuthService::empty(), wal.clone());
+                    booted.compaction.since = 1;
+                    *server = Some(booted);
                     Ok(())
                 }
                 other => Err(ServerError::Recovery(format!(
@@ -527,7 +667,9 @@ impl AccessServer {
     /// Commit one decided transition: apply it, then make it durable. The
     /// record is encoded (only when the log is on) before `apply` consumes
     /// it and appended only once `apply` succeeded, so a refused
-    /// transition leaves neither state nor log behind.
+    /// transition leaves neither state nor log behind. Then compact the
+    /// log if it is due; a crash between the append and the compaction
+    /// leaves it to the next commit.
     fn commit(
         &mut self,
         record: WalRecord,
@@ -537,15 +679,20 @@ impl AccessServer {
         let report = self.apply(record, payload)?;
         if let Some(bytes) = bytes {
             self.wal.append(&bytes);
+            if self.compaction.due() {
+                self.compact();
+            }
         }
         Ok(report)
     }
 
     /// Apply one transition to the server state: the single path shared
-    /// by live operations (through [`Self::commit`]) and WAL replay. A
-    /// `Submitted` job runs `payload` when the live caller still holds it,
-    /// else the logged spec. Returns the certificate sweep a
-    /// `MaintenanceRan` performed (empty for every other record).
+    /// by live operations (through [`Self::commit`]) and WAL replay,
+    /// snapshot records included. A `Submitted` job runs `payload` when
+    /// the live caller still holds it, else the logged spec. Returns the
+    /// certificate sweep a `MaintenanceRan` performed (empty for every
+    /// other record). Counts the record towards the compaction trigger,
+    /// which a `SnapshotEnd` restarts.
     fn apply(
         &mut self,
         record: WalRecord,
@@ -647,7 +794,53 @@ impl AccessServer {
                         permission: Permission::RunJob,
                     })
                 })?,
+            WalRecord::Certificate { cert, next_serial } => {
+                self.registry.restore_certificate(cert, next_serial)
+            }
+            WalRecord::NodeHealth {
+                name,
+                deployed_cert,
+                last_heartbeat,
+                healthy,
+            } => self
+                .registry
+                .restore_health(&name, deployed_cert, last_heartbeat, healthy)?,
+            WalRecord::Breaker {
+                node,
+                state,
+                consecutive_failures,
+                opened_at,
+            } => self.scheduler.supervisor_mut().restore_breaker(
+                &node,
+                state,
+                consecutive_failures,
+                opened_at,
+            ),
+            WalRecord::Ledger(ledger) => self.billing = Some(ledger),
+            WalRecord::Build(build) => self.scheduler.restore_build(build),
+            WalRecord::Queued {
+                id,
+                constraints,
+                spec,
+                attempts,
+                not_before,
+            } => self.scheduler.restore_queued(
+                JobId(id),
+                constraints,
+                spec.map(Payload::Experiment),
+                attempts,
+                not_before,
+            ),
+            WalRecord::SnapshotEnd { last_accrual } => {
+                self.last_accrual = last_accrual;
+                self.compaction = Compaction {
+                    since: 0,
+                    builds: self.scheduler.build_count(),
+                };
+                return Ok(sweep);
+            }
         }
+        self.compaction.since += 1;
         Ok(sweep)
     }
 
@@ -922,6 +1115,107 @@ mod tests {
     }
 
     #[test]
+    fn compaction_fails_queued_custom_payloads_as_recovery_does() {
+        let (mut server, admin) = server_with_node();
+        let wal = Wal::new();
+        server.attach_wal(&wal);
+        let id = server
+            .submit_job(
+                admin,
+                "opaque",
+                Constraints::default(),
+                Payload::Custom(Box::new(|_| Err("opaque closure".into()))),
+            )
+            .unwrap();
+        server.compact();
+        assert_eq!(server.queue_len(), 1, "compaction leaves live state alone");
+        let mut recovered = AccessServer::recover(&wal, &Registry::new()).unwrap();
+        assert_eq!(recovered.queue_len(), 0, "closure cannot be replayed");
+        let admin2 = recovered.login("admin", "pw", true).unwrap().token;
+        assert_eq!(
+            recovered.build(admin2, id).unwrap().state,
+            BuildState::Failed("custom payload lost in server crash".to_string())
+        );
+    }
+
+    #[test]
+    fn boot_only_snapshot_is_the_boot_records() {
+        let (mut server, _) = server_with_node();
+        server.enable_billing();
+        server.set_node_owner("node1", "admin");
+        let mut payloads = Vec::new();
+        server.write_snapshot(|p| payloads.push(p.to_vec()));
+        let expected = [
+            WalRecord::Booted {
+                public_ip: "52.1.2.3".into(),
+            },
+            WalRecord::UserAdded {
+                name: "admin".into(),
+                password_hash: hash_password("pw"),
+                role: Role::Admin,
+            },
+            WalRecord::BillingEnabled,
+            WalRecord::NodeEnrolled {
+                name: "node1".into(),
+                ip: "155.198.1.10".into(),
+                host_key: "hk:node1".into(),
+                open_ports: PORTS.to_vec(),
+                at: SimTime::ZERO,
+            },
+            WalRecord::NodeOwner {
+                node: "node1".into(),
+                owner: "admin".into(),
+            },
+        ];
+        let expected: Vec<_> = expected.iter().map(WalRecord::encode).collect();
+        assert_eq!(payloads, expected);
+    }
+
+    #[test]
+    fn attaching_a_log_keeps_the_jobs_already_run() {
+        let (mut server, admin) = server_with_node();
+        let id = server
+            .submit_job(admin, "before", Constraints::default(), browse("acc-dev"))
+            .unwrap();
+        server.drain();
+        let wal = Wal::new();
+        server.attach_wal(&wal);
+        let mut recovered = AccessServer::recover(&wal, &Registry::new()).unwrap();
+        assert_eq!(durable_state(&mut recovered), durable_state(&mut server));
+        let admin2 = recovered.login("admin", "pw", true).unwrap().token;
+        assert_eq!(
+            recovered.build(admin2, id).unwrap().state,
+            BuildState::Succeeded
+        );
+    }
+
+    /// Heartbeat rounds are cheap records: enough of them cross the
+    /// compaction floor several times. A server recovered from the log
+    /// at any round then compacts at the same commits as the live one.
+    #[test]
+    fn recovered_server_compacts_where_the_live_one_does() {
+        let rounds = 3 * COMPACTION_FLOOR;
+        for crash_at in [1, COMPACTION_FLOOR - 3, COMPACTION_FLOOR + 1] {
+            let (mut live, _) = server_with_node();
+            let wal = Wal::new();
+            live.attach_wal(&wal);
+            for round in 0..crash_at {
+                live.probe_nodes(SimTime::from_secs(round));
+            }
+            let copy = wal.prefix(wal.record_count());
+            let mut recovered = AccessServer::recover(&copy, &Registry::new()).unwrap();
+            for round in crash_at..rounds {
+                for server in [&mut live, &mut recovered] {
+                    server.probe_nodes(SimTime::from_secs(round));
+                }
+                assert_eq!(recovered.compaction, live.compaction, "round {round}");
+                assert_eq!(copy.generation(), wal.generation(), "round {round}");
+            }
+            assert!(wal.generation() >= 2, "{} compactions", wal.generation());
+        }
+    }
+
+    #[test]
     fn maintenance_sweep_runs() {
         let (mut server, _) = server_with_node();
         // Turn a meter on behind the scheduler's back.
@@ -938,6 +1232,19 @@ mod tests {
             .iter()
             .map(|n| server.scheduler.supervisor_mut().breaker_state(n))
             .collect();
+        let streaks: Vec<_> = names
+            .iter()
+            .map(|n| {
+                let breaker = server
+                    .scheduler
+                    .supervisor()
+                    .breakers()
+                    .find(|(b, _)| b == n);
+                breaker.map_or((0, SimTime::ZERO), |(_, b)| {
+                    (b.consecutive_failures(), b.opened_at())
+                })
+            })
+            .collect();
         let queue: Vec<_> = server
             .scheduler
             .queue()
@@ -953,12 +1260,13 @@ mod tests {
         format!(
             "queue {queue:?}\nbuilds {builds:?}\nledger {:?}\nbreakers {breakers:?}\n\
              slots {:?}\nowners {:?}\naccrual {:?}\nnodes {nodes:?}\ncert {:?}\n\
-             accounts {accounts:?}",
+             accounts {accounts:?}\nstreaks {streaks:?}\nnext_id {:?}",
             server.billing,
             server.scheduler.slots(),
             server.node_owners,
             server.last_accrual,
             server.registry.certificate(),
+            server.scheduler.next_id(),
         )
     }
 
@@ -990,19 +1298,52 @@ mod tests {
         ))
     }
 
+    /// Copy the whole current generation, compact, and check that live
+    /// state, the copy's recovery and the compacted log's recovery agree,
+    /// compaction trigger included.
+    fn assert_compacts(server: &mut AccessServer, wal: &Wal, step: &str) {
+        let full = wal.prefix(wal.record_count());
+        let live = durable_state(server);
+        let mut from_full = AccessServer::recover(&full, &Registry::new()).unwrap();
+        assert_eq!(durable_state(&mut from_full), live, "full log after {step}");
+        assert_eq!(from_full.compaction, server.compaction, "after {step}");
+        let generation = wal.generation();
+        server.compact();
+        assert_eq!(wal.generation(), generation + 1, "{step} compacted");
+        let mut compacted = AccessServer::recover(wal, &Registry::new()).unwrap();
+        assert_eq!(durable_state(server), live, "compaction changed {step}");
+        assert_eq!(
+            durable_state(&mut compacted),
+            live,
+            "compacted after {step}"
+        );
+        assert_eq!(compacted.compaction, server.compaction, "after {step}");
+    }
+
     #[test]
     fn live_state_equals_recovered_state_at_every_operation() {
+        every_operation(assert_recovers);
+    }
+
+    #[test]
+    fn compacted_log_recovers_live_state_at_every_operation() {
+        every_operation(assert_compacts);
+    }
+
+    /// A billed server through every kind of operation, refused ones
+    /// included, with `check` run after each accepted one.
+    fn every_operation(check: fn(&mut AccessServer, &Wal, &str)) {
         use batterylab_faults::{FaultInjector, FaultKind, FaultPlan};
 
         let (mut server, admin) = server_with_node();
         let wal = Wal::new();
         server.attach_wal(&wal);
-        assert_recovers(&mut server, &wal, "attach_wal");
+        check(&mut server, &wal, "attach_wal");
 
         server
             .add_user(admin, "alice", "pw-a", Role::Experimenter)
             .unwrap();
-        assert_recovers(&mut server, &wal, "add_user");
+        check(&mut server, &wal, "add_user");
         let alice = server.login("alice", "pw-a", true).unwrap().token;
         assert_refused(&mut server, &wal, "unauthorised add_user", |s| {
             s.add_user(alice, "mallory", "pw", Role::Admin)
@@ -1032,17 +1373,17 @@ mod tests {
         server
             .enroll_node(admin, node2(), "1.2.3.4", "hk:2", &PORTS, SimTime::ZERO)
             .unwrap();
-        assert_recovers(&mut server, &wal, "enroll_node");
+        check(&mut server, &wal, "enroll_node");
         server.set_node_owner("node1", "admin");
-        assert_recovers(&mut server, &wal, "set_node_owner");
+        check(&mut server, &wal, "set_node_owner");
         server.enable_billing();
-        assert_recovers(&mut server, &wal, "enable_billing");
+        check(&mut server, &wal, "enable_billing");
 
         let (from, to) = (SimTime::from_secs(1_000_000), SimTime::from_secs(1_003_600));
         server
             .reserve_slot(alice, "node1", "acc-dev", from, to)
             .unwrap();
-        assert_recovers(&mut server, &wal, "reserve_slot");
+        check(&mut server, &wal, "reserve_slot");
         assert_refused(&mut server, &wal, "double-booked slot", |s| {
             s.reserve_slot(admin, "node1", "acc-dev", from, to)
         });
@@ -1054,7 +1395,7 @@ mod tests {
         let flaky = server
             .submit_job(alice, "flaky", retry_once.clone(), browse("acc-dev"))
             .unwrap();
-        assert_recovers(&mut server, &wal, "submit_job");
+        check(&mut server, &wal, "submit_job");
         // The browser is wiped under the first attempt: a retry.
         let device = server
             .node_mut("node1")
@@ -1064,7 +1405,7 @@ mod tests {
         device.factory_reset();
         assert_eq!(server.tick(), Some(flaky));
         assert_eq!(server.queue_len(), 1);
-        assert_recovers(&mut server, &wal, "a tick that retries");
+        check(&mut server, &wal, "a tick that retries");
         device.install_package("com.brave.browser");
         assert!(server.wait_for_backoff());
         assert_eq!(server.tick(), Some(flaky));
@@ -1072,7 +1413,7 @@ mod tests {
             server.build(alice, flaky).unwrap().state,
             BuildState::Succeeded
         );
-        assert_recovers(&mut server, &wal, "a tick that succeeds");
+        check(&mut server, &wal, "a tick that succeeds");
 
         let doomed = server
             .submit_job(alice, "doomed", retry_once, browse("ghost"))
@@ -1084,7 +1425,7 @@ mod tests {
             server.build(alice, doomed).unwrap().state,
             BuildState::Failed(_)
         ));
-        assert_recovers(&mut server, &wal, "a tick that exhausts its retries");
+        check(&mut server, &wal, "a tick that exhausts its retries");
 
         let reboot = FaultPlan::new().window(
             "node1.node",
@@ -1097,9 +1438,9 @@ mod tests {
             server.probe_nodes(SimTime::from_secs(3600)),
             vec![("node1".to_string(), false), ("node2".to_string(), true)]
         );
-        assert_recovers(&mut server, &wal, "probe_nodes");
+        check(&mut server, &wal, "probe_nodes");
         server.run_maintenance(SimTime::from_secs(70 * 24 * 3600));
-        assert_recovers(&mut server, &wal, "run_maintenance");
+        check(&mut server, &wal, "run_maintenance");
 
         // Spend bob below the 10 device-minute gate. `ledger_mut` is not
         // logged, so this runs after the last recovery check.

@@ -64,10 +64,10 @@ pub struct LedgerEntry {
 }
 
 /// The platform's credit ledger.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct CreditLedger {
-    balances: BTreeMap<String, f64>,
-    history: Vec<LedgerEntry>,
+    pub(crate) balances: BTreeMap<String, f64>,
+    pub(crate) history: Vec<LedgerEntry>,
 }
 
 impl CreditLedger {

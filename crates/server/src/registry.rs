@@ -190,6 +190,35 @@ impl NodeRegistry {
         &self.cert
     }
 
+    /// Serial the next renewal issues.
+    pub(crate) fn next_serial(&self) -> u64 {
+        self.next_serial
+    }
+
+    /// Restore a snapshot's certificate and next serial.
+    pub(crate) fn restore_certificate(&mut self, cert: Certificate, next_serial: u64) {
+        self.cert = cert;
+        self.next_serial = next_serial;
+    }
+
+    /// Restore a snapshot's health and deployed certificate for `name`.
+    pub(crate) fn restore_health(
+        &mut self,
+        name: &str,
+        deployed_cert: Option<u64>,
+        last_heartbeat: Option<SimTime>,
+        healthy: bool,
+    ) -> Result<(), RegistryError> {
+        let node = self
+            .nodes
+            .get_mut(name)
+            .ok_or_else(|| RegistryError::NoSuchNode(name.to_string()))?;
+        node.deployed_cert = deployed_cert;
+        node.last_heartbeat = last_heartbeat;
+        node.healthy = healthy;
+        Ok(())
+    }
+
     /// Record a successful cert deployment to `name`.
     pub fn mark_cert_deployed(&mut self, name: &str) -> Result<(), RegistryError> {
         let serial = self.cert.serial;

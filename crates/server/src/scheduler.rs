@@ -26,6 +26,13 @@ use crate::wal::{ChargeRecord, WalRecord};
 /// Workspace retention: "available for several days".
 pub const DEFAULT_RETENTION: SimDuration = SimDuration::from_secs(7 * 24 * 3600);
 
+/// A queued `Custom` job's build error after recovery: its closure died
+/// with the server.
+const CUSTOM_LOST: &str = "custom payload lost in server crash";
+
+/// Name of the one artifact an expired workspace keeps.
+const RETENTION: &str = "RETENTION";
+
 /// Controller CPU threshold for `require_low_cpu` jobs.
 const LOW_CPU_THRESHOLD: f64 = 0.5;
 
@@ -77,6 +84,11 @@ impl Scheduler {
             telemetry: SchedulerTelemetry::default(),
             supervisor: Supervisor::new(0),
         }
+    }
+
+    /// The supervision layer, read-only.
+    pub(crate) fn supervisor(&self) -> &Supervisor {
+        &self.supervisor
     }
 
     /// The supervision layer (breakers, retry policy, heartbeats).
@@ -141,7 +153,7 @@ impl Scheduler {
         self.next_id = self.next_id.max(id.0 + 1);
         let state = match payload {
             Some(_) => BuildState::Queued,
-            None => BuildState::Failed("custom payload lost in server crash".to_string()),
+            None => BuildState::Failed(CUSTOM_LOST.to_string()),
         };
         self.builds.insert(
             id,
@@ -376,6 +388,47 @@ impl Scheduler {
         self.builds.insert(record.id, record);
     }
 
+    /// Restore a snapshot's build verbatim, with no breaker call.
+    pub(crate) fn restore_build(&mut self, record: BuildRecord) {
+        self.next_id = self.next_id.max(record.id.0 + 1);
+        self.builds.insert(record.id, record);
+    }
+
+    /// Restore a snapshot's queued job behind the ones restored before
+    /// it. Its name and owner are its build's, which the snapshot
+    /// restored first. Without a payload (a custom closure that died with
+    /// the server) the build is marked failed instead, as [`Self::enqueue`]
+    /// marks it.
+    pub(crate) fn restore_queued(
+        &mut self,
+        id: JobId,
+        constraints: Constraints,
+        payload: Option<Payload>,
+        attempts: u32,
+        not_before: Option<SimTime>,
+    ) {
+        let Some(build) = self.builds.get_mut(&id) else {
+            return;
+        };
+        match payload {
+            Some(payload) => self.queue.push_back(QueuedJob {
+                id,
+                name: build.name.clone(),
+                owner: build.owner.clone(),
+                constraints,
+                payload,
+                attempts,
+                not_before,
+            }),
+            None => build.state = BuildState::Failed(CUSTOM_LOST.to_string()),
+        }
+    }
+
+    /// Builds in the table.
+    pub(crate) fn build_count(&self) -> u64 {
+        self.builds.len() as u64
+    }
+
     /// If queued jobs are only waiting out supervised retry backoff or an
     /// open circuit breaker, idle every device forward to the earliest
     /// instant dispatch could resume (`not_before` or a breaker's
@@ -401,14 +454,17 @@ impl Scheduler {
         advanced
     }
 
-    /// Prune expired workspaces (artifacts dropped, record kept).
+    /// Prune expired workspaces (artifacts replaced by one `RETENTION`
+    /// marker, record kept). Builds already holding the marker are
+    /// skipped, so a build is pruned and counted once.
     pub fn prune_workspaces(&mut self, now: SimTime) -> usize {
         let retention = self.retention;
         let mut pruned = 0;
         for record in self.builds.values_mut() {
-            if !record.artifacts.is_empty() && record.expired(now, retention) {
+            let marked = matches!(&record.artifacts[..], [only] if only.name == RETENTION);
+            if !record.artifacts.is_empty() && !marked && record.expired(now, retention) {
                 record.artifacts = vec![Artifact {
-                    name: "RETENTION".to_string(),
+                    name: RETENTION.to_string(),
                     content: "workspace expired".to_string(),
                 }];
                 pruned += 1;
@@ -417,8 +473,13 @@ impl Scheduler {
         pruned
     }
 
-    /// The queue in dispatch order.
+    /// The id the next submission gets.
     #[cfg(test)]
+    pub(crate) fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// The queue in dispatch order.
     pub(crate) fn queue(&self) -> &VecDeque<QueuedJob> {
         &self.queue
     }
@@ -678,7 +739,7 @@ mod tests {
         assert_eq!(
             s.scheduler_mut()
                 .prune_workspaces(finished + SimDuration::from_secs(12)),
-            1
+            0
         );
     }
 

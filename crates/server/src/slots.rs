@@ -118,6 +118,13 @@ impl SlotCalendar {
         }
     }
 
+    /// Every device's reservations, keyed by `(node, device)`.
+    pub(crate) fn calendars(&self) -> impl Iterator<Item = (&(String, String), &[Slot])> {
+        self.slots
+            .iter()
+            .map(|(key, slots)| (key, slots.as_slice()))
+    }
+
     /// All reservations on a device, in start order.
     pub fn schedule(&self, node: &str, device: &str) -> &[Slot] {
         self.slots

@@ -138,6 +138,16 @@ impl CircuitBreaker {
         }
     }
 
+    /// The current failure streak.
+    pub(crate) fn consecutive_failures(&self) -> u32 {
+        self.consecutive_failures
+    }
+
+    /// When the breaker last opened (`ZERO` if it never has).
+    pub(crate) fn opened_at(&self) -> SimTime {
+        self.opened_at
+    }
+
     /// When an open breaker will admit a half-open probe; `None` unless
     /// currently open.
     pub fn reopens_at(&self) -> Option<SimTime> {
@@ -191,6 +201,25 @@ impl Supervisor {
         self.breakers
             .entry(node.to_string())
             .or_insert_with(|| CircuitBreaker::new(threshold, open_for))
+    }
+
+    /// Every breaker touched so far, in node order.
+    pub(crate) fn breakers(&self) -> impl Iterator<Item = (&str, &CircuitBreaker)> {
+        self.breakers.iter().map(|(node, b)| (node.as_str(), b))
+    }
+
+    /// Restore a snapshot's breaker for `node`, with no trip counted.
+    pub(crate) fn restore_breaker(
+        &mut self,
+        node: &str,
+        state: BreakerState,
+        consecutive_failures: u32,
+        opened_at: SimTime,
+    ) {
+        let breaker = self.breaker(node);
+        breaker.state = state;
+        breaker.consecutive_failures = consecutive_failures;
+        breaker.opened_at = opened_at;
     }
 
     /// The breaker state of `node` (`Closed` when never touched).

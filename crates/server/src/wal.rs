@@ -7,6 +7,15 @@
 //! prefix of the log through [`crate::AccessServer::recover`] rebuilds
 //! the exact server state at that record boundary.
 //!
+//! A snapshot ([`crate::AccessServer::compact`], and the one
+//! [`crate::AccessServer::attach_wal`] writes) opens a log generation
+//! with the live state in records that replay through the same path:
+//! the boot-state kinds above (`Booted`, `UserAdded`, `BillingEnabled`,
+//! `NodeEnrolled`, `NodeOwner`, plus `SlotReserved`), then snapshot-only
+//! records for what no transition restores without side effects
+//! (`Certificate`, `NodeHealth`, `Breaker`, `Ledger`, `Build`, `Queued`),
+//! ended by `SnapshotEnd`.
+//!
 //! Two design rules keep replay idempotent:
 //!
 //! - **A terminal build and its charge are one record.** `Completed`
@@ -25,7 +34,8 @@
 //!
 //! | Field | Bytes |
 //! |---|---|
-//! | record tag, `Role`, `ScrollDir`, `BuildState` | one byte (`Failed` adds its string) |
+//! | record tag | one byte: transitions `0`–`10`, snapshot records `0x20`–`0x26` |
+//! | `Role`, `ScrollDir`, `BuildState`, `BreakerState` | one byte (`Failed` adds its string) |
 //! | `Action` | one tag byte, then its payload |
 //! | `VpnLocation` | one byte: its index in `VpnLocation::ALL` |
 //! | ids, counts, ports, `attempts`, `max_retries`, key codes | LEB128 varint |
@@ -36,6 +46,9 @@
 //! | `Option<T>` | 0, or 1 followed by `T` |
 //! | `String` | varint byte length, then raw UTF-8 (artifact contents too) |
 //! | `Vec<T>`, tuples | varint count, then each element's fields |
+//! | ledger balances (a map) | varint count, then each key and value in key order; a repeated key is an `Err` |
+//! | `Certificate`, `LedgerEntry`, `CreditLedger` | their fields in declaration order |
+//! | `Queued` | id, constraints, `Option` spec, attempts, `Option` deadline; name and owner are its `Build`'s |
 //! | summary `Value` | kind byte (Null, Bool, U64, I64, F64, Str, Array, Object), then its payload: `I64` as a zigzag varint, objects in key order |
 //!
 //! The encoding is deterministic for a given record, which the
@@ -45,6 +58,8 @@
 //! naming the payload length, and a payload that opens with `{` is
 //! reported as a log that predates the binary format.
 
+use std::collections::BTreeMap;
+
 use batterylab_sim::{SimDuration, SimTime};
 
 use batterylab_automation::{Action, Script, ScrollDir};
@@ -52,7 +67,12 @@ use batterylab_net::VpnLocation;
 use serde_json::Value;
 
 use crate::auth::Role;
-use crate::jobs::{Artifact, BuildRecord, BuildState, Constraints, ExperimentSpec, JobId};
+use crate::credits::{CreditLedger, LedgerEntry};
+use crate::jobs::{
+    Artifact, BuildRecord, BuildState, Constraints, ExperimentSpec, JobId, Payload, QueuedJob,
+};
+use crate::registry::Certificate;
+use crate::supervise::BreakerState;
 
 /// A billing charge bundled with the terminal build record it pays for.
 #[derive(Clone, Debug)]
@@ -170,7 +190,71 @@ pub enum WalRecord {
         /// Slot end.
         to: SimTime,
     },
+    // Snapshot records: only the snapshot writer emits these, for state
+    // that no transition record above restores without side effects.
+    /// The wildcard certificate, once maintenance renewed it.
+    Certificate {
+        /// The current certificate.
+        cert: Certificate,
+        /// Serial the next renewal issues.
+        next_serial: u64,
+    },
+    /// A node's health and deployed certificate, where they differ from
+    /// what its `NodeEnrolled` record restores.
+    NodeHealth {
+        /// Node name.
+        name: String,
+        /// Serial of the certificate deployed at the node.
+        deployed_cert: Option<u64>,
+        /// Last heartbeat probe instant.
+        last_heartbeat: Option<SimTime>,
+        /// Outcome of the most recent probe.
+        healthy: bool,
+    },
+    /// One node's circuit breaker, where it differs from a fresh one.
+    Breaker {
+        /// Node name.
+        node: String,
+        /// Breaker state.
+        state: BreakerState,
+        /// Current failure streak.
+        consecutive_failures: u32,
+        /// When the breaker last opened.
+        opened_at: SimTime,
+    },
+    /// The credit ledger: every balance and the full audit history.
+    Ledger(CreditLedger),
+    /// One build, verbatim: a finished one, or a queued job's placeholder
+    /// with the node its failed attempts pinned.
+    Build(BuildRecord),
+    /// One queued job, in queue order. Its name and owner are its build's.
+    Queued {
+        /// Job id.
+        id: u64,
+        /// Placement constraints.
+        constraints: Constraints,
+        /// Declarative payload; `None` for a `Custom` payload, which
+        /// restores as a failed build.
+        spec: Option<ExperimentSpec>,
+        /// Failed attempts so far.
+        attempts: u32,
+        /// Retry backoff deadline.
+        not_before: Option<SimTime>,
+    },
+    /// The last record of a snapshot that holds more than the boot
+    /// state: the hosting-accrual instant, and the point the compaction
+    /// trigger counts committed records from.
+    SnapshotEnd {
+        /// Last instant hosting accrual ran.
+        last_accrual: SimTime,
+    },
 }
+
+/// Tags of the snapshot records the writer encodes straight from
+/// borrowed state; tags from `0x20` on are snapshot records.
+const TAG_LEDGER: u8 = 0x23;
+const TAG_BUILD: u8 = 0x24;
+const TAG_QUEUED: u8 = 0x25;
 
 impl WalRecord {
     /// Serialise for the framed log.
@@ -199,6 +283,83 @@ impl WalRecord {
             })
             .map_err(|e| format!("undecodable WAL record ({} bytes): {e}", payload.len()))
     }
+}
+
+/// Streams a snapshot to `emit` one encoded record at a time, through one
+/// reused buffer. The ledger, builds and queue are encoded from borrowed
+/// state by the same code that encodes their owned [`WalRecord`]s.
+pub(crate) struct SnapshotSink<F: FnMut(&[u8])> {
+    out: Vec<u8>,
+    emit: F,
+    /// Records emitted so far.
+    pub(crate) records: u64,
+}
+
+impl<F: FnMut(&[u8])> SnapshotSink<F> {
+    pub(crate) fn new(emit: F) -> Self {
+        SnapshotSink {
+            out: Vec::with_capacity(256),
+            emit,
+            records: 0,
+        }
+    }
+
+    fn flush(&mut self) {
+        (self.emit)(&self.out);
+        self.out.clear();
+        self.records += 1;
+    }
+
+    /// Emit one small record built by the caller.
+    pub(crate) fn record(&mut self, record: &WalRecord) {
+        record.put(&mut self.out);
+        self.flush();
+    }
+
+    /// Emit a [`WalRecord::Ledger`].
+    pub(crate) fn ledger(&mut self, ledger: &CreditLedger) {
+        tagged(&mut self.out, TAG_LEDGER, ledger);
+        self.flush();
+    }
+
+    /// Emit a [`WalRecord::Build`].
+    pub(crate) fn build(&mut self, build: &BuildRecord) {
+        tagged(&mut self.out, TAG_BUILD, build);
+        self.flush();
+    }
+
+    /// Emit a [`WalRecord::Queued`].
+    pub(crate) fn queued(&mut self, job: &QueuedJob) {
+        let spec = match &job.payload {
+            Payload::Experiment(spec) => Some(spec),
+            Payload::Custom(_) => None,
+        };
+        put_queued(
+            &mut self.out,
+            job.id.0,
+            &job.constraints,
+            spec,
+            job.attempts,
+            job.not_before,
+        );
+        self.flush();
+    }
+}
+
+fn put_queued(
+    out: &mut Vec<u8>,
+    id: u64,
+    constraints: &Constraints,
+    spec: Option<&ExperimentSpec>,
+    attempts: u32,
+    not_before: Option<SimTime>,
+) {
+    out.push(TAG_QUEUED);
+    id.put(out);
+    constraints.put(out);
+    put_option(out, spec);
+    attempts.put(out);
+    not_before.put(out);
 }
 
 /// A type with a binary WAL encoding (layout in the module docs).
@@ -369,15 +530,19 @@ impl Codec for String {
     }
 }
 
+fn put_option<T: Codec>(out: &mut Vec<u8>, value: Option<&T>) {
+    match value {
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            v.put(out);
+        }
+    }
+}
+
 impl<T: Codec> Codec for Option<T> {
     fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.put(out);
-            }
-        }
+        put_option(out, self.as_ref());
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
         match input.byte()? {
@@ -407,6 +572,27 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
         Ok((A::get(input)?, B::get(input)?))
+    }
+}
+
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(out, self.len());
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        let len = input.len()?;
+        let mut map = BTreeMap::new();
+        for _ in 0..len {
+            let key = K::get(input)?;
+            if map.insert(key, V::get(input)?).is_some() {
+                return Err("duplicate map key".to_string());
+            }
+        }
+        Ok(map)
     }
 }
 
@@ -451,6 +637,24 @@ impl Codec for Role {
             1 => Ok(Role::Experimenter),
             2 => Ok(Role::Tester),
             tag => unknown("role", tag),
+        }
+    }
+}
+
+impl Codec for BreakerState {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            BreakerState::Closed => 0,
+            BreakerState::Open => 1,
+            BreakerState::HalfOpen => 2,
+        });
+    }
+    fn get(input: &mut Reader<'_>) -> Result<Self, String> {
+        match input.byte()? {
+            0 => Ok(BreakerState::Closed),
+            1 => Ok(BreakerState::Open),
+            2 => Ok(BreakerState::HalfOpen),
+            tag => unknown("breaker state", tag),
         }
     }
 }
@@ -585,6 +789,16 @@ struct_codec!(ChargeRecord {
     job,
     device_time
 });
+
+struct_codec!(Certificate { serial, expires });
+
+struct_codec!(LedgerEntry {
+    user,
+    amount,
+    reason
+});
+
+struct_codec!(CreditLedger { balances, history });
 
 /// Deepest summary nesting decoding accepts, so a corrupt payload cannot
 /// recurse the stack away. Job summaries nest two levels.
@@ -722,6 +936,45 @@ impl Codec for WalRecord {
                 from.put(out);
                 to.put(out);
             }
+            WalRecord::Certificate { cert, next_serial } => {
+                out.push(0x20);
+                cert.put(out);
+                next_serial.put(out);
+            }
+            WalRecord::NodeHealth {
+                name,
+                deployed_cert,
+                last_heartbeat,
+                healthy,
+            } => {
+                out.push(0x21);
+                name.put(out);
+                deployed_cert.put(out);
+                last_heartbeat.put(out);
+                healthy.put(out);
+            }
+            WalRecord::Breaker {
+                node,
+                state,
+                consecutive_failures,
+                opened_at,
+            } => {
+                out.push(0x22);
+                node.put(out);
+                state.put(out);
+                consecutive_failures.put(out);
+                opened_at.put(out);
+            }
+            WalRecord::Ledger(ledger) => tagged(out, TAG_LEDGER, ledger),
+            WalRecord::Build(build) => tagged(out, TAG_BUILD, build),
+            WalRecord::Queued {
+                id,
+                constraints,
+                spec,
+                attempts,
+                not_before,
+            } => put_queued(out, *id, constraints, spec.as_ref(), *attempts, *not_before),
+            WalRecord::SnapshotEnd { last_accrual } => tagged(out, 0x26, last_accrual),
         }
     }
 
@@ -779,6 +1032,34 @@ impl Codec for WalRecord {
                 user: String::get(input)?,
                 from: SimTime::get(input)?,
                 to: SimTime::get(input)?,
+            },
+            0x20 => WalRecord::Certificate {
+                cert: Certificate::get(input)?,
+                next_serial: u64::get(input)?,
+            },
+            0x21 => WalRecord::NodeHealth {
+                name: String::get(input)?,
+                deployed_cert: Option::get(input)?,
+                last_heartbeat: Option::get(input)?,
+                healthy: bool::get(input)?,
+            },
+            0x22 => WalRecord::Breaker {
+                node: String::get(input)?,
+                state: BreakerState::get(input)?,
+                consecutive_failures: u32::get(input)?,
+                opened_at: SimTime::get(input)?,
+            },
+            TAG_LEDGER => WalRecord::Ledger(CreditLedger::get(input)?),
+            TAG_BUILD => WalRecord::Build(BuildRecord::get(input)?),
+            TAG_QUEUED => WalRecord::Queued {
+                id: u64::get(input)?,
+                constraints: Constraints::get(input)?,
+                spec: Option::get(input)?,
+                attempts: u32::get(input)?,
+                not_before: Option::get(input)?,
+            },
+            0x26 => WalRecord::SnapshotEnd {
+                last_accrual: SimTime::get(input)?,
             },
             tag => return unknown("record", tag),
         })
@@ -966,6 +1247,127 @@ mod tests {
                 to: SimTime::from_secs(200),
             },
         ]
+    }
+
+    /// One of each snapshot record.
+    fn snapshot_records() -> Vec<WalRecord> {
+        let mut ledger = CreditLedger::new();
+        ledger.open_account("alice");
+        ledger
+            .charge_experiment("alice", "job", SimDuration::from_secs(90))
+            .unwrap();
+        let spec = ExperimentSpec::measured("j7duo-0001", Script::new("s"));
+        let Some(WalRecord::Completed { record: build, .. }) = every_record().into_iter().nth(12)
+        else {
+            panic!("fixture moved");
+        };
+        vec![
+            WalRecord::Certificate {
+                cert: Certificate {
+                    serial: 3,
+                    expires: SimTime::from_secs(90 * 24 * 3600),
+                },
+                next_serial: 4,
+            },
+            WalRecord::NodeHealth {
+                name: "node1".into(),
+                deployed_cert: Some(2),
+                last_heartbeat: Some(SimTime::from_secs(30)),
+                healthy: false,
+            },
+            WalRecord::Breaker {
+                node: "node1".into(),
+                state: BreakerState::HalfOpen,
+                consecutive_failures: 4,
+                opened_at: SimTime::from_secs(31),
+            },
+            WalRecord::Ledger(ledger),
+            WalRecord::Build(build),
+            WalRecord::Queued {
+                id: 8,
+                constraints: Constraints::default(),
+                spec: Some(spec),
+                attempts: 2,
+                not_before: Some(SimTime::from_secs(40)),
+            },
+            WalRecord::Queued {
+                id: 9,
+                constraints: Constraints::default(),
+                spec: None,
+                attempts: 0,
+                not_before: None,
+            },
+            WalRecord::SnapshotEnd {
+                last_accrual: SimTime::from_secs(50),
+            },
+        ]
+    }
+
+    #[test]
+    fn snapshot_records_round_trip_and_reject_damage() {
+        for record in snapshot_records() {
+            let bytes = record.encode();
+            assert!(bytes[0] >= 0x20, "snapshot tag {}", bytes[0]);
+            let back = WalRecord::decode(&bytes).unwrap();
+            assert_eq!(bytes, back.encode(), "stable re-encoding: {record:?}");
+            assert_eq!(format!("{back:?}"), format!("{record:?}"));
+            for cut in 0..bytes.len() {
+                assert!(
+                    WalRecord::decode(&bytes[..cut]).is_err(),
+                    "{cut} of {record:?}"
+                );
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(WalRecord::decode(&longer).is_err());
+        }
+    }
+
+    #[test]
+    fn the_sink_encodes_borrowed_state_as_the_owned_records() {
+        let mut emitted = Vec::new();
+        let mut sink = SnapshotSink::new(|p: &[u8]| emitted.push(p.to_vec()));
+        let records = snapshot_records();
+        for record in &records {
+            match record {
+                WalRecord::Ledger(ledger) => sink.ledger(ledger),
+                WalRecord::Build(build) => sink.build(build),
+                WalRecord::Queued {
+                    id,
+                    constraints,
+                    spec,
+                    attempts,
+                    not_before,
+                } => sink.queued(&QueuedJob {
+                    id: JobId(*id),
+                    name: String::new(),
+                    owner: String::new(),
+                    constraints: constraints.clone(),
+                    payload: match spec {
+                        Some(spec) => Payload::Experiment(spec.clone()),
+                        None => Payload::Custom(Box::new(|_| Err(String::new()))),
+                    },
+                    attempts: *attempts,
+                    not_before: *not_before,
+                }),
+                other => sink.record(other),
+            }
+        }
+        assert_eq!(sink.records, records.len() as u64);
+        let expected: Vec<_> = records.iter().map(WalRecord::encode).collect();
+        assert_eq!(emitted, expected);
+    }
+
+    #[test]
+    fn duplicate_ledger_accounts_fail() {
+        let mut bytes = vec![TAG_LEDGER, 2];
+        for _ in 0..2 {
+            bytes.extend_from_slice(&[1, b'a']);
+            bytes.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+        }
+        bytes.push(0);
+        let err = WalRecord::decode(&bytes).unwrap_err();
+        assert!(err.contains("duplicate map key"), "{err}");
     }
 
     #[test]

@@ -61,7 +61,11 @@ cargo test -q -p batterylab-tests --test chaos_soak
 # chaos scenario — jobs, ledger and the merged telemetry report must
 # come back byte-identical. The checkpoint run crashes a sampling
 # experiment mid-stream and verifies the resumed aggregates match the
-# uninterrupted run bit for bit.
+# uninterrupted run bit for bit. Log compaction
+# (`compaction_recovers_at_every_step_and_prefix`): the same scenario
+# compacts its log at every operation boundary and crashes with the new
+# generation half-written, just after the swap and after a torn append;
+# every compacted prefix must recover what the uncompacted one does.
 cargo run --release -q -p batterylab --bin blab -- recover --seed 42 --intensity 0.8
 cargo run --release -q -p batterylab --bin blab -- checkpoint --seconds 20 --rate 500
 cargo test -q -p batterylab-tests --test durable_recovery
@@ -69,7 +73,8 @@ cargo test -q -p batterylab-tests --test durable_recovery
 # Bounded job path: on a node that has run 200 jobs, each job's logcat
 # artifact holds only its own lines, its `Completed` WAL record is as
 # long as the first job's, and the device traces hold about one job's
-# change points.
+# change points. After N and 4N jobs the compacted log holds at most 3x
+# its last snapshot (`compaction_bounds_the_log_by_its_last_snapshot`).
 cargo test -q -p batterylab-tests --test job_path_bounded
 
 # Committed artifacts match the code: paper-scale `eval all` must

@@ -1,8 +1,9 @@
 //! A node's job path stays bounded over its lifetime: each job's
 //! `logcat.txt` holds only that job's lines (the automation channel
 //! clears the device log when it connects), so the `Completed` WAL record
-//! that carries the artifacts has the same size at any node age; and the
-//! device traces hold about one job's change points.
+//! that carries the artifacts has the same size at any node age; the
+//! device traces hold about one job's change points; and compaction keeps
+//! the log within a small multiple of its last snapshot.
 
 use std::collections::BTreeMap;
 
@@ -154,5 +155,61 @@ fn device_traces_hold_about_one_job_after_a_node_lifetime() {
             *points <= 2 * one_job,
             "{trace} trace holds {points} change points after {JOBS} jobs; one job holds {one_job}"
         );
+    }
+}
+
+/// Jobs of the shorter lifetime in the bounded-log test: enough records
+/// to cross the compaction floor.
+const LOG_JOBS: usize = 300;
+
+/// Runs [`LOG_JOBS`] and then 4 × [`LOG_JOBS`] jobs on one node. At both
+/// ages the log has been compacted and holds at most 3 × its last
+/// snapshot's bytes, and it still recovers every build.
+#[test]
+fn compaction_bounds_the_log_by_its_last_snapshot() {
+    let (mut platform, wal) = Platform::durable_testbed(78);
+    let serial = platform.j7_serial().to_string();
+    let token = platform.experimenter_token;
+    let mut snapshot_bytes = 0;
+    let mut ran = 0;
+    for age in [LOG_JOBS, 4 * LOG_JOBS] {
+        for i in ran..age {
+            let spec = ExperimentSpec::measured(
+                &serial,
+                Script::browser_workload("com.android.chrome", &["https://news.example"], 1),
+            );
+            let id = platform
+                .server
+                .submit_job(
+                    token,
+                    &format!("job-{i}"),
+                    Constraints::default(),
+                    Payload::Experiment(spec),
+                )
+                .unwrap_or_else(|e| panic!("job {i} refused: {e}"));
+            let generation = wal.generation();
+            assert_eq!(platform.server.tick(), Some(id));
+            if wal.generation() != generation {
+                // A commit compacts last: the generation is the snapshot.
+                snapshot_bytes = wal.durable_len();
+            }
+        }
+        ran = age;
+        assert!(wal.generation() > 0, "{age} jobs never compacted");
+        assert!(
+            wal.durable_len() <= 3 * snapshot_bytes,
+            "{age} jobs: log {} bytes, last snapshot {snapshot_bytes}",
+            wal.durable_len()
+        );
+    }
+    let mut recovered =
+        batterylab::server::AccessServer::recover(&wal, &batterylab::telemetry::Registry::new())
+            .expect("compacted log recovers");
+    let token = recovered.login("alice", "alice-pw", true).unwrap().token;
+    for id in 1..=ran as u64 {
+        let build = recovered
+            .build(token, batterylab::server::JobId(id))
+            .unwrap_or_else(|e| panic!("job {id} lost: {e}"));
+        assert_eq!(build.state, BuildState::Succeeded, "job {id}");
     }
 }
