@@ -332,7 +332,7 @@ fn automation_session(seed: u64) -> serde_json::Value {
 }
 
 /// Node ages, in jobs, at which the node-age cell records its state.
-const NODE_AGES: [usize; 3] = [250, 1000, 4000];
+const NODE_AGES: [usize; 4] = [250, 1000, 4000, 10_000];
 
 /// Node age (DESIGN §4d): one `Platform::durable_testbed` node runs
 /// measured 2-scroll browser jobs one at a time. At each of

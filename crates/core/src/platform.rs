@@ -40,8 +40,7 @@ impl Platform {
             .expect("bootstrap admin")
             .token;
         server
-            .auth_mut()
-            .add_user("alice", "alice-pw", Role::Experimenter)
+            .add_user(admin_token, "alice", "alice-pw", Role::Experimenter)
             .expect("fresh directory");
         let experimenter_token = server
             .login("alice", "alice-pw", true)

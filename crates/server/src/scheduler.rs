@@ -30,8 +30,9 @@ pub const DEFAULT_RETENTION: SimDuration = SimDuration::from_secs(7 * 24 * 3600)
 /// with the server.
 const CUSTOM_LOST: &str = "custom payload lost in server crash";
 
-/// Name of the one artifact an expired workspace keeps.
-const RETENTION: &str = "RETENTION";
+/// Name of the one artifact an expired workspace keeps (in the WAL's
+/// string table seed).
+pub(crate) const RETENTION: &str = "RETENTION";
 
 /// Controller CPU threshold for `require_low_cpu` jobs.
 const LOW_CPU_THRESHOLD: f64 = 0.5;

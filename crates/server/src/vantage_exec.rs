@@ -22,6 +22,24 @@ pub struct JobOutcome {
     pub finished_at: SimTime,
 }
 
+// The summary keys `run_experiment` writes, in the order it writes them:
+// always the first four, `MIRROR_UPLOAD_BYTES` for a mirrored job, the
+// last three for a measured one. The WAL's string table is seeded with
+// them and with the artifact names below.
+pub(crate) const JOB: &str = "job";
+pub(crate) const DEVICE: &str = "device";
+pub(crate) const MIRRORING: &str = "mirroring";
+pub(crate) const VPN: &str = "vpn";
+pub(crate) const MIRROR_UPLOAD_BYTES: &str = "mirror_upload_bytes";
+pub(crate) const DISCHARGE_MAH: &str = "discharge_mah";
+pub(crate) const MEAN_MA: &str = "mean_ma";
+pub(crate) const DURATION_S: &str = "duration_s";
+
+/// Artifact a measured job leaves: its power report.
+pub(crate) const POWER_SUMMARY: &str = "power_summary.json";
+/// Artifact a job that collects logs leaves.
+pub(crate) const LOGCAT: &str = "logcat.txt";
+
 fn ctl(e: ControllerError) -> String {
     format!("controller: {e}")
 }
@@ -113,29 +131,43 @@ fn run_inner(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome,
         .run_script(&spec.script)
         .map_err(|e| format!("automation: {e}"))?;
 
-    let mut artifacts = Vec::new();
-    let mut summary = serde_json::json!({
-        "job": spec.script.name,
-        "device": spec.device,
-        "mirroring": spec.mirroring,
-        "vpn": spec.vpn.map(|l| l.country().to_string()),
-    });
+    // Both are allocated at their final size: four keys, one more for
+    // mirroring, three more for a measurement; an artifact each for the
+    // power report and the logs.
+    let mut summary = serde_json::Map::with_capacity(
+        4 + usize::from(spec.mirroring) + 3 * usize::from(spec.measure),
+    );
+    let mut artifacts =
+        Vec::with_capacity(usize::from(spec.measure) + usize::from(spec.collect_logcat));
+    let mut field = |key: &str, value: serde_json::Value| summary.push((key.to_string(), value));
+    field(JOB, serde_json::json!(spec.script.name));
+    field(DEVICE, serde_json::json!(spec.device));
+    field(MIRRORING, serde_json::json!(spec.mirroring));
+    field(
+        VPN,
+        serde_json::json!(spec.vpn.map(|l| l.country().to_string())),
+    );
 
     if spec.mirroring {
         vp.pump_mirrors().map_err(ctl)?;
-        summary["mirror_upload_bytes"] = serde_json::json!(vp.mirror_upload_bytes());
+        field(
+            MIRROR_UPLOAD_BYTES,
+            serde_json::json!(vp.mirror_upload_bytes()),
+        );
     }
 
     let finished_at;
     if spec.measure {
         let report = vp.stop_monitor_at_rate(spec.sample_rate_hz).map_err(ctl)?;
         (window_start, finished_at) = report.window;
-        summary["discharge_mah"] = serde_json::json!(report.mah());
-        summary["mean_ma"] = serde_json::json!(report.mean_ma());
-        summary["duration_s"] =
-            serde_json::json!((report.window.1 - report.window.0).as_secs_f64());
+        field(DISCHARGE_MAH, serde_json::json!(report.mah()));
+        field(MEAN_MA, serde_json::json!(report.mean_ma()));
+        field(
+            DURATION_S,
+            serde_json::json!((report.window.1 - report.window.0).as_secs_f64()),
+        );
         artifacts.push(Artifact {
-            name: "power_summary.json".to_string(),
+            name: POWER_SUMMARY.to_string(),
             content: serde_json::json!({
                 "voltage_v": report.voltage_v,
                 "rate_hz": report.rate_hz,
@@ -155,7 +187,7 @@ fn run_inner(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome,
     if spec.collect_logcat {
         let logcat = vp.execute_adb(&spec.device, "logcat -d").map_err(ctl)?;
         artifacts.push(Artifact {
-            name: "logcat.txt".to_string(),
+            name: LOGCAT.to_string(),
             content: logcat,
         });
     }
@@ -174,7 +206,7 @@ fn run_inner(vp: &mut VantagePoint, spec: &ExperimentSpec) -> Result<JobOutcome,
     vp.release_history(&spec.device, window_start);
 
     Ok(JobOutcome {
-        summary,
+        summary: serde_json::Value::Object(summary),
         artifacts,
         finished_at,
     })
@@ -213,6 +245,35 @@ mod tests {
         let names: Vec<&str> = outcome.artifacts.iter().map(|a| a.name.as_str()).collect();
         assert!(names.contains(&"power_summary.json"));
         assert!(names.contains(&"logcat.txt"));
+    }
+
+    #[test]
+    fn outcome_uses_the_seeded_names_at_its_final_size() {
+        let mut vp = vantage();
+        let mut s = spec();
+        s.mirroring = true;
+        let outcome = run_experiment(&mut vp, &s).unwrap();
+        let serde_json::Value::Object(summary) = &outcome.summary else {
+            panic!("summary is an object");
+        };
+        let keys: Vec<&str> = summary.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                JOB,
+                DEVICE,
+                MIRRORING,
+                VPN,
+                MIRROR_UPLOAD_BYTES,
+                DISCHARGE_MAH,
+                MEAN_MA,
+                DURATION_S
+            ]
+        );
+        let names: Vec<&str> = outcome.artifacts.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, [POWER_SUMMARY, LOGCAT]);
+        assert_eq!(summary.capacity(), summary.len());
+        assert_eq!(outcome.artifacts.capacity(), outcome.artifacts.len());
     }
 
     #[test]

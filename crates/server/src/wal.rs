@@ -32,6 +32,18 @@
 //! (`batterylab_durable::Wal`), written by a hand-rolled binary codec: a
 //! tag byte naming the variant, then its fields in declaration order.
 //!
+//! Every `String` field of a record, summary keys and values included,
+//! goes through one string table that lives for that record alone. It
+//! starts with a fixed seed, the names the platform writes itself: the
+//! summary keys of [`crate::run_experiment`] (`job`, `device`,
+//! `mirroring`, `vpn`, `mirror_upload_bytes`, `discharge_mah`, `mean_ma`,
+//! `duration_s`), then the artifact names `power_summary.json`,
+//! `logcat.txt` and `RETENTION`. A string the table holds is written as
+//! a reference to its index. Any other string is written out, and if it
+//! is 1–63 bytes long it joins the table, until the table holds 64
+//! entries. Both sides apply that rule, so a reference is always one
+//! byte and every payload decodes on its own.
+//!
 //! | Field | Bytes |
 //! |---|---|
 //! | record tag | one byte: transitions `0`–`10`, snapshot records `0x20`–`0x26` |
@@ -44,7 +56,7 @@
 //! | `f64` | 8 bytes, little-endian `to_bits`: round-trips bit-exactly |
 //! | `bool` | one byte, 0 or 1 |
 //! | `Option<T>` | 0, or 1 followed by `T` |
-//! | `String` | varint byte length, then raw UTF-8 (artifact contents too) |
+//! | `String` | a varint `2 * index + 1` referring to a table entry, or `2 * len` followed by `len` bytes of raw UTF-8 (artifact contents too) |
 //! | `Vec<T>`, tuples | varint count, then each element's fields |
 //! | ledger balances (a map) | varint count, then each key and value in key order; a repeated key is an `Err` |
 //! | `Certificate`, `LedgerEntry`, `CreditLedger` | their fields in declaration order |
@@ -54,11 +66,13 @@
 //! The encoding is deterministic for a given record, which the
 //! crash-point sweep relies on when comparing a recovered run against an
 //! uninterrupted one. Decoding never panics: short input, an unknown tag,
-//! invalid UTF-8, an overlong varint or trailing bytes are an `Err`
-//! naming the payload length, and a payload that opens with `{` is
-//! reported as a log that predates the binary format.
+//! invalid UTF-8, a reference past the table, an overlong varint or
+//! trailing bytes are an `Err` naming the payload length, and a payload
+//! that opens with `{` is reported as a log that predates the binary
+//! format.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use batterylab_sim::{SimDuration, SimTime};
 
@@ -72,7 +86,12 @@ use crate::jobs::{
     Artifact, BuildRecord, BuildState, Constraints, ExperimentSpec, JobId, Payload, QueuedJob,
 };
 use crate::registry::Certificate;
+use crate::scheduler::RETENTION;
 use crate::supervise::BreakerState;
+use crate::vantage_exec::{
+    DEVICE, DISCHARGE_MAH, DURATION_S, JOB, LOGCAT, MEAN_MA, MIRRORING, MIRROR_UPLOAD_BYTES,
+    POWER_SUMMARY, VPN,
+};
 
 /// A billing charge bundled with the terminal build record it pays for.
 #[derive(Clone, Debug)]
@@ -259,9 +278,9 @@ const TAG_QUEUED: u8 = 0x25;
 impl WalRecord {
     /// Serialise for the framed log.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
+        let mut out = Writer::with_capacity(256);
         self.put(&mut out);
-        out
+        out.bytes
     }
 
     /// Parse a framed-log payload.
@@ -272,10 +291,7 @@ impl WalRecord {
                 payload.len()
             ));
         }
-        let mut input = Reader {
-            bytes: payload,
-            pos: 0,
-        };
+        let mut input = Reader::new(payload);
         WalRecord::get(&mut input)
             .and_then(|record| match payload.len() - input.pos {
                 0 => Ok(record),
@@ -287,9 +303,10 @@ impl WalRecord {
 
 /// Streams a snapshot to `emit` one encoded record at a time, through one
 /// reused buffer. The ledger, builds and queue are encoded from borrowed
-/// state by the same code that encodes their owned [`WalRecord`]s.
+/// state by the same code that encodes their owned [`WalRecord`]s. Each
+/// record starts a fresh string table, so each decodes on its own.
 pub(crate) struct SnapshotSink<F: FnMut(&[u8])> {
-    out: Vec<u8>,
+    out: Writer,
     emit: F,
     /// Records emitted so far.
     pub(crate) records: u64,
@@ -298,14 +315,14 @@ pub(crate) struct SnapshotSink<F: FnMut(&[u8])> {
 impl<F: FnMut(&[u8])> SnapshotSink<F> {
     pub(crate) fn new(emit: F) -> Self {
         SnapshotSink {
-            out: Vec::with_capacity(256),
+            out: Writer::with_capacity(256),
             emit,
             records: 0,
         }
     }
 
     fn flush(&mut self) {
-        (self.emit)(&self.out);
+        (self.emit)(&self.out.bytes);
         self.out.clear();
         self.records += 1;
     }
@@ -347,7 +364,7 @@ impl<F: FnMut(&[u8])> SnapshotSink<F> {
 }
 
 fn put_queued(
-    out: &mut Vec<u8>,
+    out: &mut Writer,
     id: u64,
     constraints: &Constraints,
     spec: Option<&ExperimentSpec>,
@@ -362,19 +379,131 @@ fn put_queued(
     not_before.put(out);
 }
 
+/// The names every record's string table starts with: the summary keys
+/// and artifact names the platform writes itself. Their order is part of
+/// the format.
+const SEED: [&str; 11] = [
+    JOB,
+    DEVICE,
+    MIRRORING,
+    VPN,
+    MIRROR_UPLOAD_BYTES,
+    DISCHARGE_MAH,
+    MEAN_MA,
+    DURATION_S,
+    POWER_SUMMARY,
+    LOGCAT,
+    RETENTION,
+];
+
+/// Most entries a string table holds, seed included, so a reference
+/// (`2 * index + 1`) is a one-byte varint.
+const TABLE_LEN: usize = 64;
+
+/// Longest string that joins the table: one whose literal length header
+/// (`2 * len`) is a one-byte varint.
+const SHORT_LEN: usize = 63;
+
+/// Whether a string written out in full joins a table of `entries`:
+/// the rule both sides of the codec apply.
+fn joins_table(s: &str, entries: usize) -> bool {
+    (1..=SHORT_LEN).contains(&s.len()) && entries < TABLE_LEN
+}
+
+/// An encoding buffer and the string table of the record in it.
+struct Writer {
+    bytes: Vec<u8>,
+    /// The table past its seed: where in `bytes` each entry was written.
+    grown: Vec<Range<usize>>,
+}
+
+impl Writer {
+    fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            bytes: Vec::with_capacity(capacity),
+            // Room for what a build record adds: name, owner, node, the
+            // summary's values.
+            grown: Vec::with_capacity(16),
+        }
+    }
+
+    /// Empty the buffer and reset the table to its seed.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.grown.clear();
+    }
+
+    fn push(&mut self, byte: u8) {
+        self.bytes.push(byte);
+    }
+
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+    }
+
+    /// A string: a reference if the table holds it, else its bytes, after
+    /// which a short one joins the table.
+    fn string(&mut self, s: &str) {
+        // The table holds only short strings.
+        let found = (1..=SHORT_LEN).contains(&s.len()).then(|| self.find(s));
+        if let Some(index) = found.flatten() {
+            put_varint(self, reference(index));
+            return;
+        }
+        put_varint(self, (s.len() as u64) << 1);
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(s.as_bytes());
+        if joins_table(s, SEED.len() + self.grown.len()) {
+            self.grown.push(at..self.bytes.len());
+        }
+    }
+
+    /// The table index of `s`.
+    fn find(&self, s: &str) -> Option<usize> {
+        if let Some(index) = SEED.iter().position(|&name| name == s) {
+            return Some(index);
+        }
+        let grown = self
+            .grown
+            .iter()
+            .position(|at| &self.bytes[at.clone()] == s.as_bytes())?;
+        Some(SEED.len() + grown)
+    }
+}
+
+/// The varint that refers to table entry `index`: odd, where a literal's
+/// length header is even.
+fn reference(index: usize) -> u64 {
+    ((index as u64) << 1) | 1
+}
+
 /// A type with a binary WAL encoding (layout in the module docs).
 trait Codec: Sized {
-    fn put(&self, out: &mut Vec<u8>);
+    fn put(&self, out: &mut Writer);
     fn get(input: &mut Reader<'_>) -> Result<Self, String>;
 }
 
-/// A decoding cursor over one payload.
+/// A decoding cursor over one payload, with the payload's string table.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The table past its seed: the strings the payload added, in order.
+    /// Unwritten entries are `None`, so setting the table up is a memset.
+    grown: [Option<&'a str>; TABLE_LEN - SEED.len()],
+    /// Entries the table holds, seed included.
+    entries: usize,
 }
 
 impl<'a> Reader<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Reader {
+            bytes,
+            pos: 0,
+            grown: [None; TABLE_LEN - SEED.len()],
+            entries: SEED.len(),
+        }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let rest = &self.bytes[self.pos..];
         if rest.len() < n {
@@ -422,11 +551,45 @@ impl<'a> Reader<'a> {
     /// decoding reserve memory the payload could never fill.
     fn len(&mut self) -> Result<usize, String> {
         let len = self.varint()?;
+        self.fits(len)
+    }
+
+    /// `len` as a length that fits what is left of the payload.
+    fn fits(&self, len: u64) -> Result<usize, String> {
         let left = self.bytes.len() - self.pos;
         usize::try_from(len)
             .ok()
             .filter(|&len| len <= left)
             .ok_or_else(|| format!("length {len} exceeds the {left} bytes left"))
+    }
+
+    /// A string written by [`Writer::string`]: a reference into the
+    /// table, or a length and that much UTF-8.
+    fn string(&mut self) -> Result<&'a str, String> {
+        let head = self.varint()?;
+        if head & 1 == 1 {
+            let index = head >> 1;
+            let entry = match usize::try_from(index) {
+                Ok(i) if i < SEED.len() => Some(SEED[i]),
+                Ok(i) => self.grown.get(i - SEED.len()).copied().flatten(),
+                Err(_) => None,
+            };
+            return entry.ok_or_else(|| {
+                format!(
+                    "string reference {index} past the {}-entry table",
+                    self.entries
+                )
+            });
+        }
+        let len = self.fits(head >> 1)?;
+        let at = self.pos;
+        let s = std::str::from_utf8(self.take(len)?)
+            .map_err(|e| format!("invalid UTF-8 in string at offset {at}: {e}"))?;
+        if joins_table(s, self.entries) {
+            self.grown[self.entries - SEED.len()] = Some(s);
+            self.entries += 1;
+        }
+        Ok(s)
     }
 
     /// A varint count, then that many `item`s.
@@ -443,7 +606,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+fn put_varint(out: &mut Writer, mut value: u64) {
     while value >= 0x80 {
         out.push(value as u8 | 0x80);
         value >>= 7;
@@ -451,12 +614,12 @@ fn put_varint(out: &mut Vec<u8>, mut value: u64) {
     out.push(value as u8);
 }
 
-fn put_len(out: &mut Vec<u8>, len: usize) {
+fn put_len(out: &mut Writer, len: usize) {
     put_varint(out, len as u64);
 }
 
 /// A tag byte followed by one payload field.
-fn tagged(out: &mut Vec<u8>, tag: u8, field: &impl Codec) {
+fn tagged(out: &mut Writer, tag: u8, field: &impl Codec) {
     out.push(tag);
     field.put(out);
 }
@@ -466,7 +629,7 @@ fn unknown<T>(what: &str, tag: u8) -> Result<T, String> {
 }
 
 impl Codec for u64 {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         put_varint(out, *self);
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
@@ -475,7 +638,7 @@ impl Codec for u64 {
 }
 
 impl Codec for u32 {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         put_varint(out, u64::from(*self));
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
@@ -485,7 +648,7 @@ impl Codec for u32 {
 }
 
 impl Codec for u16 {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         put_varint(out, u64::from(*self));
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
@@ -495,7 +658,7 @@ impl Codec for u16 {
 }
 
 impl Codec for f64 {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         out.extend_from_slice(&self.to_bits().to_le_bytes());
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
@@ -504,7 +667,7 @@ impl Codec for f64 {
 }
 
 impl Codec for bool {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         out.push(u8::from(*self));
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
@@ -517,20 +680,15 @@ impl Codec for bool {
 }
 
 impl Codec for String {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_len(out, self.len());
-        out.extend_from_slice(self.as_bytes());
+    fn put(&self, out: &mut Writer) {
+        out.string(self);
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
-        let len = input.len()?;
-        let at = input.pos;
-        std::str::from_utf8(input.take(len)?)
-            .map(str::to_owned)
-            .map_err(|e| format!("invalid UTF-8 in string at offset {at}: {e}"))
+        input.string().map(str::to_owned)
     }
 }
 
-fn put_option<T: Codec>(out: &mut Vec<u8>, value: Option<&T>) {
+fn put_option<T: Codec>(out: &mut Writer, value: Option<&T>) {
     match value {
         None => out.push(0),
         Some(v) => {
@@ -541,7 +699,7 @@ fn put_option<T: Codec>(out: &mut Vec<u8>, value: Option<&T>) {
 }
 
 impl<T: Codec> Codec for Option<T> {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         put_option(out, self.as_ref());
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
@@ -554,7 +712,7 @@ impl<T: Codec> Codec for Option<T> {
 }
 
 impl<T: Codec> Codec for Vec<T> {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         put_len(out, self.len());
         for v in self {
             v.put(out);
@@ -566,7 +724,7 @@ impl<T: Codec> Codec for Vec<T> {
 }
 
 impl<A: Codec, B: Codec> Codec for (A, B) {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         self.0.put(out);
         self.1.put(out);
     }
@@ -576,7 +734,7 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
 }
 
 impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         put_len(out, self.len());
         for (k, v) in self {
             k.put(out);
@@ -597,7 +755,7 @@ impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
 }
 
 impl Codec for SimTime {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         put_varint(out, self.as_micros());
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
@@ -606,7 +764,7 @@ impl Codec for SimTime {
 }
 
 impl Codec for SimDuration {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         put_varint(out, self.as_micros());
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
@@ -615,7 +773,7 @@ impl Codec for SimDuration {
 }
 
 impl Codec for JobId {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         self.0.put(out);
     }
     fn get(input: &mut Reader<'_>) -> Result<Self, String> {
@@ -624,7 +782,7 @@ impl Codec for JobId {
 }
 
 impl Codec for Role {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         out.push(match self {
             Role::Admin => 0,
             Role::Experimenter => 1,
@@ -642,7 +800,7 @@ impl Codec for Role {
 }
 
 impl Codec for BreakerState {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         out.push(match self {
             BreakerState::Closed => 0,
             BreakerState::Open => 1,
@@ -660,7 +818,7 @@ impl Codec for BreakerState {
 }
 
 impl Codec for ScrollDir {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         out.push(match self {
             ScrollDir::Down => 0,
             ScrollDir::Up => 1,
@@ -676,7 +834,7 @@ impl Codec for ScrollDir {
 }
 
 impl Codec for VpnLocation {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         let index = VpnLocation::ALL.iter().position(|l| l == self);
         out.push(index.expect("VpnLocation::ALL lists every location") as u8);
     }
@@ -690,7 +848,7 @@ impl Codec for VpnLocation {
 }
 
 impl Codec for Action {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         match self {
             Action::LaunchApp(s) => tagged(out, 0, s),
             Action::ForceStop(s) => tagged(out, 1, s),
@@ -722,7 +880,7 @@ impl Codec for Action {
 macro_rules! struct_codec {
     ($ty:ident { $($field:ident),* }) => {
         impl Codec for $ty {
-            fn put(&self, out: &mut Vec<u8>) {
+            fn put(&self, out: &mut Writer) {
                 $(self.$field.put(out);)*
             }
             fn get(input: &mut Reader<'_>) -> Result<Self, String> {
@@ -754,7 +912,7 @@ struct_codec!(Constraints {
 });
 
 impl Codec for BuildState {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         match self {
             BuildState::Queued => out.push(0),
             BuildState::Succeeded => out.push(1),
@@ -805,7 +963,7 @@ struct_codec!(CreditLedger { balances, history });
 const MAX_VALUE_DEPTH: usize = 64;
 
 impl Codec for Value {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         match self {
             Value::Null => out.push(0),
             Value::Bool(b) => tagged(out, 1, b),
@@ -848,7 +1006,7 @@ fn get_value(input: &mut Reader<'_>, depth: usize) -> Result<Value, String> {
 }
 
 impl Codec for WalRecord {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut Writer) {
         match self {
             WalRecord::Booted { public_ip } => tagged(out, 0, public_ip),
             WalRecord::UserAdded {
@@ -1071,6 +1229,7 @@ mod tests {
     use super::*;
     use crate::AccessServer;
     use batterylab_durable::Wal;
+    use proptest::prelude::*;
 
     fn summary() -> Value {
         Value::Object(vec![
@@ -1246,7 +1405,62 @@ mod tests {
                 from: SimTime::from_secs(100),
                 to: SimTime::from_secs(200),
             },
+            measured_completed(),
         ]
+    }
+
+    /// The `Completed` record of one measured browser job, shaped as
+    /// `run_experiment` and a billed server write it: every seeded summary
+    /// key but the mirroring one, in order, and both artifacts.
+    fn measured_completed() -> WalRecord {
+        let summary = [
+            (
+                "job",
+                Value::Str("browser-workload/com.brave.browser".into()),
+            ),
+            ("device", Value::Str("j7duo-0001".into())),
+            ("mirroring", Value::Bool(false)),
+            ("vpn", Value::Null),
+            ("discharge_mah", Value::F64(0.5)),
+            ("mean_ma", Value::F64(150.0)),
+            ("duration_s", Value::F64(12.0)),
+        ];
+        WalRecord::Completed {
+            record: BuildRecord {
+                id: JobId(1),
+                name: "job-1".into(),
+                owner: "alice".into(),
+                node: Some("node1".into()),
+                state: BuildState::Succeeded,
+                summary: Some(Value::Object(
+                    summary.map(|(key, value)| (key.to_string(), value)).into(),
+                )),
+                artifacts: vec![
+                    Artifact {
+                        name: "power_summary.json".into(),
+                        content: "{\"mah\":0.5}".into(),
+                    },
+                    Artifact {
+                        name: "logcat.txt".into(),
+                        content: "I/ActivityManager: Displayed com.brave.browser\n".into(),
+                    },
+                ],
+                finished_at: Some(SimTime::from_secs(12)),
+            },
+            charge: Some(ChargeRecord {
+                user: "alice".into(),
+                job: "job-1".into(),
+                device_time: SimDuration::from_secs(12),
+            }),
+        }
+    }
+
+    /// How often `s` is spelled out in `bytes`.
+    fn spelled(bytes: &[u8], s: &str) -> usize {
+        bytes
+            .windows(s.len())
+            .filter(|w| *w == s.as_bytes())
+            .count()
     }
 
     /// One of each snapshot record.
@@ -1362,7 +1576,7 @@ mod tests {
     fn duplicate_ledger_accounts_fail() {
         let mut bytes = vec![TAG_LEDGER, 2];
         for _ in 0..2 {
-            bytes.extend_from_slice(&[1, b'a']);
+            bytes.extend_from_slice(&[2, b'a']);
             bytes.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
         }
         bytes.push(0);
@@ -1411,6 +1625,13 @@ mod tests {
 
     #[test]
     fn every_strict_prefix_and_any_extra_byte_fail() {
+        // The fixture writes strings as references into the seed and into
+        // what the record added, so prefixes cut references off too.
+        let measured = measured_completed().encode();
+        assert_eq!(spelled(&measured, "logcat.txt"), 0);
+        assert_eq!(spelled(&measured, "alice"), 1);
+        let submitted = every_record()[8].encode();
+        assert_eq!(spelled(&submitted, "com.brave.browser"), 1);
         for record in every_record() {
             let bytes = record.encode();
             for cut in 0..bytes.len() {
@@ -1431,16 +1652,16 @@ mod tests {
             .unwrap_err()
             .contains("unknown record tag 11"));
         // UserAdded with role tag 3.
-        let mut bytes = vec![1, 1, b'a'];
+        let mut bytes = vec![1, 2, b'a'];
         bytes.extend_from_slice(&[0; 8]);
         bytes.push(3);
         assert!(WalRecord::decode(&bytes)
             .unwrap_err()
             .contains("unknown role tag 3"));
-        let err = WalRecord::decode(&[0, 2, 0xC3, 0x28]).unwrap_err();
+        let err = WalRecord::decode(&[0, 4, 0xC3, 0x28]).unwrap_err();
         assert!(err.contains("invalid UTF-8"), "{err}");
         // A length larger than the payload is refused before reading.
-        let err = WalRecord::decode(&[0, 0xFF, 0xFF, 0x03]).unwrap_err();
+        let err = WalRecord::decode(&[0, 0xFE, 0xFF, 0x03]).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
         // Overlong and overflowing varints.
         assert!(WalRecord::decode(&[9, 0x80, 0x00]).is_err());
@@ -1451,8 +1672,208 @@ mod tests {
     }
 
     #[test]
+    fn seed_table_order_is_pinned() {
+        assert_eq!(
+            SEED,
+            [
+                "job",
+                "device",
+                "mirroring",
+                "vpn",
+                "mirror_upload_bytes",
+                "discharge_mah",
+                "mean_ma",
+                "duration_s",
+                "power_summary.json",
+                "logcat.txt",
+                "RETENTION",
+            ]
+        );
+        for (i, name) in SEED.iter().enumerate() {
+            assert!(joins_table(name, i), "{name} could not have joined");
+            assert!(!SEED[..i].contains(name), "{name} seeded twice");
+        }
+    }
+
+    #[test]
+    fn measured_job_completed_bytes_are_pinned() {
+        let bytes = measured_completed().encode();
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            7, 1, // Completed, id 1
+            10, b'j', b'o', b'b', b'-', b'1', // name: literal, joins as entry 11
+            10, b'a', b'l', b'i', b'c', b'e', // owner: entry 12
+            1, 10, b'n', b'o', b'd', b'e', b'1', // node: Some, entry 13
+            1, // Succeeded
+            1, 7, 7, // summary: Some, an object of 7 fields
+            1, 5, 68, // "job" (entry 0): a string, entry 14
+            b'b', b'r', b'o', b'w', b's', b'e', b'r', b'-', b'w', b'o', b'r', b'k', b'l',
+            b'o', b'a', b'd', b'/', b'c', b'o', b'm', b'.', b'b', b'r', b'a', b'v', b'e',
+            b'.', b'b', b'r', b'o', b'w', b's', b'e', b'r',
+            3, 5, 20, b'j', b'7', b'd', b'u', b'o', b'-', b'0', b'0', b'0', b'1', // "device": entry 15
+            5, 1, 0, // "mirroring": false
+            7, 0, // "vpn": null
+            11, 4, 0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // "discharge_mah": 0.5
+            13, 4, 0, 0, 0, 0, 0, 0xC0, 0x62, 0x40, // "mean_ma": 150.0
+            15, 4, 0, 0, 0, 0, 0, 0, 0x28, 0x40, // "duration_s": 12.0
+            2, // two artifacts
+            17, 22, b'{', b'"', b'm', b'a', b'h', b'"', b':', b'0', b'.', b'5', b'}', // entry 16
+            19, 94, // logcat.txt, 47 bytes: entry 17
+            b'I', b'/', b'A', b'c', b't', b'i', b'v', b'i', b't', b'y', b'M', b'a', b'n',
+            b'a', b'g', b'e', b'r', b':', b' ', b'D', b'i', b's', b'p', b'l', b'a', b'y',
+            b'e', b'd', b' ', b'c', b'o', b'm', b'.', b'b', b'r', b'a', b'v', b'e', b'.',
+            b'b', b'r', b'o', b'w', b's', b'e', b'r', b'\n',
+            1, 0x80, 0xB6, 0xDC, 0x05, // finished_at: Some, 12 s in microseconds
+            1, 25, 23, // charge: Some, user "alice" (entry 12), job "job-1" (entry 11)
+            0x80, 0xB6, 0xDC, 0x05, // device time
+        ];
+        assert_eq!(bytes, expected);
+    }
+
+    #[test]
+    fn references_past_the_table_fail() {
+        // NodeOwner whose owner refers back to its node: entry 11.
+        let mut bytes = vec![4, 10];
+        bytes.extend_from_slice(b"node1");
+        let ok = WalRecord::decode(&[&bytes[..], &[reference(11) as u8]].concat()).unwrap();
+        assert!(matches!(ok, WalRecord::NodeOwner { owner, .. } if owner == "node1"));
+        for past in [reference(12), reference(TABLE_LEN), u64::MAX] {
+            let mut corrupt = bytes.clone();
+            put_varint_to(&mut corrupt, past);
+            let err = WalRecord::decode(&corrupt).unwrap_err();
+            assert!(err.contains("past the 12-entry table"), "{err}");
+        }
+        // Booted with its one string past the bare seed.
+        let err = WalRecord::decode(&[0, reference(SEED.len()) as u8]).unwrap_err();
+        assert!(
+            err.contains("string reference 11 past the 11-entry table"),
+            "{err}"
+        );
+        // A reference inside a valid record, bumped past the table.
+        let mut measured = measured_completed().encode();
+        let at = measured.len() - 6;
+        assert_eq!(measured[at], reference(12) as u8, "charge user");
+        measured[at] = reference(40) as u8;
+        let err = WalRecord::decode(&measured).unwrap_err();
+        assert!(
+            err.contains("string reference 40 past the 18-entry table"),
+            "{err}"
+        );
+    }
+
+    fn put_varint_to(bytes: &mut Vec<u8>, value: u64) {
+        let mut out = Writer::with_capacity(10);
+        put_varint(&mut out, value);
+        bytes.extend_from_slice(&out.bytes);
+    }
+
+    /// Strings the round-trip property draws from: the seed, names that
+    /// repeat, more distinct short strings than the table has room for,
+    /// strings either side of the short bound and long ones.
+    fn pool() -> Vec<String> {
+        let mut pool: Vec<String> = SEED.iter().map(|name| name.to_string()).collect();
+        pool.extend(["", "alice", "node1", "j7duo-0001", "com.brave.browser"].map(String::from));
+        pool.extend((0..80).map(|i| format!("job-{i}")));
+        pool.extend([63, 64, 127, 128, 9_000].map(|len| "x".repeat(len)));
+        pool.push("é".repeat(40));
+        pool
+    }
+
+    /// A record of kind `kind % 4` whose strings are `picks` from [`pool`].
+    fn record_of(kind: u8, picks: &[usize], pool: &[String]) -> WalRecord {
+        let mut strings = picks.iter().map(|&i| pool[i].clone()).cycle();
+        let mut next = || strings.next().unwrap_or_default();
+        let n = picks.len();
+        match kind % 4 {
+            0 => WalRecord::Ledger(CreditLedger {
+                balances: (0..n / 4).map(|i| (next(), i as f64)).collect(),
+                history: (0..n)
+                    .map(|i| LedgerEntry {
+                        user: next(),
+                        amount: -(i as f64),
+                        reason: next(),
+                    })
+                    .collect(),
+            }),
+            1 => WalRecord::Build(BuildRecord {
+                id: JobId(n as u64),
+                name: next(),
+                owner: next(),
+                node: Some(next()),
+                state: BuildState::Failed(next()),
+                summary: Some(Value::Object(
+                    (0..n / 2)
+                        .map(|i| {
+                            let value = if i % 2 == 0 {
+                                Value::Str(next())
+                            } else {
+                                Value::Array(vec![Value::Str(next()), Value::U64(i as u64)])
+                            };
+                            (next(), value)
+                        })
+                        .collect(),
+                )),
+                artifacts: (0..n / 3)
+                    .map(|_| Artifact {
+                        name: next(),
+                        content: next(),
+                    })
+                    .collect(),
+                finished_at: None,
+            }),
+            2 => {
+                let mut script = Script::new(&next());
+                for _ in 0..n {
+                    script = script.then(Action::LaunchApp(next()));
+                }
+                let mut spec = ExperimentSpec::measured(&next(), script);
+                spec.vpn = Some(VpnLocation::Brazil);
+                WalRecord::Submitted {
+                    id: 1,
+                    name: next(),
+                    owner: next(),
+                    constraints: Constraints {
+                        node: Some(next()),
+                        device: Some(next()),
+                        require_low_cpu: false,
+                        max_retries: 3,
+                    },
+                    spec: Some(spec),
+                }
+            }
+            _ => WalRecord::Heartbeats {
+                at: SimTime::from_secs(1),
+                outcomes: (0..n).map(|i| (next(), i % 3 == 0)).collect(),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn string_tables_round_trip(
+            kind in 0u8..4,
+            picks in prop::collection::vec(0usize..pool().len(), 0..160),
+        ) {
+            let pool = pool();
+            let record = record_of(kind, &picks, &pool);
+            let bytes = record.encode();
+            let back = WalRecord::decode(&bytes)?;
+            prop_assert_eq!(format!("{back:?}"), format!("{record:?}"));
+            prop_assert_eq!(back.encode(), bytes);
+            // The sink writes the same bytes, each record from a fresh table.
+            let mut emitted = Vec::new();
+            let mut sink = SnapshotSink::new(|p: &[u8]| emitted.push(p.to_vec()));
+            sink.record(&record);
+            sink.record(&record);
+            prop_assert_eq!(emitted, vec![bytes.clone(), bytes]);
+        }
+    }
+
+    #[test]
     fn deeply_nested_summary_fails_instead_of_overflowing() {
-        let mut bytes = vec![7, 1, 1, b'j', 1, b'o', 0, 1, 1];
+        let mut bytes = vec![7, 1, 2, b'j', 2, b'o', 0, 1, 1];
         bytes.extend(std::iter::repeat_n([6u8, 1], 100_000).flatten());
         let err = WalRecord::decode(&bytes).unwrap_err();
         assert!(err.contains("nested deeper"), "{err}");

@@ -66,8 +66,12 @@ cargo test -q -p batterylab-tests --test chaos_soak
 # compacts its log at every operation boundary and crashes with the new
 # generation half-written, just after the swap and after a torn append;
 # every compacted prefix must recover what the uncompacted one does.
+# The WAL record codec's own tests run first (round trips, the string
+# table's seed and a pinned record, damaged input), so a codec break
+# fails here under its own name.
 cargo run --release -q -p batterylab --bin blab -- recover --seed 42 --intensity 0.8
 cargo run --release -q -p batterylab --bin blab -- checkpoint --seconds 20 --rate 500
+cargo test -q -p batterylab-server wal::
 cargo test -q -p batterylab-tests --test durable_recovery
 
 # Bounded job path: on a node that has run 200 jobs, each job's logcat
