@@ -57,6 +57,8 @@ pub enum ServerError {
     Credits(CreditError),
     /// Crash recovery could not rebuild state from the write-ahead log.
     Recovery(String),
+    /// A credit operation on a deployment without the credit system.
+    BillingDisabled,
 }
 
 impl From<AuthError> for ServerError {
@@ -85,6 +87,7 @@ impl std::fmt::Display for ServerError {
             ServerError::NoSuchBuild(id) => write!(f, "no such build {id:?}"),
             ServerError::Credits(e) => write!(f, "credits: {e}"),
             ServerError::Recovery(msg) => write!(f, "recovery: {msg}"),
+            ServerError::BillingDisabled => write!(f, "the credit system is not enabled"),
         }
     }
 }
@@ -95,7 +98,9 @@ impl std::error::Error for ServerError {}
 ///
 /// Every state transition is decided once, written as one [`WalRecord`]
 /// and applied by one private `apply`; [`AccessServer::recover`] replays
-/// the log through that same `apply`.
+/// the log through that same `apply`. Nothing else changes logged state:
+/// the server hands out no `&mut` to its ledger or account directory.
+/// Login sessions are the one exception, and are not recovered.
 pub struct AccessServer {
     auth: AuthService,
     registry: NodeRegistry,
@@ -326,9 +331,41 @@ impl AccessServer {
         self.billing.as_ref()
     }
 
-    /// Mutable ledger access (grants, transfers).
-    pub fn ledger_mut(&mut self) -> Option<&mut CreditLedger> {
-        self.billing.as_mut()
+    /// Open the credit account of the user `token` is logged in as, with
+    /// the welcome grant. An account already open is left as it is, and
+    /// nothing is logged.
+    pub fn open_account(&mut self, token: u64) -> Result<(), ServerError> {
+        let user = self.auth.session(token)?.user.clone();
+        let ledger = self.billing.as_ref().ok_or(ServerError::BillingDisabled)?;
+        if ledger.balance(&user).is_err() {
+            self.commit(WalRecord::AccountOpened { user }, None)?;
+        }
+        Ok(())
+    }
+
+    /// Pay `amount` credits from the user `token` is logged in as
+    /// (experimenters and admins) to `to`, whose account opens with the
+    /// welcome grant if new. Refused, with nothing logged, unless billing
+    /// is on and `amount` is finite, non-negative and within the payer's
+    /// balance.
+    pub fn transfer(
+        &mut self,
+        token: u64,
+        to: &str,
+        amount: f64,
+        reason: &str,
+    ) -> Result<(), ServerError> {
+        let from = self.auth.authorize(token, Permission::RunJob)?.user.clone();
+        let ledger = self.billing.as_ref().ok_or(ServerError::BillingDisabled)?;
+        ledger.check_transfer(&from, amount)?;
+        let record = WalRecord::Transferred {
+            from,
+            to: to.to_string(),
+            amount,
+            reason: reason.to_string(),
+        };
+        self.commit(record, None)?;
+        Ok(())
     }
 
     /// Record that `owner` hosts `node` (earns hosting credits).
@@ -341,9 +378,10 @@ impl AccessServer {
             .expect("node ownership always applies");
     }
 
-    /// User directory access.
-    pub fn auth_mut(&mut self) -> &mut AuthService {
-        &mut self.auth
+    /// The user `token` is logged in as, if its session holds
+    /// `permission`.
+    pub(crate) fn user(&self, token: u64, permission: Permission) -> Result<&str, ServerError> {
+        Ok(&self.auth.authorize(token, permission)?.user)
     }
 
     /// Node registry access.
@@ -370,6 +408,17 @@ impl AccessServer {
         role: Role,
     ) -> Result<(), ServerError> {
         self.auth.authorize(token, Permission::ManageNodes)?;
+        self.commit_user(name, password, role)
+    }
+
+    /// Add a recruited tester's account. A tester comes from a
+    /// marketplace, not from an admin, so this takes no token and grants
+    /// only the Tester role.
+    pub(crate) fn add_tester(&mut self, name: &str, password: &str) -> Result<(), ServerError> {
+        self.commit_user(name, password, Role::Tester)
+    }
+
+    fn commit_user(&mut self, name: &str, password: &str, role: Role) -> Result<(), ServerError> {
         // Log the stored hash (never cleartext) so recovery rebuilds the
         // full directory.
         let record = WalRecord::UserAdded {
@@ -753,7 +802,11 @@ impl AccessServer {
                 .requeue(JobId(id), node, attempts, not_before, failed_at, &error),
             WalRecord::Completed { record, charge } => {
                 if let (Some(ledger), Some(c)) = (&mut self.billing, &charge) {
-                    let _ = ledger.charge_experiment(&c.user, &c.job, c.device_time);
+                    // A job submitted before billing was on charges an
+                    // owner with no account yet: it opens here, on first
+                    // use, as `enable_billing` promises.
+                    ledger.open_account(&c.user);
+                    ledger.charge_experiment(&c.user, &c.job, c.device_time)?;
                 }
                 self.scheduler.finish(record);
             }
@@ -794,6 +847,21 @@ impl AccessServer {
                         permission: Permission::RunJob,
                     })
                 })?,
+            WalRecord::AccountOpened { user } => self
+                .billing
+                .as_mut()
+                .ok_or(ServerError::BillingDisabled)?
+                .open_account(&user),
+            WalRecord::Transferred {
+                from,
+                to,
+                amount,
+                reason,
+            } => self
+                .billing
+                .as_mut()
+                .ok_or(ServerError::BillingDisabled)?
+                .transfer(&from, &to, amount, &reason)?,
             WalRecord::Certificate { cert, next_serial } => {
                 self.registry.restore_certificate(cert, next_serial)
             }
@@ -850,6 +918,9 @@ impl AccessServer {
         &mut self.scheduler
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1226,7 +1297,7 @@ mod tests {
     }
 
     /// Everything recovery must rebuild, rendered for comparison.
-    fn durable_state(server: &mut AccessServer) -> String {
+    pub(super) fn durable_state(server: &mut AccessServer) -> String {
         let names = server.registry.names();
         let breakers: Vec<_> = names
             .iter()
@@ -1442,17 +1513,20 @@ mod tests {
         server.run_maintenance(SimTime::from_secs(70 * 24 * 3600));
         check(&mut server, &wal, "run_maintenance");
 
-        // Spend bob below the 10 device-minute gate. `ledger_mut` is not
-        // logged, so this runs after the last recovery check.
+        // Spend bob below the 10 device-minute gate.
         server
             .add_user(admin, "bob", "pw-b", Role::Experimenter)
             .unwrap();
         let bob = server.login("bob", "pw-b", true).unwrap().token;
-        let ledger = server.ledger_mut().unwrap();
-        ledger.open_account("bob");
-        ledger
-            .charge_experiment("bob", "spent", SimDuration::from_secs(25 * 60))
-            .unwrap();
+        server.open_account(bob).unwrap();
+        check(&mut server, &wal, "open_account");
+        for amount in [-1.0, f64::NAN, f64::INFINITY, 31.0] {
+            assert_refused(&mut server, &wal, &format!("transfer of {amount}"), |s| {
+                s.transfer(bob, "alice", amount, "spent")
+            });
+        }
+        server.transfer(bob, "alice", 25.0, "spent").unwrap();
+        check(&mut server, &wal, "transfer");
         assert_refused(&mut server, &wal, "unaffordable submission", |s| {
             s.submit_job(bob, "broke", Constraints::default(), browse("acc-dev"))
         });

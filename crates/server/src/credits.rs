@@ -32,6 +32,8 @@ pub enum CreditError {
     },
     /// Unknown account.
     NoSuchAccount(String),
+    /// A transfer amount that is negative, infinite or NaN.
+    InvalidAmount(f64),
 }
 
 impl std::fmt::Display for CreditError {
@@ -46,6 +48,7 @@ impl std::fmt::Display for CreditError {
                 "{user} has {balance:.1} credits, needs {needed:.1} — host a vantage point to earn more"
             ),
             CreditError::NoSuchAccount(u) => write!(f, "no credit account for {u}"),
+            CreditError::InvalidAmount(a) => write!(f, "cannot transfer {a} credits"),
         }
     }
 }
@@ -155,7 +158,25 @@ impl CreditLedger {
         Ok(amount)
     }
 
-    /// Transfer credits (paying a recruited tester).
+    /// Check `from` can pay out `amount`: a finite, non-negative amount
+    /// within its balance.
+    pub fn check_transfer(&self, from: &str, amount: f64) -> Result<(), CreditError> {
+        if !(amount.is_finite() && amount >= 0.0) {
+            return Err(CreditError::InvalidAmount(amount));
+        }
+        let balance = self.balance(from)?;
+        if balance < amount {
+            return Err(CreditError::InsufficientCredits {
+                user: from.to_string(),
+                balance,
+                needed: amount,
+            });
+        }
+        Ok(())
+    }
+
+    /// Transfer credits (paying a recruited tester), as
+    /// [`Self::check_transfer`] allows.
     pub fn transfer(
         &mut self,
         from: &str,
@@ -163,15 +184,7 @@ impl CreditLedger {
         amount: f64,
         reason: &str,
     ) -> Result<(), CreditError> {
-        assert!(amount >= 0.0, "transfers are non-negative");
-        let from_balance = self.balance(from)?;
-        if from_balance < amount {
-            return Err(CreditError::InsufficientCredits {
-                user: from.to_string(),
-                balance: from_balance,
-                needed: amount,
-            });
-        }
+        self.check_transfer(from, amount)?;
         self.open_account(to);
         *self.balances.get_mut(from).expect("checked") -= amount;
         *self.balances.get_mut(to).expect("opened") += amount;
@@ -249,6 +262,13 @@ mod tests {
         assert_eq!(l.balance("alice").unwrap(), WELCOME_GRANT - 5.0);
         assert_eq!(l.balance("turker-1").unwrap(), WELCOME_GRANT + 5.0);
         assert!(l.transfer("alice", "turker-1", 1000.0, "too much").is_err());
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                l.transfer("alice", "turker-1", bad, "bad"),
+                Err(CreditError::InvalidAmount(_))
+            ));
+        }
+        assert_eq!(l.history().len(), 4, "refused transfers leave no entry");
     }
 
     #[test]

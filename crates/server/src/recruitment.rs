@@ -7,11 +7,17 @@
 //! in MTurk terms) bound to a device and a duration; a worker accepts,
 //! receives a Tester console account and the shared noVNC URL (toolbar
 //! hidden); on completion the experimenter's approval pays out.
+//!
+//! The tester account and the payment are access-server state, committed
+//! through the server's log like every other transition. A task's state
+//! moves only once the server has committed what the step needs. The
+//! tasks themselves live here, outside the server, and are not durable.
 
 use batterylab_sim::SimDuration;
 
-use crate::auth::{AuthService, Role};
-use crate::credits::{CreditError, CreditLedger};
+use crate::access::{AccessServer, ServerError};
+use crate::auth::Permission;
+use crate::credits::CreditError;
 
 /// Where the worker came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,8 +99,12 @@ pub enum RecruitError {
     NoSuchTask(u64),
     /// Task is not in the right state for the operation.
     WrongState(TaskState),
+    /// Only the task's requester may approve it.
+    NotRequester(String),
     /// Payment failed.
     Credits(CreditError),
+    /// The access server refused the step.
+    Server(ServerError),
 }
 
 impl From<CreditError> for RecruitError {
@@ -103,12 +113,23 @@ impl From<CreditError> for RecruitError {
     }
 }
 
+impl From<ServerError> for RecruitError {
+    fn from(e: ServerError) -> Self {
+        match e {
+            ServerError::Credits(e) => RecruitError::Credits(e),
+            e => RecruitError::Server(e),
+        }
+    }
+}
+
 impl std::fmt::Display for RecruitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecruitError::NoSuchTask(id) => write!(f, "no such task {id}"),
             RecruitError::WrongState(s) => write!(f, "task in state {s:?}"),
+            RecruitError::NotRequester(user) => write!(f, "{user} did not post the task"),
             RecruitError::Credits(e) => write!(f, "credits: {e}"),
+            RecruitError::Server(e) => write!(f, "server: {e}"),
         }
     }
 }
@@ -131,13 +152,14 @@ impl Recruitment {
         }
     }
 
-    /// Post a task. The requester must be able to afford the payout up
-    /// front (escrow semantics).
+    /// Post a task as the experimenter `token` is logged in as. A paid
+    /// task's payout must be one the requester's balance covers up front
+    /// (escrow semantics).
     #[allow(clippy::too_many_arguments)]
     pub fn post(
         &mut self,
-        ledger: &CreditLedger,
-        requester: &str,
+        server: &AccessServer,
+        token: u64,
         marketplace: Marketplace,
         instructions: &str,
         node: &str,
@@ -145,15 +167,10 @@ impl Recruitment {
         duration: SimDuration,
         pay_credits: f64,
     ) -> Result<u64, RecruitError> {
-        if pay_credits > 0.0 {
-            let balance = ledger.balance(requester)?;
-            if balance < pay_credits {
-                return Err(RecruitError::Credits(CreditError::InsufficientCredits {
-                    user: requester.to_string(),
-                    balance,
-                    needed: pay_credits,
-                }));
-            }
+        let requester = server.user(token, Permission::CreateJob)?;
+        if pay_credits != 0.0 {
+            let ledger = server.ledger().ok_or(ServerError::BillingDisabled)?;
+            ledger.check_transfer(requester, pay_credits)?;
         }
         let id = self.next_id;
         self.next_id += 1;
@@ -192,10 +209,11 @@ impl Recruitment {
     }
 
     /// A worker accepts: gets a Tester console account and the session
-    /// URL.
+    /// URL. A worker name the directory already holds is refused, and the
+    /// task stays open.
     pub fn accept(
         &mut self,
-        auth: &mut AuthService,
+        server: &mut AccessServer,
         id: u64,
         worker: &str,
     ) -> Result<String, RecruitError> {
@@ -203,11 +221,11 @@ impl Recruitment {
         if task.state != TaskState::Open {
             return Err(RecruitError::WrongState(task.state.clone()));
         }
+        // Tester accounts are throwaway, scoped to the session.
+        server.add_tester(worker, &format!("task-{id}-pw"))?;
         task.state = TaskState::Accepted {
             worker: worker.to_string(),
         };
-        // Tester accounts are throwaway, scoped to the session.
-        let _ = auth.add_user(worker, &format!("task-{id}-pw"), Role::Tester);
         Ok(task.session_url())
     }
 
@@ -221,21 +239,26 @@ impl Recruitment {
         Ok(())
     }
 
-    /// The requester approves: pays out from their account.
-    pub fn approve(&mut self, ledger: &mut CreditLedger, id: u64) -> Result<(), RecruitError> {
+    /// The requester, logged in as `token`, approves: pays out from
+    /// their account. A refused payment leaves the task submitted.
+    pub fn approve(
+        &mut self,
+        server: &mut AccessServer,
+        token: u64,
+        id: u64,
+    ) -> Result<(), RecruitError> {
         let task = self.task_mut(id)?;
         let TaskState::Submitted { worker } = task.state.clone() else {
             return Err(RecruitError::WrongState(task.state.clone()));
         };
-        if task.pay_credits > 0.0 {
-            let (requester, pay) = (task.requester.clone(), task.pay_credits);
-            let worker_name = worker.clone();
-            task.state = TaskState::Paid { worker };
-            // Re-borrow rules: perform the transfer after updating state.
-            ledger.transfer(&requester, &worker_name, pay, "usability task")?;
-        } else {
-            task.state = TaskState::Paid { worker };
+        let approver = server.user(token, Permission::CreateJob)?;
+        if approver != task.requester {
+            return Err(RecruitError::NotRequester(approver.to_string()));
         }
+        if task.pay_credits != 0.0 {
+            server.transfer(token, &worker, task.pay_credits, "usability task")?;
+        }
+        task.state = TaskState::Paid { worker };
         Ok(())
     }
 
@@ -256,17 +279,30 @@ impl Recruitment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auth::Role;
+    use crate::credits::WELCOME_GRANT;
+    use batterylab_durable::Wal;
+    use batterylab_telemetry::Registry;
 
-    fn setup() -> (Recruitment, CreditLedger, AuthService) {
-        let mut ledger = CreditLedger::new();
-        ledger.open_account("alice");
-        (Recruitment::new(), ledger, AuthService::new("admin", "pw"))
+    /// A billed server with a log, alice's account open, and her token.
+    fn setup() -> (Recruitment, AccessServer, Wal, u64) {
+        let mut server = AccessServer::new("52.1.2.3", "admin", "pw");
+        let wal = Wal::new();
+        server.attach_wal(&wal);
+        server.enable_billing();
+        let admin = server.login("admin", "pw", true).unwrap().token;
+        server
+            .add_user(admin, "alice", "pw-a", Role::Experimenter)
+            .unwrap();
+        let alice = server.login("alice", "pw-a", true).unwrap().token;
+        server.open_account(alice).unwrap();
+        (Recruitment::new(), server, wal, alice)
     }
 
-    fn post(r: &mut Recruitment, l: &CreditLedger, pay: f64) -> u64 {
+    fn post(r: &mut Recruitment, server: &AccessServer, alice: u64, pay: f64) -> u64 {
         r.post(
-            l,
-            "alice",
+            server,
+            alice,
             Marketplace::MechanicalTurk,
             "search for three items in the shopping app",
             "node1",
@@ -277,37 +313,38 @@ mod tests {
         .unwrap()
     }
 
+    fn balance(server: &AccessServer, user: &str) -> Result<f64, CreditError> {
+        server.ledger().unwrap().balance(user)
+    }
+
     #[test]
     fn full_hit_lifecycle_with_payment() {
-        let (mut r, mut ledger, mut auth) = setup();
-        let id = post(&mut r, &ledger, 5.0);
+        let (mut r, mut server, _, alice) = setup();
+        let id = post(&mut r, &server, alice, 5.0);
         assert_eq!(r.open_tasks().len(), 1);
 
-        let url = r.accept(&mut auth, id, "turker-9").unwrap();
+        let url = r.accept(&mut server, id, "turker-9").unwrap();
         assert!(url.contains("node1.batterylab.dev"));
         assert!(url.contains("toolbar=0"), "testers get no toolbar");
         // The worker got a Tester account.
-        let session = auth
+        let session = server
             .login("turker-9", &format!("task-{id}-pw"), true)
             .unwrap();
         assert_eq!(session.role, Role::Tester);
 
         r.submit(id).unwrap();
-        r.approve(&mut ledger, id).unwrap();
-        assert_eq!(
-            ledger.balance("turker-9").unwrap(),
-            crate::credits::WELCOME_GRANT + 5.0
-        );
+        r.approve(&mut server, alice, id).unwrap();
+        assert_eq!(balance(&server, "turker-9").unwrap(), WELCOME_GRANT + 5.0);
         assert!(matches!(r.task(id).unwrap().state, TaskState::Paid { .. }));
     }
 
     #[test]
     fn cannot_post_beyond_balance() {
-        let (mut r, ledger, _) = setup();
+        let (mut r, server, _, alice) = setup();
         let err = r
             .post(
-                &ledger,
-                "alice",
+                &server,
+                alice,
                 Marketplace::FigureEight,
                 "x",
                 "node1",
@@ -322,39 +359,36 @@ mod tests {
 
     #[test]
     fn double_accept_refused() {
-        let (mut r, ledger, mut auth) = setup();
-        let id = post(&mut r, &ledger, 1.0);
-        r.accept(&mut auth, id, "w1").unwrap();
+        let (mut r, mut server, _, alice) = setup();
+        let id = post(&mut r, &server, alice, 1.0);
+        r.accept(&mut server, id, "w1").unwrap();
         assert!(matches!(
-            r.accept(&mut auth, id, "w2"),
+            r.accept(&mut server, id, "w2"),
             Err(RecruitError::WrongState(_))
         ));
     }
 
     #[test]
     fn rejection_pays_nothing() {
-        let (mut r, ledger, mut auth) = setup();
-        let id = post(&mut r, &ledger, 5.0);
-        r.accept(&mut auth, id, "lazy-worker").unwrap();
+        let (mut r, mut server, _, alice) = setup();
+        let id = post(&mut r, &server, alice, 5.0);
+        r.accept(&mut server, id, "lazy-worker").unwrap();
         r.submit(id).unwrap();
         r.reject(id, "did not follow instructions").unwrap();
         assert!(
-            ledger.balance("lazy-worker").is_err(),
+            balance(&server, "lazy-worker").is_err(),
             "never paid, no account"
         );
-        assert_eq!(
-            ledger.balance("alice").unwrap(),
-            crate::credits::WELCOME_GRANT
-        );
+        assert_eq!(balance(&server, "alice").unwrap(), WELCOME_GRANT);
     }
 
     #[test]
     fn volunteers_cost_nothing() {
-        let (mut r, mut ledger, mut auth) = setup();
+        let (mut r, mut server, _, alice) = setup();
         let id = r
             .post(
-                &ledger,
-                "alice",
+                &server,
+                alice,
                 Marketplace::Volunteer,
                 "try the new browser",
                 "node1",
@@ -363,12 +397,79 @@ mod tests {
                 0.0,
             )
             .unwrap();
-        r.accept(&mut auth, id, "friendly-phd").unwrap();
+        r.accept(&mut server, id, "friendly-phd").unwrap();
         r.submit(id).unwrap();
-        r.approve(&mut ledger, id).unwrap();
+        r.approve(&mut server, alice, id).unwrap();
+        assert_eq!(balance(&server, "alice").unwrap(), WELCOME_GRANT);
+    }
+
+    #[test]
+    fn refused_steps_leave_the_task_ledger_and_log_as_they_were() {
+        let (mut r, mut server, wal, alice) = setup();
+        let id = post(&mut r, &server, alice, 20.0);
+        // The worker's name is taken: no account, the task stays open.
+        let records = wal.record_count();
+        assert!(matches!(
+            r.accept(&mut server, id, "alice"),
+            Err(RecruitError::Server(ServerError::Auth(_)))
+        ));
+        assert_eq!(r.task(id).unwrap().state, TaskState::Open);
+        assert_eq!(wal.record_count(), records);
+        r.accept(&mut server, id, "w").unwrap();
+        r.submit(id).unwrap();
+
+        // Alice spends down to 15 credits, under the task's pay.
+        server.transfer(alice, "admin", 15.0, "elsewhere").unwrap();
+        let (ledger, records) = (format!("{:?}", server.ledger()), wal.record_count());
+        assert!(matches!(
+            r.approve(&mut server, alice, id),
+            Err(RecruitError::Credits(
+                CreditError::InsufficientCredits { .. }
+            ))
+        ));
+        let submitted = TaskState::Submitted {
+            worker: "w".to_string(),
+        };
+        assert_eq!(r.task(id).unwrap().state, submitted);
+        assert_eq!(format!("{:?}", server.ledger()), ledger);
+        assert_eq!(wal.record_count(), records);
+        assert!(balance(&server, "w").is_err(), "never paid, no account");
+
+        // Only the requester approves.
+        let admin = server.login("admin", "pw", true).unwrap().token;
+        assert!(matches!(
+            r.approve(&mut server, admin, id),
+            Err(RecruitError::NotRequester(_))
+        ));
+        assert_eq!(r.task(id).unwrap().state, submitted);
+        assert_eq!(wal.record_count(), records);
+    }
+
+    /// The tester account and the payment are logged: a crash right after
+    /// either, with no compaction since, recovers what the live server
+    /// holds.
+    #[test]
+    fn accepted_tester_and_payment_survive_a_crash() {
+        let (mut r, mut server, wal, alice) = setup();
+        let id = post(&mut r, &server, alice, 5.0);
+        let generation = wal.generation();
+        r.accept(&mut server, id, "turker-9").unwrap();
+        let mut recovered = AccessServer::recover(&wal, &Registry::new()).unwrap();
         assert_eq!(
-            ledger.balance("alice").unwrap(),
-            crate::credits::WELCOME_GRANT
+            recovered
+                .login("turker-9", &format!("task-{id}-pw"), true)
+                .unwrap()
+                .role,
+            Role::Tester
         );
+
+        r.submit(id).unwrap();
+        r.approve(&mut server, alice, id).unwrap();
+        let recovered = AccessServer::recover(&wal, &Registry::new()).unwrap();
+        assert_eq!(wal.generation(), generation, "no compaction ran");
+        let (live, back) = (server.ledger().unwrap(), recovered.ledger().unwrap());
+        assert_eq!(back.balance("turker-9"), live.balance("turker-9"));
+        assert_eq!(back.balance("alice"), live.balance("alice"));
+        assert_eq!(back.history(), live.history());
     }
 }

@@ -3,9 +3,19 @@
 //! The access server owns the platform's only authoritative state — job
 //! table, credit ledger, node registry, account directory — so each
 //! state transition appends exactly one [`WalRecord`] (fsynced by the
-//! log layer) before the next operation is accepted. Replaying any
-//! prefix of the log through [`crate::AccessServer::recover`] rebuilds
-//! the exact server state at that record boundary.
+//! log layer) before the next operation is accepted. This holds without
+//! exception: the server hands out no `&mut` to logged state, and only
+//! its `apply` changes it, for live commits and replay alike (login
+//! sessions are not logged state). Replaying any prefix of the log
+//! through [`crate::AccessServer::recover`] rebuilds the exact server
+//! state at that record boundary.
+//!
+//! The transition records, by tag: `Booted` (0), `UserAdded` (1),
+//! `BillingEnabled` (2), `NodeEnrolled` (3), `NodeOwner` (4),
+//! `Submitted` (5), `Retried` (6), `Completed` (7), `Heartbeats` (8),
+//! `MaintenanceRan` (9), `SlotReserved` (10), `AccountOpened` (11) and
+//! `Transferred` (12). Recruited testers are `UserAdded` records and their
+//! pay is a `Transferred` record.
 //!
 //! A snapshot ([`crate::AccessServer::compact`], and the one
 //! [`crate::AccessServer::attach_wal`] writes) opens a log generation
@@ -46,7 +56,7 @@
 //!
 //! | Field | Bytes |
 //! |---|---|
-//! | record tag | one byte: transitions `0`–`10`, snapshot records `0x20`–`0x26` |
+//! | record tag | one byte: transitions `0`–`12`, snapshot records `0x20`–`0x26` |
 //! | `Role`, `ScrollDir`, `BuildState`, `BreakerState` | one byte (`Failed` adds its string) |
 //! | `Action` | one tag byte, then its payload |
 //! | `VpnLocation` | one byte: its index in `VpnLocation::ALL` |
@@ -208,6 +218,23 @@ pub enum WalRecord {
         from: SimTime,
         /// Slot end.
         to: SimTime,
+    },
+    /// A user's credit account was opened with the welcome grant.
+    AccountOpened {
+        /// Account holder.
+        user: String,
+    },
+    /// Credits moved from one account to another (a recruited tester's
+    /// pay). The paid account opens with the welcome grant if new.
+    Transferred {
+        /// Paying account.
+        from: String,
+        /// Paid account.
+        to: String,
+        /// Credits moved: finite and non-negative.
+        amount: f64,
+        /// Why, for the audit trail.
+        reason: String,
     },
     // Snapshot records: only the snapshot writer emits these, for state
     // that no transition record above restores without side effects.
@@ -1094,6 +1121,19 @@ impl Codec for WalRecord {
                 from.put(out);
                 to.put(out);
             }
+            WalRecord::AccountOpened { user } => tagged(out, 11, user),
+            WalRecord::Transferred {
+                from,
+                to,
+                amount,
+                reason,
+            } => {
+                out.push(12);
+                from.put(out);
+                to.put(out);
+                amount.put(out);
+                reason.put(out);
+            }
             WalRecord::Certificate { cert, next_serial } => {
                 out.push(0x20);
                 cert.put(out);
@@ -1190,6 +1230,15 @@ impl Codec for WalRecord {
                 user: String::get(input)?,
                 from: SimTime::get(input)?,
                 to: SimTime::get(input)?,
+            },
+            11 => WalRecord::AccountOpened {
+                user: String::get(input)?,
+            },
+            12 => WalRecord::Transferred {
+                from: String::get(input)?,
+                to: String::get(input)?,
+                amount: f64::get(input)?,
+                reason: String::get(input)?,
             },
             0x20 => WalRecord::Certificate {
                 cert: Certificate::get(input)?,
@@ -1406,6 +1455,21 @@ mod tests {
                 to: SimTime::from_secs(200),
             },
             measured_completed(),
+            WalRecord::AccountOpened {
+                user: "alice".into(),
+            },
+            WalRecord::Transferred {
+                from: "alice".into(),
+                to: "AMZN-worker-77".into(),
+                amount: 0.1 + 0.2,
+                reason: "usability task".into(),
+            },
+            WalRecord::Transferred {
+                from: "alice".into(),
+                to: "alice".into(),
+                amount: -0.0,
+                reason: String::new(),
+            },
         ]
     }
 
@@ -1648,9 +1712,9 @@ mod tests {
 
     #[test]
     fn unknown_tags_and_invalid_utf8_fail() {
-        assert!(WalRecord::decode(&[11])
+        assert!(WalRecord::decode(&[13])
             .unwrap_err()
-            .contains("unknown record tag 11"));
+            .contains("unknown record tag 13"));
         // UserAdded with role tag 3.
         let mut bytes = vec![1, 2, b'a'];
         bytes.extend_from_slice(&[0; 8]);
@@ -1779,12 +1843,12 @@ mod tests {
         pool
     }
 
-    /// A record of kind `kind % 4` whose strings are `picks` from [`pool`].
+    /// A record of kind `kind % 6` whose strings are `picks` from [`pool`].
     fn record_of(kind: u8, picks: &[usize], pool: &[String]) -> WalRecord {
         let mut strings = picks.iter().map(|&i| pool[i].clone()).cycle();
         let mut next = || strings.next().unwrap_or_default();
         let n = picks.len();
-        match kind % 4 {
+        match kind % 6 {
             0 => WalRecord::Ledger(CreditLedger {
                 balances: (0..n / 4).map(|i| (next(), i as f64)).collect(),
                 history: (0..n)
@@ -1841,9 +1905,16 @@ mod tests {
                     spec: Some(spec),
                 }
             }
-            _ => WalRecord::Heartbeats {
+            3 => WalRecord::Heartbeats {
                 at: SimTime::from_secs(1),
                 outcomes: (0..n).map(|i| (next(), i % 3 == 0)).collect(),
+            },
+            4 => WalRecord::AccountOpened { user: next() },
+            _ => WalRecord::Transferred {
+                from: next(),
+                to: next(),
+                amount: n as f64 / 3.0,
+                reason: next(),
             },
         }
     }
@@ -1853,7 +1924,7 @@ mod tests {
 
         #[test]
         fn string_tables_round_trip(
-            kind in 0u8..4,
+            kind in 0u8..6,
             picks in prop::collection::vec(0usize..pool().len(), 0..160),
         ) {
             let pool = pool();

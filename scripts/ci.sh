@@ -72,6 +72,8 @@ cargo test -q -p batterylab-tests --test chaos_soak
 cargo run --release -q -p batterylab --bin blab -- recover --seed 42 --intensity 0.8
 cargo run --release -q -p batterylab --bin blab -- checkpoint --seconds 20 --rate 500
 cargo test -q -p batterylab-server wal::
+# One apply path: generated operation sequences must recover live state.
+cargo test -q -p batterylab-server access::oracle::
 cargo test -q -p batterylab-tests --test durable_recovery
 
 # Bounded job path: on a node that has run 200 jobs, each job's logcat

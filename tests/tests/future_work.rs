@@ -111,13 +111,12 @@ fn credit_system_gates_and_charges() {
 fn broke_experimenter_is_refused() {
     let mut platform = Platform::paper_testbed(604);
     platform.server.enable_billing();
-    // Drain alice's account.
-    platform.server.ledger_mut().unwrap().open_account("alice");
+    // Drain alice's account below the 10 device-minute gate.
+    let alice = platform.experimenter_token;
+    platform.server.open_account(alice).unwrap();
     platform
         .server
-        .ledger_mut()
-        .unwrap()
-        .charge_experiment("alice", "sink", SimDuration::from_secs(100 * 60))
+        .transfer(alice, "admin", 25.0, "sink")
         .unwrap();
     let err = platform
         .server
@@ -139,13 +138,14 @@ fn broke_experimenter_is_refused() {
 fn recruit_pay_tester_via_mturk() {
     let mut platform = Platform::paper_testbed(605);
     platform.server.enable_billing();
-    platform.server.ledger_mut().unwrap().open_account("alice");
+    let alice = platform.experimenter_token;
+    platform.server.open_account(alice).unwrap();
 
     let mut recruitment = Recruitment::new();
     let task_id = recruitment
         .post(
-            platform.server.ledger().unwrap(),
-            "alice",
+            &platform.server,
+            alice,
             Marketplace::MechanicalTurk,
             "open the shopping app and search for three items",
             "node1",
@@ -157,7 +157,7 @@ fn recruit_pay_tester_via_mturk() {
 
     // A worker accepts: account + session URL.
     let url = recruitment
-        .accept(platform.server.auth_mut(), task_id, "AMZN-worker-77")
+        .accept(&mut platform.server, task_id, "AMZN-worker-77")
         .unwrap();
     assert!(url.contains("node1.batterylab.dev"));
     // Worker can log in as a Tester (HTTPS only).
@@ -169,7 +169,7 @@ fn recruit_pay_tester_via_mturk() {
 
     recruitment.submit(task_id).unwrap();
     recruitment
-        .approve(platform.server.ledger_mut().unwrap(), task_id)
+        .approve(&mut platform.server, alice, task_id)
         .unwrap();
     let worker_balance = platform
         .server
