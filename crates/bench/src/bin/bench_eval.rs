@@ -2,10 +2,11 @@
 //! the machine's full parallelism, per target. Each target runs as
 //! [`TRIALS`] interleaved (serial, parallel) pairs; the table and the
 //! JSON report each cell's median and interquartile range, with the host
-//! core count. Further tables time the Monsoon sampler's two paths, the
-//! telemetry overhead budget and a job's automation session, and record
-//! a durable node's trace points, WAL bytes and recovery time as it
-//! ages. The JSON (`BENCH_eval.json`) is written only with `--out`.
+//! core count. Further tables time the Monsoon sampler's two paths on
+//! the sample-path instance this CPU runs, the telemetry overhead budget
+//! and a job's automation session, and record durable nodes' trace
+//! points, WAL bytes and recovery time as they age. The JSON
+//! (`BENCH_eval.json`) is written only with `--out`.
 //!
 //! ```sh
 //! cargo run --release -p batterylab-bench --bin bench_eval
@@ -24,7 +25,9 @@ use batterylab::automation::{AdbBackend, AutomationBackend, Script};
 use batterylab::device::boot_j7_duo;
 use batterylab::eval::{par, run_target, EvalConfig, ALL_TARGETS};
 use batterylab::platform::Platform;
-use batterylab::power::{Calibration, ConstantLoad, Monsoon, TraceLoad, MONSOON_RATE_HZ};
+use batterylab::power::{
+    sampler_instance, Calibration, ConstantLoad, Monsoon, TraceLoad, MONSOON_RATE_HZ,
+};
 use batterylab::server::{AccessServer, Constraints, ExperimentSpec, Payload};
 use batterylab::sim::{SimRng, SimTime, StepSignal};
 use batterylab::stats::Cdf;
@@ -95,6 +98,9 @@ fn interleaved<S>(
 /// * `noisy` — the default calibration, where both paths additionally
 ///   draw one Ziggurat Gaussian per sample from the same noise blocks, a
 ///   cost the batching cannot remove.
+///
+/// The block's `instance` names the compiled instance of the sample path
+/// both paths ran on ([`sampler_instance`]).
 fn sampler_throughput(seed: u64) -> serde_json::Value {
     let duration_s = 10.0;
     let mut trace = StepSignal::new(120.0);
@@ -114,15 +120,17 @@ fn sampler_throughput(seed: u64) -> serde_json::Value {
         m.enable_vout().unwrap();
         m
     };
+    let instance = sampler_instance();
     println!(
-        "\n# sampler throughput (serial, {samples} samples, sparse step trace; \
-         median ± IQR of {TRIALS} interleaved pairs)"
+        "\n# sampler throughput (serial, {samples} samples, sparse step trace, \
+         {instance} instance; median ± IQR of {TRIALS} interleaved pairs)"
     );
     println!(
         "{:<12} {:<22} {:>16} {:>14} {:>8}",
         "config", "path", "wall", "samples/s", "speedup"
     );
     let mut out = serde_json::Map::new();
+    out.push(("instance".to_string(), serde_json::json!(instance)));
     let noisy = Calibration::default();
     let noise_free = Calibration {
         noise_ma: 0.0,
@@ -334,34 +342,25 @@ fn automation_session(seed: u64) -> serde_json::Value {
 /// Node ages, in jobs, at which the node-age cell records its state.
 const NODE_AGES: [usize; 4] = [250, 1000, 4000, 10_000];
 
-/// Node age (DESIGN §4d): one `Platform::durable_testbed` node runs
-/// measured 2-scroll browser jobs one at a time. At each of
-/// [`NODE_AGES`] the cell records the change points the device's three
-/// traces hold, the WAL's durable bytes and the median and IQR of
-/// [`TRIALS`] `AccessServer::recover` timings from that WAL. Traces
-/// that hold a constant number of points show the node's memory stays
-/// bounded. The access server compacts its log into a snapshot of the
-/// live state (DESIGN §4c), so WAL bytes and `recover` grow with the
-/// builds the node keeps, not with every record since boot: between
-/// compactions the log holds at most the snapshot plus as many records
-/// again.
-fn node_age(seed: u64) -> serde_json::Value {
+/// One node's state at one of [`NODE_AGES`]: the change points its
+/// device's current, CPU and frame-change traces hold, its WAL's durable
+/// bytes, and one `AccessServer::recover` from that WAL, ms.
+struct AgedNode {
+    points: [usize; 3],
+    wal_bytes: usize,
+    recover_ms: f64,
+}
+
+/// Build one `Platform::durable_testbed` node and run measured 2-scroll
+/// browser jobs on it one at a time, recording its state at each of
+/// [`NODE_AGES`].
+fn age_node(seed: u64) -> [AgedNode; NODE_AGES.len()] {
     let (mut platform, wal) = Platform::durable_testbed(seed);
     let serial = platform.j7_serial();
     let token = platform.experimenter_token;
     let browsers = BrowserProfile::all_four();
-    println!(
-        "
-# node age (one durable node, measured 2-scroll jobs; \
-         recover median ± IQR of {TRIALS})"
-    );
-    println!(
-        "{:<6} {:>24} {:>10} {:>18}",
-        "jobs", "trace points (I/CPU/FC)", "WAL bytes", "recover"
-    );
     let mut jobs = 0;
-    let mut cells = Vec::new();
-    for age in NODE_AGES {
+    NODE_AGES.map(|age| {
         for i in jobs..age {
             let spec = ExperimentSpec::measured(
                 serial,
@@ -390,20 +389,60 @@ fn node_age(seed: u64) -> serde_json::Value {
                 s.frame_change_trace().changes(),
             ]
         });
-        let mut recover_ms = [0.0; TRIALS];
-        for ms in &mut recover_ms {
-            let mut recovered = None;
-            *ms = timed(|| recovered = Some(AccessServer::recover(&wal, &Registry::new())));
-            // Dropped untimed: `recover` returns the server it built.
-            drop(recovered.expect("timed").expect("the WAL recovers"));
+        let mut recovered = None;
+        let recover_ms = timed(|| recovered = Some(AccessServer::recover(&wal, &Registry::new())));
+        // Dropped untimed: `recover` returns the server it built.
+        drop(recovered.expect("timed").expect("the WAL recovers"));
+        AgedNode {
+            points,
+            wal_bytes: wal.durable_len(),
+            recover_ms,
         }
-        let recover = spread(&recover_ms);
+    })
+}
+
+/// Node age (DESIGN §4d): [`TRIALS`] nodes, each built fresh and aged
+/// through [`NODE_AGES`] by [`age_node`]. At each age the cell records
+/// the change points the device's three traces hold, the WAL's durable
+/// bytes (both the same on every node: they follow from the seed) and
+/// the median and IQR of the nodes' `AccessServer::recover` timings, so
+/// the spread takes in whatever differs between whole runs, not only
+/// between repeats on one warm node. Traces that hold a constant number
+/// of points show the node's memory stays bounded. The access server
+/// compacts its log into a snapshot of the live state (DESIGN §4c), so
+/// WAL bytes and `recover` grow with the builds the node keeps, not
+/// with every record since boot: between compactions the log holds at
+/// most the snapshot plus as many records again.
+fn node_age(seed: u64) -> serde_json::Value {
+    println!(
+        "
+# node age (one durable node per trial, measured 2-scroll jobs; \
+         recover median ± IQR of {TRIALS} nodes)"
+    );
+    println!(
+        "{:<6} {:>24} {:>10} {:>18}",
+        "jobs", "trace points (I/CPU/FC)", "WAL bytes", "recover"
+    );
+    let nodes: [_; TRIALS] = std::array::from_fn(|_| age_node(seed));
+    let mut cells = Vec::new();
+    for (at, age) in NODE_AGES.into_iter().enumerate() {
+        let AgedNode {
+            points, wal_bytes, ..
+        } = nodes[0][at];
+        for node in &nodes {
+            assert_eq!(
+                (node[at].points, node[at].wal_bytes),
+                (points, wal_bytes),
+                "a node's state at {age} jobs depends on more than the seed"
+            );
+        }
+        let recover = spread(&nodes.each_ref().map(|node| node[at].recover_ms));
         let [current, cpu, frame_change] = points;
         println!(
             "{:<6} {:>24} {:>10} {:>18}",
             age,
             format!("{current}/{cpu}/{frame_change}"),
-            wal.durable_len(),
+            wal_bytes,
             text(recover, 2, "ms")
         );
         cells.push(serde_json::json!({
@@ -413,7 +452,7 @@ fn node_age(seed: u64) -> serde_json::Value {
                 "cpu": cpu,
                 "frame_change": frame_change,
             }),
-            "wal_bytes": wal.durable_len(),
+            "wal_bytes": wal_bytes,
             "recover_ms": json(recover),
         }));
     }

@@ -20,8 +20,8 @@ pub use battor::{
     BattOr, BattOrError, BattOrLog, BATTOR_BUFFER_SAMPLES, BATTOR_RATE_HZ, BATTOR_RUNTIME_S,
 };
 pub use monsoon::{
-    Calibration, Monsoon, MonsoonError, SampleRun, MAX_CONTINUOUS_MA, MONSOON_RATE_HZ,
-    VOLTAGE_RANGE,
+    sampler_instance, Calibration, Monsoon, MonsoonError, SampleRun, MAX_CONTINUOUS_MA,
+    MONSOON_RATE_HZ, VOLTAGE_RANGE,
 };
 pub use socket::{PowerSocket, SocketError, SocketState};
 pub use source::{

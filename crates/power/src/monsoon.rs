@@ -132,6 +132,7 @@ const TWO_52: f64 = 4_503_599_627_370_496.0;
 /// `r + 2^52` less those of `2^52`, which vectorises where the
 /// saturating `as u64` does not; a stretch holding anything else is
 /// redone through `as u64`.
+#[inline(always)]
 fn readings_ua(ma: &[f64], out: &mut Vec<u64>) {
     out.resize(ma.len(), 0);
     let mut exact = true;
@@ -157,6 +158,7 @@ fn readings_ua(ma: &[f64], out: &mut Vec<u64>) {
 /// inside one bucket, nearly every stretch, adds its length to that
 /// bucket; one that straddles an edge is counted value by value through
 /// [`readings_ua`].
+#[inline(always)]
 fn fold_readings(ma: &[f64], block: &mut HistogramBlock, scratch: &mut Vec<u64>) {
     let Some(&first) = ma.first() else { return };
     let bucket = bucket_index(reading_ua(first));
@@ -204,6 +206,30 @@ fn round_half_away(x: f64) -> f64 {
     }
     let r = if y >= TWO_52 { y } else { t };
     r.copysign(x)
+}
+
+/// Whether this CPU has AVX2, which the wide instance of the sample
+/// path needs. std detects it once per process and caches the answer.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The compiled instance of the meter's sample path that runs on this
+/// CPU: `"avx2"` on an x86-64 CPU with AVX2, `"baseline"` otherwise.
+/// Every instance produces the same bits; only their speed differs.
+pub fn sampler_instance() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "baseline"
+    }
 }
 
 /// Pre-resolved telemetry handles, unregistered until
@@ -333,6 +359,7 @@ impl<'a> NoiseBlocks<'a> {
 
     /// Standard normals for samples `first..first + len`, which must lie
     /// in one block.
+    #[inline(always)]
     fn slice(&mut self, first: u64, len: usize) -> &[f64] {
         let block = first / SAMPLE_CHUNK;
         if block != self.block {
@@ -597,12 +624,54 @@ impl Monsoon {
         result
     }
 
+    /// The sampling run, through the widest compiled instance of
+    /// [`Self::sample_path`] this CPU runs: the AVX2 one when it has
+    /// AVX2, the baseline one otherwise. Both instances produce the same
+    /// bits (DESIGN §3e), so the choice shows only in the time taken.
+    fn sample(
+        &mut self,
+        load: &dyn CurrentSource,
+        start: SimTime,
+        duration_s: f64,
+        rate_hz: f64,
+        physics: Physics,
+        sink: Option<&mut CheckpointStream>,
+    ) -> Result<SampleRun, MonsoonError> {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: `sample_avx2` needs AVX2 and nothing else, and
+            // `has_avx2` has just found it on this CPU at run time
+            // (`is_x86_feature_detected!("avx2")`).
+            return unsafe { self.sample_avx2(load, start, duration_s, rate_hz, physics, sink) };
+        }
+        self.sample_path(load, start, duration_s, rate_hz, physics, sink)
+    }
+
+    /// [`Self::sample_path`] compiled with AVX2 enabled: every loop of a
+    /// stretch inlines into it, so they vectorise four samples wide.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn sample_avx2(
+        &mut self,
+        load: &dyn CurrentSource,
+        start: SimTime,
+        duration_s: f64,
+        rate_hz: f64,
+        physics: Physics,
+        sink: Option<&mut CheckpointStream>,
+    ) -> Result<SampleRun, MonsoonError> {
+        self.sample_path(load, start, duration_s, rate_hz, physics, sink)
+    }
+
     /// The sampling run proper: walk the load's constant-current spans,
     /// and over each stretch that stays inside one span, one noise block
     /// and one checkpoint interval, apply calibration, noise and
     /// quantisation and fold the readings into the aggregates. A sink
-    /// seals each completed checkpoint interval.
-    fn sample(
+    /// seals each completed checkpoint interval. Always inlined, so the
+    /// one source compiles into each instance [`Self::sample`] picks
+    /// from.
+    #[inline(always)]
+    fn sample_path(
         &mut self,
         load: &dyn CurrentSource,
         start: SimTime,
@@ -681,11 +750,8 @@ impl Monsoon {
                     // Noise-free: every sample of the span reads the same.
                     values.resize(from + len, cal.quantise(base));
                 } else {
-                    values.resize(from + len, 0.0);
                     let z = noise.slice(done, len);
-                    for (v, &z) in values[from..].iter_mut().zip(z) {
-                        *v = cal.quantise(base + cal.noise_ma * z);
-                    }
+                    values.extend(z.iter().map(|&z| cal.quantise(base + cal.noise_ma * z)));
                 }
                 let fresh = &values[from..];
                 energy.push_slice(fresh, voltage_v);
@@ -743,7 +809,8 @@ impl Monsoon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{ConstantLoad, OpenCircuit};
+    use crate::source::{ConstantLoad, OpenCircuit, TraceLoad};
+    use batterylab_sim::StepSignal;
     use batterylab_stats::Summary;
 
     fn powered_monsoon(seed: u64) -> Monsoon {
@@ -1152,6 +1219,198 @@ mod tests {
         let run = m.sample_run(&OpenCircuit, SimTime::ZERO, 0.5).unwrap();
         let s = Summary::of(run.samples.values());
         assert!(s.mean < 0.5, "open circuit should read ~0, got {}", s.mean);
+    }
+
+    /// Which compiled instance of the sample path a test run takes.
+    #[derive(Clone, Copy, Debug)]
+    enum Instance {
+        /// Through [`Monsoon::sample`]: the AVX2 instance on a CPU with
+        /// AVX2.
+        Dispatched,
+        /// [`Monsoon::sample_path`] called from the test, which compiles
+        /// it at the baseline.
+        Baseline,
+    }
+
+    /// The bits a run leaves: the trace's start, period, voltage and
+    /// samples, and the aggregates' count and mAh, mWh, min and max.
+    fn run_bits(run: &SampleRun) -> Vec<u64> {
+        let e = &run.energy;
+        let mut bits = vec![
+            run.samples.start().as_micros(),
+            run.samples.period().as_micros(),
+            run.voltage_v.to_bits(),
+            e.samples(),
+            e.mah().to_bits(),
+            e.mwh().to_bits(),
+            e.min_ma().to_bits(),
+            e.max_ma().to_bits(),
+        ];
+        bits.extend(run.samples.values().iter().map(|v| v.to_bits()));
+        bits
+    }
+
+    impl Instance {
+        /// Sample `load` from time zero on `m` through this instance.
+        fn run(
+            self,
+            m: &mut Monsoon,
+            load: &dyn CurrentSource,
+            duration_s: f64,
+            rate_hz: f64,
+            sink: Option<&mut CheckpointStream>,
+        ) -> Result<Vec<u64>, MonsoonError> {
+            let (start, physics) = (SimTime::ZERO, Physics::Segments);
+            let run = match self {
+                Instance::Dispatched => m.sample(load, start, duration_s, rate_hz, physics, sink),
+                Instance::Baseline => {
+                    m.sample_path(load, start, duration_s, rate_hz, physics, sink)
+                }
+            };
+            run.map(|run| run_bits(&run))
+        }
+    }
+
+    /// Run `script` on two meters seeded with `seed` and set to `cal`,
+    /// each bound to a registry of its own, once per [`Instance`], and
+    /// assert that the two agree bit for bit: every run's output or error
+    /// and the whole telemetry report, `power.sample_ua` included.
+    fn assert_instances_agree(
+        seed: u64,
+        cal: Calibration,
+        script: impl Fn(&mut Monsoon, Instance) -> Vec<Result<Vec<u64>, MonsoonError>>,
+    ) {
+        let [(wide, wide_report), (base, base_report)] = [Instance::Dispatched, Instance::Baseline]
+            .map(|instance| {
+                let registry = Registry::new();
+                let mut m = powered_monsoon(seed).with_calibration(cal);
+                m.set_telemetry(&registry);
+                (script(&mut m, instance), registry.snapshot())
+            });
+        assert_eq!(wide.len(), base.len());
+        for (i, (w, b)) in wide.iter().zip(&base).enumerate() {
+            match (w, b) {
+                (Ok(w), Ok(b)) => {
+                    let at = w.iter().zip(b).position(|(w, b)| w != b);
+                    assert!(
+                        at.is_none() && w.len() == b.len(),
+                        "seed {seed}, run {i}: output bits differ at word {at:?} \
+                         (lengths {} and {})",
+                        w.len(),
+                        b.len()
+                    );
+                }
+                _ => assert_eq!(w, b, "seed {seed}, run {i}"),
+            }
+        }
+        assert_eq!(wide_report, base_report, "seed {seed}: telemetry differs");
+    }
+
+    /// A load of `initial_ma` mA from time zero and then each
+    /// `(at_us, ma)` step, at the meter's 4 V.
+    fn step_load(initial_ma: f64, steps: &[(u64, f64)]) -> TraceLoad {
+        let mut trace = StepSignal::new(initial_ma);
+        for &(at_us, ma) in steps {
+            trace.set(SimTime::from_micros(at_us), ma);
+        }
+        TraceLoad::new(trace, 4.0)
+    }
+
+    #[test]
+    fn instances_agree_bit_for_bit() {
+        if sampler_instance() == "baseline" {
+            println!("this CPU has no AVX2: only the baseline instance was checked");
+        }
+        let noisy = Calibration::default();
+        let noise_free = Calibration {
+            noise_ma: 0.0,
+            ..noisy
+        };
+        let trace = step_load(
+            120.0,
+            &[(230_000, 215.0), (460_000, 90.5), (1_100_000, 400.0)],
+        );
+        // Readings around 2^17 µA: stretches straddle a bucket edge.
+        let edge = ConstantLoad::new((131.072 - noisy.offset_ma) / noisy.gain, 4.0);
+        let clamped = step_load(-3.0, &[(40_000, f64::NAN), (90_000, 0.01), (150_000, -0.0)]);
+        let trip = step_load(100.0, &[(60_000, 7000.0)]);
+        for cal in [noise_free, noisy] {
+            assert_instances_agree(40, cal, |m, instance| {
+                vec![
+                    instance.run(m, &trace, 1.3, MONSOON_RATE_HZ, None),
+                    instance.run(m, &trace, 2.0, 500.0, None),
+                    instance.run(m, &edge, 0.7, MONSOON_RATE_HZ, None),
+                    instance.run(m, &clamped, 0.2, MONSOON_RATE_HZ, None),
+                    instance.run(m, &trip, 0.1, MONSOON_RATE_HZ, None),
+                ]
+            });
+            // A checkpointed run, then a resume from its first two seals.
+            assert_instances_agree(41, cal, |m, instance| {
+                let mut stream = CheckpointStream::new(300);
+                let full = instance.run(m, &trace, 1.3, 1000.0, Some(&mut stream));
+                let sealed = stream.concat_values().iter().map(|v| v.to_bits()).collect();
+                stream.segments.truncate(2);
+                let mut resumed_meter = powered_monsoon(41).with_calibration(cal);
+                let resumed =
+                    instance.run(&mut resumed_meter, &trace, 1.3, 1000.0, Some(&mut stream));
+                vec![full, Ok(sealed), resumed]
+            });
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random step loads, NaN and over-current steps among them, under
+        /// random calibrations and rates; a nonzero `interval` also runs
+        /// checkpointed and resumes from half the seals.
+        #[test]
+        fn instances_agree_on_random_runs(
+            seed in 0u64..1_000,
+            initial in 0.0f64..800.0,
+            deltas in proptest::collection::vec(
+                (1u64..300_000, -20.0f64..6_300.0, 0u8..16),
+                0..12,
+            ),
+            cal in (0.95f64..1.05, -1.0f64..1.0, 0.0f64..2.0, 0u8..4),
+            rate_hz in 1.0f64..5_000.0,
+            duration_s in 0.01f64..1.5,
+            interval in 0u64..1_500,
+        ) {
+            let (gain, offset_ma, noise_ma, lsb) = cal;
+            let cal = Calibration {
+                gain,
+                offset_ma,
+                // A quarter of the cases run noise-free.
+                noise_ma: if lsb == 0 { 0.0 } else { noise_ma },
+                lsb_ma: [0.02, 0.01, 0.3, 1.0][lsb as usize],
+            };
+            let mut at_us = 0;
+            let step_list: Vec<(u64, f64)> = deltas
+                .iter()
+                .map(|&(gap_us, ma, code)| {
+                    at_us += gap_us;
+                    (at_us, if code == 0 { f64::NAN } else { ma })
+                })
+                .collect();
+            let load = step_load(initial, &step_list);
+            assert_instances_agree(seed, cal, |m, instance| {
+                let mut runs = vec![instance.run(m, &load, duration_s, rate_hz, None)];
+                if interval > 0 {
+                    let mut stream = CheckpointStream::new(interval);
+                    runs.push(instance.run(m, &load, duration_s, rate_hz, Some(&mut stream)));
+                    let keep = stream.segments.len() / 2;
+                    stream.segments.truncate(keep);
+                    // A meter in the state the checkpointed run began
+                    // in: one run key drawn.
+                    let mut resumed = powered_monsoon(seed).with_calibration(cal);
+                    resumed.sample_run(&OpenCircuit, SimTime::ZERO, 0.001).unwrap();
+                    let sink = Some(&mut stream);
+                    runs.push(instance.run(&mut resumed, &load, duration_s, rate_hz, sink));
+                }
+                runs
+            });
+        }
     }
 
     fn assert_rounds_like_std(x: f64) {

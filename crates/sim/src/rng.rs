@@ -158,7 +158,9 @@ impl SimRng {
     }
 
     /// Fill `out` with standard normals, consuming the stream exactly as
-    /// the same number of [`Self::standard_normal`] calls would.
+    /// the same number of [`Self::standard_normal`] calls would. Always
+    /// inlined, so the loop compiles with its caller's target features.
+    #[inline(always)]
     pub fn fill_standard_normal(&mut self, out: &mut [f64]) {
         let zig = ziggurat();
         let mut state = self.state;

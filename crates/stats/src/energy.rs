@@ -49,7 +49,9 @@ impl EnergyAccumulator {
     /// the end: a minimum or maximum is one value whatever order it is
     /// found in, except for a tie between `-0.0` and `+0.0`, where `push`
     /// keeps the zero it saw first. When the lanes end on zeros of
-    /// opposite sign, that extreme is redone in order.
+    /// opposite sign, that extreme is redone in order. Always inlined, so
+    /// the loop compiles with its caller's target features.
+    #[inline(always)]
     pub fn push_slice(&mut self, currents_ma: &[f64], voltage_v: f64) {
         let mut sum_ma = self.sum_ma;
         let mut sum_mw = self.sum_mw;

@@ -46,7 +46,12 @@ cargo test -q -p batterylab-tests --test parallel_determinism
 # One sampling engine: the segment-batched, per-sample reference and
 # checkpointed runs must stay bit-for-bit identical (noise-free and
 # noisy, wherever noise blocks, segments and checkpoint seals fall).
+# The meter's sample path is compiled twice, an AVX2 instance picked at
+# run time where the CPU has AVX2 and the baseline one; the two must
+# give the same bits. They run in a release build, so each instance is
+# the vector code a measurement runs.
 cargo test -q -p batterylab-tests --test sampling_fastpath
+cargo test --release -q -p batterylab-power monsoon::tests::instances_
 
 # Bounded chaos soak (seconds, not minutes): experiment pipelines under
 # seeded fault schedules — no lost/duplicated jobs, billing conserved
